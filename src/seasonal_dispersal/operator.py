@@ -22,7 +22,7 @@ class DispersalOperator:
 
     so under Dirichlet the mass sent beyond the habitat is lost, while under
     Neumann dispersal merely redistributes and constants are in the kernel
-    of L.
+    of L. ``loss`` is the factor multiplying u_i in either case.
     """
 
     bc: BoundaryCondition
@@ -35,15 +35,18 @@ class DispersalOperator:
     def n(self) -> int:
         return self.grid.n
 
+    @property
+    def loss(self):
+        """Per-node loss factor of L: 1 under Dirichlet, rowmass under Neumann."""
+        return 1.0 if self.bc is BoundaryCondition.DIRICHLET else self.rowmass
+
     def apply(self, u) -> np.ndarray:
         """Evaluate L u for a StateVector or plain array of length n."""
         v = u.values if isinstance(u, StateVector) else np.asarray(u, dtype=float)
         if v.shape != (self.n,):
             raise ValidationError(
                 f"state has shape {v.shape}, operator expects ({self.n},)")
-        if self.bc is BoundaryCondition.DIRICHLET:
-            return self.d * (self.K @ v - v)
-        return self.d * (self.K @ v - self.rowmass * v)
+        return self.d * (self.K @ v - self.loss * v)
 
 
 def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition, d: float,

@@ -20,7 +20,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import IterationBudgetError, SolverError, ValidationError
-from .evolution import StepControl, evolve, period_map
+from .evolution import StepControl, _one_period, evolve, period_map
 from .model import (BoundaryCondition, Grid, KernelSpec, SeasonParams,
                     StateVector, _readonly)
 from .operator import DispersalOperator, assemble
@@ -168,7 +168,7 @@ def _lower_start_scale(p: SeasonParams, pair: EigenPair, op: DispersalOperator,
     0.1 (a/b) / sup phi until the inequality holds, at most 60 times.
     """
     phi = pair.phi1
-    resid = op.d * (op.K @ phi - phi) + (p.a + pair.sigma1) * phi
+    resid = op.apply(phi) + (p.a + pair.sigma1) * phi
     eps = 0.1 * (p.a / p.b) / float(np.max(phi))
     for _ in range(60):
         if np.max(lam1 * phi - resid + p.b * eps * phi * phi) <= 0.0:
@@ -235,22 +235,21 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
                           evidence=evidence, lambda1=lam1, trace=trace)
 
     eps = _lower_start_scale(p, pair, op, lam1)
-    upper = np.full(n, p.a / p.b + upper_offset)
-    lower = eps * pair.phi1
-    uppers, lowers = [upper.copy()], [lower.copy()]
-    gaps = [float(np.max(np.abs(upper - lower)))]
+    # column 0 is the upper sequence and column 1 the lower one; both
+    # advance through each period as one block
+    block = np.column_stack([np.full(n, p.a / p.b + upper_offset), eps * pair.phi1])
+    iterates = [block]
+    gaps = [float(np.max(np.abs(block[:, 0] - block[:, 1])))]
     converged = False
     for k in range(1, max_periods + 1):
-        upper = period_map(StateVector(upper), p, op, ctl).values
-        lower = period_map(StateVector(lower), p, op, ctl).values
-        uppers.append(upper)
-        lowers.append(lower)
-        gaps.append(float(np.max(np.abs(upper - lower))))
+        block = _one_period(block, p, op, ctl)
+        iterates.append(block)
+        gaps.append(float(np.max(np.abs(block[:, 0] - block[:, 1]))))
         if gaps[-1] <= tol:
             converged = True
             break
-    trace = MonotoneIterationTrace(upper=_readonly(np.array(uppers)),
-                                   lower=_readonly(np.array(lowers)),
+    trace = MonotoneIterationTrace(upper=_readonly(np.array([b[:, 0] for b in iterates])),
+                                   lower=_readonly(np.array([b[:, 1] for b in iterates])),
                                    gaps=_readonly(np.array(gaps)))
     if not converged:
         raise IterationBudgetError(
@@ -260,7 +259,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
             gap=gaps[-1], periods=max_periods,
             slow_near_threshold=abs(lam1) < NEAR_THRESHOLD)
 
-    ustar0 = upper
+    ustar0 = block[:, 0].copy()
     if not np.all(ustar0 > 0):
         raise SolverError("periodic iterate lost strict positivity")
     orbit = evolve(StateVector(ustar0), p, op, ctl, p.omega)

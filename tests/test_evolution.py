@@ -5,13 +5,17 @@ import pytest
 from scipy.linalg import expm
 
 from seasonal_dispersal import (BoundaryCondition, Grid, LaplaceKernel,
-                                PositivityError, StateVector, StepControl,
-                                ValidationError, assemble, evolve, period_map,
-                                step_bad_season, step_good_season)
+                                PositivityError, SolverError, StateVector,
+                                StepControl, ValidationError, assemble, evolve,
+                                period_map, step_bad_season, step_good_season)
+from seasonal_dispersal import evolution
+from seasonal_dispersal.evolution import _rk4_span
 
-from helpers import P1, dirichlet_op, params, random_nonneg_state
+from helpers import (P1, dirichlet_op, params, random_nonneg_state,
+                     rk4_span_reference, rk4_step_reference)
 
 NEU = BoundaryCondition.NEUMANN
+DIR = BoundaryCondition.DIRICHLET
 
 
 def scalar_logistic(c, a, b, tau):
@@ -142,6 +146,72 @@ class TestGoodSeason:
         assert 0 <= err.value.node < 8
 
 
+class TestFusedStepper:
+    @pytest.mark.parametrize("bc", [DIR, NEU])
+    def test_matches_reference_for_state_and_block(self, bc):
+        p = params(P1)
+        op = assemble(LaplaceKernel(2.0), Grid.centered(1.5, 20), bc, p.d)
+        block = np.random.default_rng(51).uniform(0.1, 2.0, (20, 3))
+        before = block.copy()
+        span, steps = p.good_season_length, 80
+        out, _ = _rk4_span(block, op, p, span, steps, 1e-12)
+        assert out.shape == (20, 3)
+        assert np.array_equal(block, before)  # the input is not stepped in place
+        for j in range(3):
+            ref = rk4_span_reference(op, p, block[:, j], span, steps, 1e-12)
+            single, _ = _rk4_span(block[:, j], op, p, span, steps, 1e-12)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(single - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(out[:, j] - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(out[:, j] - single)) <= 1e-14 * scale
+
+    def test_recorded_samples_are_copies(self):
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(2.0), 1.0, 12, p.d)
+        u0 = np.full(12, 0.3)
+        out, recorded = _rk4_span(u0, op, p, 0.4, 40, 1e-12, record_every=10)
+        assert [k for k, _ in recorded] == [10, 20, 30]
+        first = rk4_span_reference(op, p, u0, 0.1, 10, 1e-12)
+        assert np.max(np.abs(recorded[0][1] - first)) <= 1e-13 * np.max(first)
+        assert not np.array_equal(recorded[-1][1], out)
+
+    def test_block_positivity_error_reports_node(self):
+        p = params(a=0.1, b=1.0)
+        op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
+        with pytest.raises(PositivityError) as single:
+            _rk4_span(np.full(8, 30.0), op, p, 0.4, 1, 1e-12)
+        block = np.column_stack([np.full(8, 0.5), np.full(8, 30.0), np.full(8, 0.2)])
+        with pytest.raises(PositivityError) as err:
+            _rk4_span(block, op, p, 0.4, 1, 1e-12)
+        assert 0 <= err.value.node < 8
+        assert err.value.node == single.value.node
+        assert err.value.suggested_dt == 0.2
+
+    def test_clamped_undershoot_is_positive_zero(self):
+        # one RK4 step of 0.4 from this constant undershoots zero by less
+        # than tol_pos at two nodes; the clamp must give +0.0, never -0.0
+        p = params(a=0.1, b=1.0)
+        op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
+        u0 = np.full(8, 4.12365298718214)
+        raw = rk4_step_reference(op, p, u0, 0.4)
+        clamped = raw < 0.0
+        assert np.count_nonzero(clamped) == 2
+        assert -9e-7 < raw.min() < -3e-7
+        ctl = StepControl(dt_good=0.4, tol_pos=9e-7)
+        out = step_good_season(StateVector(u0), op, p, 0.6, 1.0, ctl).values
+        assert np.all(out[clamped] == 0.0)
+        assert not np.any(np.signbit(out))
+        assert np.max(np.abs(out[~clamped] - raw[~clamped])) <= 1e-13 * np.max(raw)
+
+    def test_shape_checked_at_entry(self):
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(2.0), 1.0, 8, p.d)
+        with pytest.raises(ValidationError, match="shape"):
+            _rk4_span(np.ones(9), op, p, 0.4, 4, 1e-12)
+        with pytest.raises(ValidationError, match="shape"):
+            _rk4_span(np.ones((8, 2, 2)), op, p, 0.4, 4, 1e-12)
+
+
 class TestEvolve:
     def test_zero_stays_zero(self):
         p = params(P1)
@@ -200,6 +270,36 @@ class TestEvolve:
             evolve(StateVector(np.array([-0.1] + [0.5] * 7)), p, op,
                    StepControl.for_params(p, 10), p.omega)
 
+    def test_bound_checked_at_recorded_good_season_samples(self, monkeypatch):
+        # raise every recorded sample above the bound but leave the season
+        # ends alone: only the per-sample check can catch it
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 8, p.d)
+        stepper = evolution._rk4_span
+
+        def spiked(*args, **kwargs):
+            u, recorded = stepper(*args, **kwargs)
+            return u, [(k, v + 10.0) for k, v in recorded]
+
+        monkeypatch.setattr(evolution, "_rk4_span", spiked)
+        with pytest.raises(SolverError, match="a-priori bound"):
+            evolve(StateVector(np.full(8, 0.5)), p, op,
+                   StepControl.for_params(p, 40, stride=7), p.omega)
+
+    def test_bad_season_sample_times_by_index(self):
+        # summing 0.1 * 3 two hundred times drifts; the sample times must be
+        # season start + j * sample_dt exactly
+        p = params(P1, omega=100.0)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 4, p.d)
+        ctl = StepControl(dt_good=0.1, stride=3)
+        tr = evolve(StateVector(np.full(4, 0.5)), p, op, ctl, 2 * p.omega)
+        sample_dt = ctl.dt_good * ctl.stride
+        for start in (0.0, p.omega):
+            inside = tr.times[(tr.times > start) & (tr.times < start + p.rho * p.omega)]
+            assert inside.size == 199
+            expect = start + np.arange(1, inside.size + 1) * sample_dt
+            assert np.array_equal(inside, expect)
+
     def test_partial_period_end(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 8, p.d)
@@ -226,6 +326,18 @@ class TestPeriodMap:
         via_evolve = evolve(u0, p, op, ctl, p.omega)
         assert np.max(np.abs(via_map.values - via_evolve.final.values)) == 0.0
         assert via_map.time == p.omega
+
+    @pytest.mark.parametrize("rho, omega", [(0.3, 1.3), (0.45, 0.7)])
+    def test_matches_evolve_where_season_lengths_round(self, rho, omega):
+        # here (1 - rho) omega and omega - rho omega differ in the last bit;
+        # the period map must integrate the span evolve integrates
+        p = params(P1, rho=rho, omega=omega)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, p.d)
+        ctl = StepControl.for_params(p, 400)
+        u0 = StateVector(np.cos(np.pi * op.grid.nodes / 0.4))
+        via_map = period_map(u0, p, op, ctl)
+        via_evolve = evolve(u0, p, op, ctl, p.omega)
+        assert np.array_equal(via_map.values, via_evolve.final.values)
 
     def test_monotone_in_initial_data(self):
         rng = np.random.default_rng(41)
