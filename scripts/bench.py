@@ -1,0 +1,122 @@
+#!/usr/bin/env python3
+"""Time the solver layer by layer at fixed sizes and record the numbers.
+
+Four layers are timed at n = 128, 512 and 2048, each on the P1 operator
+(Laplace kernel of scale 20 on the habitat [-0.2, 0.2], Dirichlet):
+
+* ``operator.assemble_us``: one ``assemble`` call;
+* ``operator.apply_us``: one ``DispersalOperator.apply``;
+* ``spectral.power_step_us``: one power-iteration step, the mean over a
+  50-step ``principal_eigenpair`` run (its per-call set-up included);
+* ``evolution.period_map_ms``: one ``period_map`` at 400 RK4 steps per
+  good season.
+
+Each figure is the median of repeated calls after one warm-up call. BLAS is
+pinned to one thread for this process. The results are merged into the JSON
+file under ``--label``, so two source trees can be recorded side by side:
+
+    python scripts/bench.py --label change --out BENCH.json
+    python scripts/bench.py --src ../other-checkout/src --label parent --out BENCH.json
+"""
+
+import os
+
+os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
+
+import argparse
+import json
+import platform
+import statistics
+import sys
+import time
+from pathlib import Path
+
+import numpy as np
+
+SIZES = (128, 512, 2048)
+ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
+         "thread, on the P1 operator (Laplace kernel of scale 20, habitat "
+         "[-0.2, 0.2], Dirichlet). spectral.power_step_us is the mean step of a "
+         "50-step principal_eigenpair run, its per-call set-up included; "
+         "evolution.period_map_ms uses 400 RK4 steps per good season.")
+POWER_STEPS = 50
+STEPS_PER_SEASON = 400
+BUDGET_S = 1.0
+MIN_RUNS = 3
+
+
+def median_seconds(fn) -> tuple[float, int]:
+    """Median wall seconds of ``fn()`` over at least MIN_RUNS calls and
+    BUDGET_S seconds, after one untimed warm-up call."""
+    fn()
+    samples = []
+    start = time.perf_counter()
+    while len(samples) < MIN_RUNS or time.perf_counter() - start < BUDGET_S:
+        t0 = time.perf_counter()
+        fn()
+        samples.append(time.perf_counter() - t0)
+    return statistics.median(samples), len(samples)
+
+
+def measure(sd, n: int) -> dict:
+    p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
+    kernel = sd.LaplaceKernel(20.0)
+    grid = sd.Grid.centered(0.4, n)
+    dirichlet = sd.BoundaryCondition.DIRICHLET
+    op = sd.assemble(kernel, grid, dirichlet, p.d)
+    u = np.cos(np.pi * grid.nodes / 0.4)
+    ctl = sd.StepControl.for_params(p, STEPS_PER_SEASON)
+
+    def power_steps():
+        try:
+            return sd.principal_eigenpair(op, p.a, tol_residual=0.0,
+                                          max_iter=POWER_STEPS).iterations
+        except sd.EigenConvergenceError as err:
+            return err.iterations
+
+    steps = power_steps()
+    out = {}
+    for name, fn, scale, per in [
+            ("operator.assemble_us", lambda: sd.assemble(kernel, grid, dirichlet, p.d), 1e6, 1),
+            ("operator.apply_us", lambda: op.apply(u), 1e6, 1),
+            ("spectral.power_step_us", power_steps, 1e6, steps),
+            ("evolution.period_map_ms", lambda: sd.period_map(sd.StateVector(u), p, op, ctl),
+             1e3, 1)]:
+        secs, runs = median_seconds(fn)
+        out[name] = {"value": scale * secs / per, "runs": runs}
+    return out
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
+                    help="source tree holding the seasonal_dispersal package")
+    ap.add_argument("--label", required=True, help="key the results are stored under")
+    ap.add_argument("--out", type=Path, required=True, help="JSON file to create or update")
+    args = ap.parse_args(argv)
+
+    sys.path.insert(0, str(args.src.resolve()))
+    import seasonal_dispersal as sd
+
+    layers = {}
+    for n in SIZES:
+        for name, rec in measure(sd, n).items():
+            layers.setdefault(name, {})[str(n)] = rec
+            print(f"n={n:5d}  {name:26s} {rec['value']:12.3f}  ({rec['runs']} runs)", flush=True)
+
+    doc = json.loads(args.out.read_text()) if args.out.exists() else {}
+    doc["about"] = ABOUT
+    doc.setdefault("runs", {})[args.label] = {
+        "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
+        "machine": {"system": platform.system(), "machine": platform.machine(),
+                    "cpus": os.cpu_count(), "python": platform.python_version(),
+                    "numpy": np.__version__,
+                    "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]},
+        "layers": layers,
+    }
+    args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

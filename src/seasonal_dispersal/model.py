@@ -46,6 +46,15 @@ class SeasonParams:
         """Seasonally averaged net growth rate (1-rho)*a - rho*delta."""
         return (1.0 - self.rho) * self.a - self.rho * self.delta
 
+    def lambda1(self, sigma1: float) -> float:
+        """Seasonal threshold eigenvalue (1-rho)*sigma1 + rho*delta.
+
+        ``sigma1`` is the principal eigenvalue of the good-season problem.
+        Under Neumann it is -a (constants are principal), which gives the
+        closed form rho*delta - (1-rho)*a.
+        """
+        return (1.0 - self.rho) * sigma1 + self.rho * self.delta
+
     @property
     def bad_season_length(self) -> float:
         return self.rho * self.omega

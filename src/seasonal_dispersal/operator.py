@@ -1,9 +1,18 @@
-"""Dense discretization of the nonlocal dispersal operator on a midpoint grid."""
+"""Nonlocal dispersal operator on a uniform midpoint grid.
+
+On a uniform grid the midpoint convolution matrix ``K[i, j] = J(x_i - x_j) dx``
+depends on ``i - j`` only and J is even, so K is symmetric Toeplitz: its
+first column determines it. The operator stores that column, applies K by a
+zero-padded real FFT in O(n log n) time and O(n) memory, and materialises
+the dense matrix only when a caller asks for it.
+"""
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ValidationError
 from .model import BoundaryCondition, Grid, KernelSpec, StateVector, _readonly
@@ -13,8 +22,9 @@ from .model import BoundaryCondition, Grid, KernelSpec, StateVector, _readonly
 class DispersalOperator:
     """Discrete dispersal operator under one boundary condition.
 
-    ``K[i, j] = J(x_i - x_j) * dx`` is the midpoint-rule convolution matrix
-    and ``rowmass[i] = sum_j K[i, j]`` approximates the kernel mass reaching
+    ``column[k] = J(k dx) * dx`` is the first column of the symmetric Toeplitz
+    midpoint-rule convolution matrix ``K[i, j] = column[|i - j|]``, and
+    ``rowmass[i] = sum_j K[i, j]`` approximates the kernel mass reaching
     node i from inside the habitat. The operator acts as
 
         Dirichlet:  (L u)_i = d ((K u)_i - u_i)
@@ -23,10 +33,14 @@ class DispersalOperator:
     so under Dirichlet the mass sent beyond the habitat is lost, while under
     Neumann dispersal merely redistributes and constants are in the kernel
     of L. ``loss`` is the factor multiplying u_i in either case.
+
+    ``K u`` is computed by FFT from the column. The dense, read-only ``K`` is
+    materialised on first access only (n^2 floats) and then kept; the
+    spectral path never reads it.
     """
 
     bc: BoundaryCondition
-    K: np.ndarray
+    column: np.ndarray
     rowmass: np.ndarray
     d: float
     grid: Grid
@@ -40,18 +54,42 @@ class DispersalOperator:
         """Per-node loss factor of L: 1 under Dirichlet, rowmass under Neumann."""
         return 1.0 if self.bc is BoundaryCondition.DIRICHLET else self.rowmass
 
+    @cached_property
+    def K(self) -> np.ndarray:
+        """Dense kernel matrix, built from the column on first access."""
+        c = self.column
+        # row i of K is the window of [c_{n-1} .. c_1, c_0, c_1 .. c_{n-1}]
+        # starting at n - 1 - i
+        return _readonly(sliding_window_view(np.concatenate((c[:0:-1], c)), self.n)[::-1])
+
+    @cached_property
+    def _spectrum(self) -> np.ndarray:
+        # K is the leading n x n block of the circulant of length 2n with
+        # first column [c_0 .. c_{n-1}, 0, c_{n-1} .. c_1]
+        c = self.column
+        return np.fft.rfft(np.concatenate((c, [0.0], c[:0:-1])))
+
+    def _matvec(self, x: np.ndarray) -> np.ndarray:
+        """K x for a state of shape (n,) or a block of shape (n, m), by FFT."""
+        m = 2 * self.n
+        spec = self._spectrum if x.ndim == 1 else self._spectrum[:, None]
+        return np.fft.irfft(np.fft.rfft(x, m, axis=0) * spec, m, axis=0)[:self.n]
+
     def apply(self, u) -> np.ndarray:
         """Evaluate L u for a StateVector or plain array of length n."""
         v = u.values if isinstance(u, StateVector) else np.asarray(u, dtype=float)
         if v.shape != (self.n,):
             raise ValidationError(
                 f"state has shape {v.shape}, operator expects ({self.n},)")
-        return self.d * (self.K @ v - self.loss * v)
+        return self.d * (self._matvec(v) - self.loss * v)
 
 
 def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition, d: float,
              mass_slack: float | None = None) -> DispersalOperator:
-    """Build the dense operator matrix for ``kernel`` on ``grid``.
+    """Build the operator for ``kernel`` on ``grid`` from K's first column.
+
+    The kernel is evaluated at the n distances k dx only. K is symmetric by
+    construction, since every entry is read from the one column.
 
     ``mass_slack`` bounds how far a row mass may exceed 1. The midpoint rule
     overshoots the exact kernel mass by up to about (dx * J(0))^2 / 3 once
@@ -63,18 +101,16 @@ def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition, d: float,
         raise ValidationError(f"dispersal rate must be positive, got {d!r}")
     if not isinstance(bc, BoundaryCondition):
         raise ValidationError(f"unknown boundary condition {bc!r}")
-    x = grid.nodes
     dx = grid.dx
-    # |x_i - x_j| is computed once, so K is symmetric bit for bit
-    K = kernel.evaluate(np.abs(x[:, None] - x[None, :])) * dx
-    if np.any(K < 0) or not np.all(np.isfinite(K)):
+    column = kernel.evaluate(np.arange(grid.n) * dx) * dx
+    if np.any(column < 0) or not np.all(np.isfinite(column)):
         raise ValidationError("kernel produced negative or non-finite matrix entries")
-    if np.any(np.diag(K) <= 0):
+    if column[0] <= 0:
         raise ValidationError("kernel vanishes at the origin; J(0) > 0 is required")
-    asym = float(np.max(np.abs(K - K.T))) if grid.n > 1 else 0.0
-    if asym > 1e-12:
-        raise ValidationError(f"operator matrix asymmetry {asym:g} exceeds 1e-12")
-    rowmass = K.sum(axis=1)
+    # rowmass[i] = sum_{k <= i} c_k + sum_{k <= n-1-i} c_k - c_0; extended
+    # precision keeps the prefix sums as accurate as a direct row sum
+    prefix = np.cumsum(column, dtype=np.longdouble)
+    rowmass = (prefix + prefix[::-1] - column[0]).astype(float)
     if mass_slack is None:
         mass_slack = 1e-9 + (dx * kernel.at_zero) ** 2
     excess = float(np.max(rowmass)) - 1.0
@@ -84,5 +120,5 @@ def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition, d: float,
             "the grid badly under-resolves the kernel")
     if np.any(rowmass <= 0):
         raise ValidationError("operator has a zero row mass")
-    return DispersalOperator(bc=bc, K=_readonly(K), rowmass=_readonly(rowmass),
+    return DispersalOperator(bc=bc, column=_readonly(column), rowmass=_readonly(rowmass),
                              d=float(d), grid=grid)

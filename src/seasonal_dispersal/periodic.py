@@ -24,8 +24,8 @@ from .evolution import StepControl, _one_period, evolve, period_map
 from .model import (BoundaryCondition, Grid, KernelSpec, SeasonParams,
                     StateVector, _readonly)
 from .operator import DispersalOperator, assemble
-from .spectral import (EigenPair, Regime, critical_length, principal_eigenpair,
-                       threshold)
+from .spectral import (EigenPair, Regime, _dirichlet_regime, critical_length,
+                       principal_eigenpair, threshold)
 
 #: below this distance from zero the threshold eigenvalue gives degenerate
 #: convergence rates; budget exhaustion is then flagged as slow, not failed
@@ -202,7 +202,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("find_periodic_solution expects a Dirichlet operator")
-    lam1 = (1.0 - p.rho) * pair.sigma1 + p.rho * p.delta
+    lam1 = p.lambda1(pair.sigma1)
     n = op.n
 
     if lam1 >= 0.0:
@@ -304,7 +304,7 @@ def classify(p: SeasonParams, kernel: KernelSpec, bc: BoundaryCondition,
     """Classify the long-run dynamics; see DynamicsClassification."""
     margin = p.growth_margin
     if bc is BoundaryCondition.NEUMANN:
-        lam1 = p.delta * p.rho - p.a * (1.0 - p.rho)
+        lam1 = p.lambda1(-p.a)
         regime = Regime.PERSIST if lam1 < 0 else Regime.EXTINCT
         return DynamicsClassification(regime=regime, growth_margin=margin,
                                       lambda1=lam1)
@@ -315,13 +315,9 @@ def classify(p: SeasonParams, kernel: KernelSpec, bc: BoundaryCondition,
         report = threshold(p, op)
         sigma1, lam1 = report.sigma1, report.lambda1
 
+    regime = _dirichlet_regime(p)
     ell_star = None
-    if margin > (1.0 - p.rho) * p.d:
-        regime = Regime.PERSIST_ALL_DOMAINS
-    elif margin <= 0.0:
-        regime = Regime.EXTINCT_ALL_DOMAINS
-    else:
-        regime = Regime.CRITICAL_LENGTH
+    if regime is Regime.CRITICAL_LENGTH:
         ell_star = critical_length(p, kernel, ell_tol).ell_star
     return DynamicsClassification(regime=regime, growth_margin=margin,
                                   lambda1=lam1, sigma1=sigma1, ell_star=ell_star)

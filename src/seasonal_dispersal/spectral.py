@@ -60,18 +60,18 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
     origin, so the Perron root r of d K is the simple dominant eigenvalue and
     the iteration converges from any positive start. Convergence requires the
     sup-norm residual below ``tol_residual`` together with Rayleigh-quotient
-    stagnation below ``tol_stagnation``.
+    stagnation below ``tol_stagnation``. Each step applies K by FFT from its
+    first column, so no n x n matrix is formed.
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("principal_eigenpair expects a Dirichlet operator")
-    M = op.d * op.K
     v = np.ones(op.n)
     v /= np.linalg.norm(v)
     lam = 0.0
     lam_prev = math.inf
     res = math.inf
     for it in range(1, max_iter + 1):
-        y = M @ v
+        y = op.d * op._matvec(v)
         lam = float(v @ y)
         res = float(np.max(np.abs(y - lam * v))) / float(np.max(v))
         if res <= tol_residual and abs(lam - lam_prev) <= tol_stagnation * max(1.0, abs(lam)):
@@ -101,13 +101,10 @@ def threshold(p: SeasonParams, op: DispersalOperator,
         raise ValidationError(
             f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
     if op.bc is BoundaryCondition.NEUMANN:
-        return ThresholdReport(sigma1=None,
-                               lambda1=p.delta * p.rho - p.a * (1.0 - p.rho),
-                               bc=op.bc)
+        return ThresholdReport(sigma1=None, lambda1=p.lambda1(-p.a), bc=op.bc)
     if pair is None:
         pair = principal_eigenpair(op, p.a)
-    lam1 = (1.0 - p.rho) * pair.sigma1 + p.rho * p.delta
-    return ThresholdReport(sigma1=pair.sigma1, lambda1=lam1, bc=op.bc)
+    return ThresholdReport(sigma1=pair.sigma1, lambda1=p.lambda1(pair.sigma1), bc=op.bc)
 
 
 def periodic_eigenfunction(p: SeasonParams, pair: EigenPair, t: float) -> StateVector:
@@ -120,13 +117,27 @@ def periodic_eigenfunction(p: SeasonParams, pair: EigenPair, t: float) -> StateV
     """
     if not (0.0 <= t <= p.omega):
         raise ValidationError(f"t={t!r} lies outside one period [0, {p.omega}]")
-    lam1 = (1.0 - p.rho) * pair.sigma1 + p.rho * p.delta
+    lam1 = p.lambda1(pair.sigma1)
     t_bad = p.rho * p.omega
     if t <= t_bad:
         exponent = (lam1 - p.delta) * t
     else:
         exponent = lam1 * t - p.delta * t_bad - pair.sigma1 * (t - t_bad)
     return StateVector(math.exp(exponent) * pair.phi1, time=t)
+
+
+def _dirichlet_regime(p: SeasonParams) -> Regime:
+    """Regime on Dirichlet habitats, from the growth margin g alone.
+
+    g > (1-rho) d persists on every habitat, g <= 0 goes extinct on every
+    habitat, and in between a finite critical length separates the two.
+    """
+    margin = p.growth_margin
+    if margin > (1.0 - p.rho) * p.d:
+        return Regime.PERSIST_ALL_DOMAINS
+    if margin <= 0:
+        return Regime.EXTINCT_ALL_DOMAINS
+    return Regime.CRITICAL_LENGTH
 
 
 @dataclass(frozen=True)
@@ -157,11 +168,9 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive, got {tol!r}")
-    margin = p.growth_margin
-    if margin > (1.0 - p.rho) * p.d:
-        return CriticalLengthResult(verdict=Regime.PERSIST_ALL_DOMAINS)
-    if margin <= 0:
-        return CriticalLengthResult(verdict=Regime.EXTINCT_ALL_DOMAINS)
+    regime = _dirichlet_regime(p)
+    if regime is not Regime.CRITICAL_LENGTH:
+        return CriticalLengthResult(verdict=regime)
 
     scale = kernel.scale
 

@@ -1,11 +1,13 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from seasonal_dispersal import (BoundaryCondition, Grid, LaplaceKernel,
                                 StateVector, TabulatedKernel, ValidationError,
-                                assemble)
+                                assemble, classify, principal_eigenpair)
 
-from helpers import brute_apply, dirichlet_op, tent_kernel_table
+from helpers import P2, brute_apply, dirichlet_op, params, tent_kernel_table
 
 D = BoundaryCondition.DIRICHLET
 N = BoundaryCondition.NEUMANN
@@ -57,6 +59,59 @@ def test_neumann_apply_matches_brute_force():
     op = assemble(LaplaceKernel(0.8), Grid(-1.0, 2.0, 16), N, d=1.3)
     u = rng.uniform(0.0, 2.0, 16)
     assert np.max(np.abs(op.apply(u) - brute_apply(op, u))) <= 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 128, 513, 2048])
+def test_fft_apply_matches_dense_and_brute_force(n):
+    # the tent kernel vanishes beyond 1, so most of its column is zero
+    rng = np.random.default_rng(n)
+    for kernel, length in [(LaplaceKernel(1.0), 7.0),
+                           (TabulatedKernel(tent_kernel_table(1.0, m=41), 1.0), 6.0)]:
+        for bc in (D, N):
+            op = assemble(kernel, Grid(-0.3 * length, 0.7 * length, n), bc, d=0.9)
+            u = rng.normal(size=n)
+            tol = 1e-14 * np.max(np.abs(u))
+            out = op.apply(u)
+            assert np.max(np.abs(out - op.d * (op.K @ u - op.loss * u))) <= tol
+            if n <= 513:  # the double loop alone takes seconds at n = 2048
+                assert np.max(np.abs(out - brute_apply(op, u))) <= tol
+
+
+def test_block_product_equals_column_products():
+    rng = np.random.default_rng(15)
+    op = dirichlet_op(LaplaceKernel(2.0), 9.0, 200, d=0.7)
+    X = rng.normal(size=(200, 3))
+    block = op._matvec(X)
+    assert block.shape == (200, 3)
+    for j in range(3):
+        assert np.max(np.abs(block[:, j] - op._matvec(X[:, j]))) <= 1e-15 * np.max(np.abs(X))
+
+
+def test_prefix_sum_rowmass_matches_dense_row_sums():
+    for kernel, length, n in [(LaplaceKernel(1.0), 7.0, 2048),
+                              (LaplaceKernel(1.0), 100.0, 2048),
+                              (LaplaceKernel(20.0), 8.0, 513),
+                              (TabulatedKernel(tent_kernel_table(1.0), 1.0), 5.0, 1000)]:
+        op = dirichlet_op(kernel, length, n, d=1.0)
+        assert np.max(np.abs(op.rowmass - op.K.sum(axis=1))) <= 1e-15
+
+
+def test_spectral_path_allocates_no_dense_matrix():
+    # one dense matrix at n = 4096 is 128 MiB; the column, its spectrum and
+    # the iterates take well under 1 MiB
+    p = params(P2)
+    kernel = LaplaceKernel(1.0)
+    tracemalloc.start()
+    try:
+        op = dirichlet_op(kernel, 100.0, 4096, p.d)
+        pair = principal_eigenpair(op, p.a)
+        op.apply(pair.phi1)
+        classify(p, kernel, D, domain=op.grid)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+    assert "K" not in op.__dict__
 
 
 def test_neumann_annihilates_constants():

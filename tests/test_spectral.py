@@ -56,6 +56,13 @@ def test_against_dense_full_spectrum_oracle():
         assert pair.sigma1 == pytest.approx(dense_sigma1(op, a), abs=1e-7)
 
 
+def test_wide_habitat_against_dense_oracle():
+    # 100 kernel scales at n = 2048, where the power iteration takes 1647 steps
+    op = dirichlet_op(LaplaceKernel(1.0), 100.0, 2048, 1.0)
+    pair = principal_eigenpair(op, 1.2)
+    assert pair.sigma1 == pytest.approx(dense_sigma1(op, 1.2), abs=1e-8)
+
+
 def test_grid_refinement_stability():
     p = params(P2)
     vals = []
