@@ -7,11 +7,9 @@ periodic attractors by monotone iteration, and the scalar ODE reference.
 from .errors import (BracketError, ConfigError, EigenConvergenceError,
                      IterationBudgetError, PositivityError, SolverError,
                      ValidationError)
-from .evolution import (StepControl, Trajectory, evolve, period_map,
-                        step_bad_season, step_good_season)
+from .evolution import StepControl, Trajectory, evolve, period_map
 from .model import (BoundaryCondition, Grid, KernelSpec, LaplaceKernel,
-                    SeasonParams, StateVector, TabulatedKernel, kernel_mass,
-                    validate_params)
+                    SeasonParams, StateVector, TabulatedKernel)
 from .operator import DispersalOperator, assemble
 from .periodic import (DynamicsClassification, Extinction,
                        MonotoneIterationTrace, OdePeriodicSolution,
@@ -34,8 +32,7 @@ __all__ = [
     "SeasonParams", "SolverError", "StateVector", "StepControl",
     "TabulatedKernel", "ThresholdReport", "Trajectory", "ValidationError",
     "assemble", "asymptotic_profile_study", "classify", "critical_length",
-    "evolve", "find_periodic_solution", "kernel_mass", "logistic_flow",
-    "ode_period_map", "ode_periodic_solution", "period_map",
-    "periodic_eigenfunction", "principal_eigenpair", "step_bad_season",
-    "step_good_season", "threshold", "validate_params",
+    "evolve", "find_periodic_solution", "logistic_flow", "ode_period_map",
+    "ode_periodic_solution", "period_map", "periodic_eigenfunction",
+    "principal_eigenpair", "threshold",
 ]

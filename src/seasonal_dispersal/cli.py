@@ -21,7 +21,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field
-from typing import Optional
+from typing import Iterable, Optional
 
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigError, SolverError, ValidationError
@@ -92,12 +92,12 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: str, content: str) -> None:
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     parent = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
     try:
         with os.fdopen(fd, "w") as fh:
-            fh.write(content)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -105,33 +105,37 @@ def _atomic_write(path: str, content: str) -> None:
         raise
 
 
+def _write_csv(path: str, header: str, times, values, nodes=None) -> None:
+    """CSV of ``header``, then one row ``t,x,value`` per time and node, times
+    and nodes in the given order; without ``nodes``, one row ``t,value`` per
+    time. Each node is formatted once per file, and the rows stream into the
+    temp file of the atomic write.
+    """
+    cols = [""] if nodes is None else [_fmt(x) + "," for x in nodes]
+
+    def lines():
+        yield header + "\n"
+        for t, row in zip(times, values):
+            t = _fmt(t) + ","
+            yield "".join(f"{t}{c}{_fmt(v)}\n" for c, v in zip(cols, row))
+
+    _atomic_write(path, lines())
+
+
 def export_trajectory(tr: Trajectory, path: str) -> None:
     """Trajectory CSV: header ``t,x,u``, times ascending, nodes ascending."""
-    x = tr.grid.nodes
-    rows = ["t,x,u"]
-    for k in range(len(tr)):
-        t = _fmt(tr.times[k])
-        vals = tr.values[k]
-        rows.extend(f"{t},{_fmt(x[j])},{_fmt(vals[j])}" for j in range(x.size))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_csv(path, "t,x,u", tr.times, tr.values, tr.grid.nodes)
 
 
 def export_periodic(sol: PeriodicSolution, path: str) -> None:
     """Periodic attractor CSV: header ``t,x,ustar``."""
-    x = sol.grid.nodes
-    rows = ["t,x,ustar"]
-    for k in range(sol.times.size):
-        t = _fmt(sol.times[k])
-        vals = sol.values[k]
-        rows.extend(f"{t},{_fmt(x[j])},{_fmt(vals[j])}" for j in range(x.size))
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_csv(path, "t,x,ustar", sol.times, sol.values, sol.grid.nodes)
 
 
 def export_profile(entries: list[ProfileEntry], path: str) -> None:
     """Profile-study CSV: header ``L,deviation``."""
-    rows = ["L,deviation"]
-    rows.extend(f"{_fmt(e.length)},{_fmt(e.deviation)}" for e in entries)
-    _atomic_write(path, "\n".join(rows) + "\n")
+    _write_csv(path, "L,deviation", [e.length for e in entries],
+               [[e.deviation] for e in entries])
 
 
 def _require(cfg_value, key: str, command: str):
@@ -153,7 +157,7 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         n_periods = _require(cfg.n_periods, "run.n_periods", command)
         _require(cfg.out_trajectory, "out.trajectory", command)
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
-        tr = evolve(cfg.initial_state(), p, op, cfg.ctl, n_periods * p.omega)
+        tr = evolve(cfg.u0, p, op, cfg.ctl, n_periods * p.omega)
         verdict = classify(p, cfg.kernel, cfg.bc, domain=cfg.grid)
         export_trajectory(tr, cfg.out_trajectory)
         summary.classification = verdict.regime.value
@@ -262,27 +266,19 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     try:
         cfg = parse_config(text, _parse_overrides(args.override))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-
-    try:
         summary = run_scenario(args.command, cfg)
-    except ConfigError as exc:
+    except ValidationError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValidationError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except SolverError as exc:
+    except SolverError as exc:  # only run_scenario raises it, so cfg is set
         summary = RunSummary(command=args.command, status="failed", error=str(exc))
         if cfg.out_summary is not None:
-            _atomic_write(cfg.out_summary, summary.to_text())
+            _atomic_write(cfg.out_summary, [summary.to_text()])
         print(f"solver error: {exc}", file=sys.stderr)
         return 3
 
     if cfg.out_summary is not None:
-        _atomic_write(cfg.out_summary, summary.to_text())
+        _atomic_write(cfg.out_summary, [summary.to_text()])
     sys.stdout.write(summary.to_text())
     return 0
 

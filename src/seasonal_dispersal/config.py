@@ -44,24 +44,13 @@ class ScenarioConfig:
     bc: BoundaryCondition
     grid: Grid
     ctl: StepControl
-    ic_type: str
-    ic_l: Optional[float]
-    ic_c: Optional[float]
-    ic_table: Optional[np.ndarray]
+    u0: StateVector
     n_periods: Optional[int]
     out_trajectory: Optional[str]
     out_summary: Optional[str]
     out_periodic: Optional[str]
     out_profile: Optional[str]
     profile_lengths: Optional[tuple[float, ...]]
-
-    def initial_state(self) -> StateVector:
-        x = self.grid.nodes
-        if self.ic_type == "cosine":
-            return StateVector(np.cos(np.pi * x / (2.0 * self.ic_l)), time=0.0)
-        if self.ic_type == "constant":
-            return StateVector(np.full(self.grid.n, self.ic_c), time=0.0)
-        return StateVector(self.ic_table, time=0.0)
 
 
 def _parse_lines(text: str) -> dict[str, str]:
@@ -204,7 +193,6 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Scena
     ic_type = values.get("ic.type", "cosine")
     ic_l = values.get("ic.l")
     ic_c = values.get("ic.c")
-    ic_table = None
     if ic_type == "cosine":
         if ic_l is None:
             raise ConfigError("ic.type = cosine requires ic.l")
@@ -214,11 +202,13 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Scena
             raise ConfigError(
                 f"ic.type = cosine requires the symmetric domain [-{ic_l!r}, {ic_l!r}], "
                 f"got [{grid.l1!r}, {grid.l2!r}]")
+        u0 = np.cos(np.pi * grid.nodes / (2.0 * ic_l))
     elif ic_type == "constant":
         if ic_c is None:
             raise ConfigError("ic.type = constant requires ic.c")
         if ic_c < 0:
             raise ConfigError(f"ic.c must be nonnegative, got {ic_c!r}")
+        u0 = np.full(grid.n, ic_c)
     elif ic_type == "table":
         if "ic.table_path" not in values:
             raise ConfigError("ic.type = table requires ic.table_path")
@@ -227,7 +217,7 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Scena
             raise ConfigError("ic table must have strictly increasing x")
         if np.any(us < 0):
             raise ConfigError("ic table contains negative densities")
-        ic_table = np.interp(grid.nodes, xs, us)
+        u0 = np.interp(grid.nodes, xs, us)
     else:
         raise ConfigError(f"ic.type must be cosine, constant or table, got {ic_type!r}")
 
@@ -254,8 +244,7 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Scena
         outs[key] = path
 
     return ScenarioConfig(params=params, kernel=kernel, bc=bc, grid=grid, ctl=ctl,
-                          ic_type=ic_type, ic_l=ic_l, ic_c=ic_c, ic_table=ic_table,
-                          n_periods=n_periods,
+                          u0=StateVector(u0), n_periods=n_periods,
                           out_trajectory=outs["out.trajectory"],
                           out_summary=outs["out.summary"],
                           out_periodic=outs["out.periodic"],

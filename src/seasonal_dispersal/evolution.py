@@ -18,7 +18,7 @@ from .model import BoundaryCondition, Grid, SeasonParams, StateVector, _readonly
 from .operator import DispersalOperator
 
 #: entries in (-_TOL_POS, 0) are clamped to zero; anything below is an error
-_DEFAULT_TOL_POS = 1e-12
+_TOL_POS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -32,15 +32,12 @@ class StepControl:
 
     dt_good: float
     stride: int = 50
-    tol_pos: float = _DEFAULT_TOL_POS
 
     def __post_init__(self):
         if not (math.isfinite(self.dt_good) and self.dt_good > 0):
             raise ValidationError(f"dt_good must be positive, got {self.dt_good!r}")
         if not (isinstance(self.stride, (int, np.integer)) and self.stride >= 1):
             raise ValidationError(f"stride must be a positive integer, got {self.stride!r}")
-        if not (0 < self.tol_pos < 1e-6):
-            raise ValidationError(f"tol_pos out of range: {self.tol_pos!r}")
 
     @classmethod
     def for_params(cls, p: SeasonParams, steps_per_season: int = 2000,
@@ -71,22 +68,6 @@ class Trajectory:
     @property
     def final(self) -> StateVector:
         return self.state(len(self) - 1)
-
-    def sup_norms(self) -> np.ndarray:
-        return np.max(np.abs(self.values), axis=1) if len(self) else np.zeros(0)
-
-
-def step_bad_season(u: StateVector, p: SeasonParams, t0: float, t1: float) -> StateVector:
-    """Exact decay through [t0, t1] inside one bad season: u -> e^{-delta (t1-t0)} u."""
-    if t1 < t0:
-        raise ValidationError(f"interval reversed: t0={t0!r}, t1={t1!r}")
-    if t1 > t0:
-        i = math.floor(t0 / p.omega + 1e-12)
-        if not (i * p.omega - 1e-12 * p.omega <= t0
-                and t1 <= (i + p.rho) * p.omega + 1e-12 * p.omega):
-            raise ValidationError(
-                f"[{t0!r}, {t1!r}] is not inside one bad season of period {p.omega!r}")
-    return StateVector(math.exp(-p.delta * (t1 - t0)) * u.values, time=t1)
 
 
 def _rk4_span(u: np.ndarray, op: DispersalOperator, p: SeasonParams,
@@ -149,24 +130,6 @@ def _rk4_span(u: np.ndarray, op: DispersalOperator, p: SeasonParams,
     return u, recorded
 
 
-def step_good_season(u: StateVector, op: DispersalOperator, p: SeasonParams,
-                     t0: float, t1: float, ctl: StepControl) -> StateVector:
-    """RK4 through [t0, t1] inside one good season."""
-    if t1 < t0:
-        raise ValidationError(f"interval reversed: t0={t0!r}, t1={t1!r}")
-    if np.any(u.values < 0):
-        raise ValidationError("good-season step requires a nonnegative state")
-    if t1 == t0:
-        return StateVector(u.values, time=t1)
-    i = math.floor(t0 / p.omega + 1e-12)
-    if not ((i + p.rho) * p.omega - 1e-12 * p.omega <= t0
-            and t1 <= (i + 1) * p.omega + 1e-12 * p.omega):
-        raise ValidationError(
-            f"[{t0!r}, {t1!r}] is not inside one good season of period {p.omega!r}")
-    v, _ = _rk4_span(u.values, op, p, t1 - t0, ctl.steps_for(t1 - t0), ctl.tol_pos)
-    return StateVector(v, time=t1)
-
-
 def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
            ctl: StepControl, t_end: float) -> Trajectory:
     """Integrate from t = 0 to ``t_end``, alternating exact bad-season decay
@@ -222,7 +185,7 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
             span = good_end - t
             steps = ctl.steps_for(span)
             dt = span / steps
-            u, recorded = _rk4_span(u, op, p, span, steps, ctl.tol_pos,
+            u, recorded = _rk4_span(u, op, p, span, steps, _TOL_POS,
                                     record_every=ctl.stride)
             for k, v in recorded:
                 times.append(t + k * dt)
@@ -250,7 +213,7 @@ def _one_period(u: np.ndarray, p: SeasonParams, op: DispersalOperator,
     bad = p.rho * p.omega
     u = math.exp(-p.delta * bad) * u
     span = p.omega - bad
-    return _rk4_span(u, op, p, span, ctl.steps_for(span), ctl.tol_pos)[0]
+    return _rk4_span(u, op, p, span, ctl.steps_for(span), _TOL_POS)[0]
 
 
 def period_map(u0: StateVector, p: SeasonParams, op: DispersalOperator,

@@ -64,18 +64,6 @@ class SeasonParams:
         return (1.0 - self.rho) * self.omega
 
 
-def validate_params(p: SeasonParams) -> SeasonParams:
-    """Return ``p`` unchanged; raise ValidationError naming any bad field.
-
-    Construction already validates, so this mainly re-checks values coming
-    from deserialized or hand-built objects.
-    """
-    SeasonParams(p.delta, p.a, p.b, p.d, p.rho, p.omega)
-    if not math.isfinite(p.growth_margin):
-        raise ValidationError("growth_margin is not finite")
-    return p
-
-
 @dataclass(frozen=True)
 class LaplaceKernel:
     """Laplace dispersal kernel J(x) = exp(-|x|/scale) / (2 scale).
@@ -171,16 +159,6 @@ class TabulatedKernel:
 
 
 KernelSpec = Union[LaplaceKernel, TabulatedKernel]
-
-
-def kernel_mass(kernel: KernelSpec, half_width: float) -> float:
-    """Mass of ``kernel`` over [-half_width, half_width].
-
-    Nondecreasing in the half-width and never above 1 + 1e-9.
-    """
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise ValidationError(f"half_width must be positive, got {half_width!r}")
-    return kernel.mass(half_width)
 
 
 @dataclass(frozen=True)

@@ -84,18 +84,18 @@ class DispersalOperator:
         return self.d * (self._matvec(v) - self.loss * v)
 
 
-def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition, d: float,
-             mass_slack: float | None = None) -> DispersalOperator:
+def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition,
+             d: float) -> DispersalOperator:
     """Build the operator for ``kernel`` on ``grid`` from K's first column.
 
     The kernel is evaluated at the n distances k dx only. K is symmetric by
     construction, since every entry is read from the one column.
 
-    ``mass_slack`` bounds how far a row mass may exceed 1. The midpoint rule
-    overshoots the exact kernel mass by up to about (dx * J(0))^2 / 3 once
-    the habitat is much wider than the kernel (the quadrature bias of the
-    kernel's peak), so the default allowance is 1e-9 + (dx * J(0))^2; on
-    grids that resolve the kernel it reduces to the strict 1e-9.
+    A row mass may exceed 1 by at most 1e-9 + (dx * J(0))^2. The midpoint
+    rule overshoots the exact kernel mass by up to about (dx * J(0))^2 / 3
+    once the habitat is much wider than the kernel (the quadrature bias of
+    the kernel's peak); on grids that resolve the kernel the allowance
+    reduces to the strict 1e-9.
     """
     if not (math.isfinite(d) and d > 0):
         raise ValidationError(f"dispersal rate must be positive, got {d!r}")
@@ -111,12 +111,11 @@ def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition, d: float,
     # precision keeps the prefix sums as accurate as a direct row sum
     prefix = np.cumsum(column, dtype=np.longdouble)
     rowmass = (prefix + prefix[::-1] - column[0]).astype(float)
-    if mass_slack is None:
-        mass_slack = 1e-9 + (dx * kernel.at_zero) ** 2
+    allowance = 1e-9 + (dx * kernel.at_zero) ** 2
     excess = float(np.max(rowmass)) - 1.0
-    if excess > mass_slack:
+    if excess > allowance:
         raise ValidationError(
-            f"row mass exceeds 1 by {excess:g} (allowed slack {mass_slack:g}); "
+            f"row mass exceeds 1 by {excess:g} (allowed {allowance:g}); "
             "the grid badly under-resolves the kernel")
     if np.any(rowmass <= 0):
         raise ValidationError("operator has a zero row mass")

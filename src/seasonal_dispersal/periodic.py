@@ -31,6 +31,9 @@ from .spectral import (EigenPair, Regime, _dirichlet_regime, critical_length,
 #: convergence rates; budget exhaustion is then flagged as slow, not failed
 NEAR_THRESHOLD = 1e-3
 
+#: an upper iterate whose sup-norm falls below this certifies extinction
+EXTINCTION_THRESHOLD = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # scalar seasonal ODE reference
@@ -138,10 +141,6 @@ class PeriodicSolution:
     grid: Grid
 
     @property
-    def initial(self) -> StateVector:
-        return StateVector(self.values[0], time=float(self.times[0]))
-
-    @property
     def sup_norm(self) -> float:
         return float(np.max(np.abs(self.values)))
 
@@ -182,7 +181,6 @@ def _lower_start_scale(p: SeasonParams, pair: EigenPair, op: DispersalOperator,
 def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPair,
                            ctl: StepControl, *, tol: float = 1e-8,
                            max_periods: int = 5000,
-                           extinction_threshold: float = 1e-10,
                            upper_offset: float = 1.0
                            ) -> Union[PeriodicSolution, Extinction]:
     """Monotone upper/lower iteration of the period map on a Dirichlet habitat.
@@ -193,7 +191,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     positive fixed point, accepted once their gap is at most ``tol``. With
     lambda1 >= 0 the upper sequence alone is driven toward zero and an
     Extinction certificate is returned, either because it fell below
-    ``extinction_threshold`` or because it decayed monotonically for the
+    EXTINCTION_THRESHOLD or because it decayed monotonically for the
     whole budget.
 
     Raises IterationBudgetError if the gap is still above ``tol`` after
@@ -214,14 +212,14 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
             u = period_map(StateVector(u), p, op, ctl).values
             uppers.append(u)
             sups.append(float(np.max(u)))
-            if sups[-1] < extinction_threshold:
+            if sups[-1] < EXTINCTION_THRESHOLD:
                 periods = k
                 break
         sups_arr = np.array(sups)
         trace = MonotoneIterationTrace(upper=_readonly(np.array(uppers)),
                                        lower=_readonly(np.zeros_like(np.array(uppers))),
                                        gaps=_readonly(sups_arr))
-        if sups_arr[-1] < extinction_threshold:
+        if sups_arr[-1] < EXTINCTION_THRESHOLD:
             evidence = "below_threshold"
         else:
             slack = max(1e-12, 1e-9 * sups_arr[0])
@@ -293,14 +291,9 @@ class DynamicsClassification:
     sigma1: Optional[float] = None
     ell_star: Optional[float] = None
 
-    @property
-    def persists_on_domain(self) -> Optional[bool]:
-        return None if self.lambda1 is None else self.lambda1 < 0.0
-
 
 def classify(p: SeasonParams, kernel: KernelSpec, bc: BoundaryCondition,
-             domain: Optional[Grid] = None, *,
-             ell_tol: float = 1e-4) -> DynamicsClassification:
+             domain: Optional[Grid] = None) -> DynamicsClassification:
     """Classify the long-run dynamics; see DynamicsClassification."""
     margin = p.growth_margin
     if bc is BoundaryCondition.NEUMANN:
@@ -318,7 +311,7 @@ def classify(p: SeasonParams, kernel: KernelSpec, bc: BoundaryCondition,
     regime = _dirichlet_regime(p)
     ell_star = None
     if regime is Regime.CRITICAL_LENGTH:
-        ell_star = critical_length(p, kernel, ell_tol).ell_star
+        ell_star = critical_length(p, kernel).ell_star
     return DynamicsClassification(regime=regime, growth_margin=margin,
                                   lambda1=lam1, sigma1=sigma1, ell_star=ell_star)
 
@@ -334,7 +327,6 @@ class ProfileEntry:
     length: float
     deviation: float
     lambda1: float
-    grid_n: int
 
 
 def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
@@ -342,16 +334,13 @@ def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
                              nodes_per_scale: int = 16,
                              steps_per_season: int = 400,
                              tol: float = 1e-8,
-                             max_periods: int = 5000,
-                             max_final_deviation: Optional[float] = None
-                             ) -> list[ProfileEntry]:
+                             max_periods: int = 5000) -> list[ProfileEntry]:
     """Deviation of the habitat attractor from the scalar periodic orbit.
 
     For each centered habitat length L the periodic attractor is computed
     and compared to z*(t) on the core |x| <= L/4, maximized over the
     attractor's sample instants. Growing habitats must not increase the
-    deviation (10 percent slack); when ``max_final_deviation`` is given the
-    largest habitat must beat it. Either failure raises SolverError.
+    deviation (10 percent slack), or SolverError is raised.
     """
     if p.growth_margin <= 0:
         raise ValidationError("profile study requires growth_margin > 0")
@@ -381,15 +370,11 @@ def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
         zs = zsol.sample(sol.times)
         deviation = float(np.max(np.abs(sol.values[:, core] - zs[:, None])))
         entries.append(ProfileEntry(length=L, deviation=deviation,
-                                    lambda1=sol.lambda1, grid_n=n))
+                                    lambda1=sol.lambda1))
 
     for prev, cur in zip(entries, entries[1:]):
         if cur.deviation > 1.10 * prev.deviation:
             raise SolverError(
                 f"core deviation grew from {prev.deviation:g} (L={prev.length:g}) "
                 f"to {cur.deviation:g} (L={cur.length:g})")
-    if max_final_deviation is not None and entries[-1].deviation > max_final_deviation:
-        raise SolverError(
-            f"final deviation {entries[-1].deviation:g} exceeds the bound "
-            f"{max_final_deviation:g}")
     return entries

@@ -52,7 +52,6 @@ class ThresholdReport:
 
 def principal_eigenpair(op: DispersalOperator, a: float, *,
                         tol_residual: float = 1e-8,
-                        tol_stagnation: float = 1e-12,
                         max_iter: int = 100_000) -> EigenPair:
     """Power iteration for the principal eigenpair of d(K u - u) + a u.
 
@@ -60,7 +59,7 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
     origin, so the Perron root r of d K is the simple dominant eigenvalue and
     the iteration converges from any positive start. Convergence requires the
     sup-norm residual below ``tol_residual`` together with Rayleigh-quotient
-    stagnation below ``tol_stagnation``. Each step applies K by FFT from its
+    stagnation below a relative 1e-12. Each step applies K by FFT from its
     first column, so no n x n matrix is formed.
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
@@ -74,7 +73,7 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
         y = op.d * op._matvec(v)
         lam = float(v @ y)
         res = float(np.max(np.abs(y - lam * v))) / float(np.max(v))
-        if res <= tol_residual and abs(lam - lam_prev) <= tol_stagnation * max(1.0, abs(lam)):
+        if res <= tol_residual and abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
             phi = v / np.max(v)
             if not np.all(phi > 0):
                 raise EigenConvergenceError(
@@ -152,7 +151,7 @@ class CriticalLengthResult:
 
 
 def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
-                    n_cap: int = 4096, expand_cap: float = 1e4) -> CriticalLengthResult:
+                    expand_cap: float = 1e4) -> CriticalLengthResult:
     """Habitat length at which the persistence threshold changes sign.
 
     Only the regime 0 < (1-rho) a - rho delta <= (1-rho) d has a finite
@@ -163,7 +162,7 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
     safe. The result brackets the root to width ``tol``.
 
     Grid resolution follows the kernel scale, n = max(256, ceil(64 ell / D))
-    capped at ``n_cap``, so wide habitats stay resolved without unbounded
+    capped at 4096, so wide habitats stay resolved without unbounded
     matrices.
     """
     if not (math.isfinite(tol) and tol > 0):
@@ -175,7 +174,7 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
     scale = kernel.scale
 
     def lam(ell: float) -> float:
-        n = min(n_cap, max(256, math.ceil(64.0 * ell / scale)))
+        n = min(4096, max(256, math.ceil(64.0 * ell / scale)))
         op = assemble(kernel, Grid.centered(ell, n), BoundaryCondition.DIRICHLET, p.d)
         return threshold(p, op).lambda1
 

@@ -4,9 +4,11 @@ import numpy as np
 import pytest
 
 from seasonal_dispersal import (BoundaryCondition, ConfigError, Grid,
-                                LaplaceKernel, SeasonParams, StateVector,
-                                StepControl, Trajectory, assemble, evolve)
-from seasonal_dispersal.cli import export_trajectory, main
+                                LaplaceKernel, MonotoneIterationTrace,
+                                PeriodicSolution, StateVector, StepControl,
+                                Trajectory, assemble, evolve)
+from seasonal_dispersal import cli
+from seasonal_dispersal.cli import export_periodic, export_trajectory, main
 from seasonal_dispersal.config import parse_config
 
 from helpers import P1, params, tent_kernel_table
@@ -72,14 +74,14 @@ class TestParseConfig:
 
     def test_cosine_initial_state_positive_and_peaked(self):
         cfg = parse_config(BASE_P1)
-        u0 = cfg.initial_state()
+        u0 = cfg.u0
         assert np.all(u0.values > 0)
         assert np.argmax(u0.values) in (11, 12)
 
     def test_constant_ic(self):
         cfg = parse_config("preset = P1\ndomain.l1 = -1\ndomain.l2 = 1\n"
                            "ic.type = constant\nic.c = 0.5\n")
-        assert np.all(cfg.initial_state().values == 0.5)
+        assert np.all(cfg.u0.values == 0.5)
 
     def test_overrides(self):
         cfg = parse_config(BASE_P1, overrides={"grid.n": "48", "bc": "neumann"})
@@ -115,7 +117,7 @@ class TestParseConfig:
         path.write_text("x,u\n-0.2,0.0\n0.0,1.0\n0.2,0.0\n")
         cfg = parse_config(BASE_P1.replace("ic.type = cosine\nic.l = 0.2\n",
                                            f"ic.type = table\nic.table_path = {path}\n"))
-        u0 = cfg.initial_state()
+        u0 = cfg.u0
         assert np.all(u0.values >= 0)
         assert np.max(u0.values) > 0.9
 
@@ -139,11 +141,24 @@ class TestExportTrajectory:
         assert lines[0] == "t,x,u"
         assert len(lines) == 1 + 2 * 2
 
-    def test_round_trip_bit_exact(self, tmp_path):
+    @staticmethod
+    def _as_periodic(tr):
+        trace = MonotoneIterationTrace(upper=tr.values[:1], lower=tr.values[:1],
+                                       gaps=np.zeros(1))
+        return PeriodicSolution(times=tr.times, values=tr.values, residual=0.0,
+                                lambda1=-0.1, trace=trace, params=tr.params,
+                                grid=tr.grid)
+
+    @pytest.mark.parametrize("kind", ["trajectory", "periodic"])
+    def test_round_trip_bit_exact(self, tmp_path, kind):
         tr = self._tiny_trajectory()
         path = str(tmp_path / "t.csv")
-        export_trajectory(tr, path)
-        lines = open(path).read().splitlines()[1:]
+        if kind == "trajectory":
+            export_trajectory(tr, path)
+        else:
+            export_periodic(self._as_periodic(tr), path)
+        header, *lines = open(path).read().splitlines()
+        assert header == {"trajectory": "t,x,u", "periodic": "t,x,ustar"}[kind]
         parsed = np.array([[float(c) for c in ln.split(",")] for ln in lines])
         assert np.array_equal(parsed[:, 0], np.repeat(tr.times, 2))
         assert np.array_equal(parsed[:, 1], np.tile(tr.grid.nodes, 2))
@@ -172,6 +187,24 @@ class TestExportTrajectory:
         path = str(tmp_path / "t.csv")
         export_trajectory(tr, path)
         assert open(path).read() == "t,x,u\n"
+
+    def test_failed_export_leaves_no_files(self, tmp_path, monkeypatch):
+        # formatting fails on the second time row, after the header and the
+        # first row have streamed into the temp file
+        fmt, calls, tmp_at_failure = cli._fmt, [], []
+
+        def failing(v):
+            calls.append(v)
+            if len(calls) == 6:
+                tmp_at_failure.extend(tmp_path.glob("*.tmp"))
+                raise RuntimeError("formatting failed")
+            return fmt(v)
+
+        monkeypatch.setattr(cli, "_fmt", failing)
+        with pytest.raises(RuntimeError, match="formatting failed"):
+            export_trajectory(self._tiny_trajectory(), str(tmp_path / "t.csv"))
+        assert len(tmp_at_failure) == 1
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRunScenario:
@@ -287,6 +320,16 @@ ic.c = 1
         lines = (tmp_path / "prof.csv").read_text().splitlines()
         assert lines[0] == "L,deviation"
         assert len(lines) == 3
+
+    def test_profile_study_validation_error_exit_code(self, tmp_path, capsys):
+        # P3 has growth margin 0, which the profile study itself rejects
+        path = make_config(tmp_path, BASE_P1.replace("P1", "P3")
+                           + f"profile.lengths = 4, 6\nout.summary = {tmp_path}/s.txt\n"
+                           f"out.profile = {tmp_path}/prof.csv\n")
+        assert main(["profile-study", "--config", path]) == 2
+        assert "growth_margin > 0" in capsys.readouterr().err
+        assert not os.path.exists(tmp_path / "prof.csv")
+        assert not os.path.exists(tmp_path / "s.txt")
 
     def test_config_error_exit_code(self, tmp_path):
         path = make_config(tmp_path, BASE_P1 + "rho = 2\n")

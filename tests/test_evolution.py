@@ -7,7 +7,7 @@ from scipy.linalg import expm
 from seasonal_dispersal import (BoundaryCondition, Grid, LaplaceKernel,
                                 PositivityError, SolverError, StateVector,
                                 StepControl, ValidationError, assemble, evolve,
-                                period_map, step_bad_season, step_good_season)
+                                period_map)
 from seasonal_dispersal import evolution
 from seasonal_dispersal.evolution import _rk4_span
 
@@ -39,66 +39,58 @@ class TestStepControl:
 
 
 class TestBadSeason:
+    @staticmethod
+    def _decay(u0, t_end):
+        # evolve to a time inside the first bad season: exact decay only
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, u0.size, p.d)
+        return evolve(StateVector(u0), p, op, StepControl.for_params(p, 10), t_end).final
+
     def test_uniform_decay_by_hand(self):
         # delta = 0.2 over span rho*omega = 0.6: factor e^{-0.12}
         p = params(P1)
-        u = StateVector(np.ones(8), time=0.0)
-        out = step_bad_season(u, p, 0.0, 0.6)
+        out = self._decay(np.ones(8), p.rho * p.omega)
         assert np.allclose(out.values, math.exp(-0.12), rtol=1e-15)
         assert out.time == 0.6
 
     def test_zero_fixed_point(self):
-        p = params(P1)
-        out = step_bad_season(StateVector(np.zeros(5)), p, 0.0, 0.3)
+        out = self._decay(np.zeros(5), 0.3)
         assert np.all(out.values == 0.0)
 
-    def test_zero_span_identity(self):
-        p = params(P1)
-        u = StateVector(np.array([1.0, 2.0]), time=0.25)
-        out = step_bad_season(u, p, 0.25, 0.25)
-        assert np.array_equal(out.values, u.values)
-
-    def test_straddling_interval_rejected(self):
-        p = params(P1)  # bad season is (0, 0.6]
-        with pytest.raises(ValidationError, match="bad season"):
-            step_bad_season(StateVector(np.ones(3)), p, 0.3, 0.7)
-
     def test_strict_positivity_preserved(self):
-        p = params(P1)
-        u = StateVector(np.array([1e-300, 2.0, 1e-12]))
-        out = step_bad_season(u, p, 0.0, 0.5)
-        assert np.all(out.values[u.values > 0] > 0)
+        u0 = np.array([1e-300, 2.0, 1e-12])
+        out = self._decay(u0, 0.5)
+        assert np.all(out.values[u0 > 0] > 0)
 
 
 class TestGoodSeason:
+    """One good season of RK4 through the fused stepper."""
+
     def test_zero_fixed_point(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, p.d)
-        ctl = StepControl.for_params(p, 100)
-        out = step_good_season(StateVector(np.zeros(16)), op, p, 0.6, 1.0, ctl)
-        assert np.all(out.values == 0.0)
+        out, _ = _rk4_span(np.zeros(16), op, p, 0.4, 100, 1e-12)
+        assert np.all(out == 0.0)
 
     def test_neumann_constant_matches_scalar_logistic(self):
         p = params(P1)
         op = assemble(LaplaceKernel(5.0), Grid.centered(2.0, 24), NEU, p.d)
-        ctl = StepControl.for_params(p, 2000)
         c = 0.37
-        out = step_good_season(StateVector(np.full(24, c)), op, p, 0.6, 1.0, ctl)
+        out, _ = _rk4_span(np.full(24, c), op, p, 0.4, 2000, 1e-12)
         expect = scalar_logistic(c, p.a, p.b, 0.4)
-        assert np.max(np.abs(out.values - expect)) <= 1e-8
+        assert np.max(np.abs(out - expect)) <= 1e-8
 
     def test_linear_problem_matches_matrix_exponential(self):
         # b ~ 0 makes the good season linear: u' = (L + a I) u, solved
         # exactly by the scaling-and-squaring matrix exponential
         p = params(b=1e-30)
         op = dirichlet_op(LaplaceKernel(1.0), 2.0, 32, p.d)
-        ctl = StepControl(dt_good=p.good_season_length / 64)
         rng = np.random.default_rng(21)
         u0 = rng.uniform(0.2, 1.0, 32)
-        out = step_good_season(StateVector(u0), op, p, 0.6, 1.0, ctl)
+        out, _ = _rk4_span(u0, op, p, 0.4, 64, 1e-12)
         gen = op.d * (op.K - np.eye(32)) + p.a * np.eye(32)
         exact = expm(gen * 0.4) @ u0
-        assert np.max(np.abs(out.values - exact)) <= 1e-6
+        assert np.max(np.abs(out - exact)) <= 1e-6
 
     def test_linear_problem_rk4_order(self):
         p = params(b=1e-30)
@@ -109,39 +101,29 @@ class TestGoodSeason:
         exact = expm(gen * 0.4) @ u0
         errs, dts = [], []
         for steps in (4, 8, 16, 32):
-            ctl = StepControl(dt_good=0.4 / steps)
-            out = step_good_season(StateVector(u0), op, p, 0.6, 1.0, ctl)
-            errs.append(np.max(np.abs(out.values - exact)))
+            out, _ = _rk4_span(u0, op, p, 0.4, steps, 1e-12)
+            errs.append(np.max(np.abs(out - exact)))
             dts.append(0.4 / steps)
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
         assert slope >= 3.5
 
-    def test_straddling_interval_rejected(self):
-        p = params(P1)
-        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 8, p.d)
-        ctl = StepControl.for_params(p, 10)
-        with pytest.raises(ValidationError, match="good season"):
-            step_good_season(StateVector(np.ones(8)), op, p, 0.9, 1.1, ctl)
-
     def test_split_season_composes(self):
-        # stepping [rho w, w] in two halves uses the same effective dt, so
+        # stepping the season in two halves uses the same effective dt, so
         # the composition agrees with the single span to rounding noise
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(2.0), 1.0, 16, p.d)
-        ctl = StepControl.for_params(p, 200)
-        u0 = StateVector(np.full(16, 0.4))
-        whole = step_good_season(u0, op, p, 0.6, 1.0, ctl)
-        half = step_good_season(u0, op, p, 0.6, 0.8, ctl)
-        both = step_good_season(half, op, p, 0.8, 1.0, ctl)
-        assert np.max(np.abs(both.values - whole.values)) <= 1e-12
+        u0 = np.full(16, 0.4)
+        whole, _ = _rk4_span(u0, op, p, 0.4, 200, 1e-12)
+        half, _ = _rk4_span(u0, op, p, 0.2, 100, 1e-12)
+        both, _ = _rk4_span(half, op, p, 0.2, 100, 1e-12)
+        assert np.max(np.abs(both - whole)) <= 1e-12
 
     def test_positivity_violation_reports_node_and_dt(self):
         # one giant step on a strongly supercritical state undershoots
         p = params(a=0.1, b=1.0)
         op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
-        ctl = StepControl(dt_good=p.good_season_length)  # a single RK4 step
         with pytest.raises(PositivityError) as err:
-            step_good_season(StateVector(np.full(8, 30.0)), op, p, 0.6, 1.0, ctl)
+            _rk4_span(np.full(8, 30.0), op, p, p.good_season_length, 1, 1e-12)
         assert err.value.suggested_dt < p.good_season_length
         assert 0 <= err.value.node < 8
 
@@ -197,8 +179,7 @@ class TestFusedStepper:
         clamped = raw < 0.0
         assert np.count_nonzero(clamped) == 2
         assert -9e-7 < raw.min() < -3e-7
-        ctl = StepControl(dt_good=0.4, tol_pos=9e-7)
-        out = step_good_season(StateVector(u0), op, p, 0.6, 1.0, ctl).values
+        out, _ = _rk4_span(u0, op, p, 0.4, 1, 9e-7)
         assert np.all(out[clamped] == 0.0)
         assert not np.any(np.signbit(out))
         assert np.max(np.abs(out[~clamped] - raw[~clamped])) <= 1e-13 * np.max(raw)

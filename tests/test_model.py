@@ -4,16 +4,14 @@ import numpy as np
 import pytest
 
 from seasonal_dispersal import (Grid, LaplaceKernel, SeasonParams, StateVector,
-                                TabulatedKernel, ValidationError, kernel_mass,
-                                validate_params)
+                                TabulatedKernel, ValidationError)
 
 from helpers import laplace_mass_quadrature, params, tent_kernel_table
 
 
 class TestSeasonParams:
     def test_published_set_accepted(self):
-        p = validate_params(SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6,
-                                         rho=0.6, omega=1.0))
+        p = SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
         assert p.growth_margin == pytest.approx(0.36)
 
     def test_rho_boundaries_rejected(self):
@@ -60,36 +58,34 @@ class TestLaplaceKernel:
         # closed form 1 - exp(-W/D) against an independent fine midpoint sum
         D = 2.0
         W = ratio * D
-        assert kernel_mass(LaplaceKernel(D), W) == pytest.approx(
+        assert LaplaceKernel(D).mass(W) == pytest.approx(
             laplace_mass_quadrature(D, W), abs=1e-8)
 
     def test_mass_closed_form_example(self):
-        assert kernel_mass(LaplaceKernel(20.0), 20.0) == pytest.approx(
+        assert LaplaceKernel(20.0).mass(20.0) == pytest.approx(
             1.0 - math.exp(-1.0), abs=1e-12)
 
     def test_mass_monotone_and_bounded(self):
         k = LaplaceKernel(scale=3.0)
-        masses = [kernel_mass(k, W) for W in np.geomspace(0.01, 1e4, 40)]
+        masses = [k.mass(W) for W in np.geomspace(0.01, 1e4, 40)]
         assert all(b >= a for a, b in zip(masses, masses[1:]))
         assert all(m <= 1.0 + 1e-9 for m in masses)
 
     def test_mass_vanishes_with_interval(self):
-        assert kernel_mass(LaplaceKernel(1.0), 1e-12) < 1e-11
+        assert LaplaceKernel(1.0).mass(1e-12) < 1e-11
 
     def test_invalid_scale(self):
         with pytest.raises(ValidationError):
             LaplaceKernel(scale=0.0)
-        with pytest.raises(ValidationError, match="half_width"):
-            kernel_mass(LaplaceKernel(1.0), -1.0)
 
 
 class TestTabulatedKernel:
     def test_tent_round_trip(self):
         k = TabulatedKernel(values=tent_kernel_table(2.0), half_width=2.0)
         assert k.at_zero == pytest.approx(0.5)
-        assert kernel_mass(k, 2.0) == pytest.approx(1.0, abs=1e-12)
-        assert kernel_mass(k, 1.0) == pytest.approx(0.75, abs=1e-12)  # by hand
-        assert kernel_mass(k, 50.0) == pytest.approx(1.0, abs=1e-12)
+        assert k.mass(2.0) == pytest.approx(1.0, abs=1e-12)
+        assert k.mass(1.0) == pytest.approx(0.75, abs=1e-12)  # by hand
+        assert k.mass(50.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_clipped_outside_support(self):
         k = TabulatedKernel(values=tent_kernel_table(1.5), half_width=1.5)
@@ -122,7 +118,7 @@ class TestTabulatedKernel:
         # a table off by less than 1e-6 is accepted and renormalized
         v = (1.0 + 5e-7) * tent_kernel_table(1.0)
         k = TabulatedKernel(values=v, half_width=1.0)
-        assert kernel_mass(k, 1.0) == pytest.approx(1.0, abs=1e-15)
+        assert k.mass(1.0) == pytest.approx(1.0, abs=1e-15)
 
     def test_even_sample_count_uniform_kernel(self):
         # 4 samples of the uniform kernel 1/(2w); interpolation at 0 crosses
@@ -130,8 +126,8 @@ class TestTabulatedKernel:
         w = 2.0
         k = TabulatedKernel(values=np.full(4, 1.0 / (2.0 * w)), half_width=w)
         assert k.at_zero == pytest.approx(0.25)
-        assert kernel_mass(k, w) == pytest.approx(1.0, abs=1e-12)
-        assert kernel_mass(k, 0.5) == pytest.approx(0.25, abs=1e-12)
+        assert k.mass(w) == pytest.approx(1.0, abs=1e-12)
+        assert k.mass(0.5) == pytest.approx(0.25, abs=1e-12)
 
     def test_zero_at_origin_rejected(self):
         xs = np.linspace(-1, 1, 5)
