@@ -18,8 +18,8 @@ from .periodic import (DynamicsClassification, Extinction,
                        find_periodic_solution, logistic_flow, ode_period_map,
                        ode_periodic_solution)
 from .spectral import (CriticalLengthResult, EigenPair, Regime,
-                       ThresholdReport, critical_length, periodic_eigenfunction,
-                       principal_eigenpair, threshold)
+                       ThresholdReport, critical_length, principal_eigenpair,
+                       threshold)
 
 __version__ = "0.1.0"
 
@@ -33,6 +33,5 @@ __all__ = [
     "TabulatedKernel", "ThresholdReport", "Trajectory", "ValidationError",
     "assemble", "asymptotic_profile_study", "classify", "critical_length",
     "evolve", "find_periodic_solution", "logistic_flow", "ode_period_map",
-    "ode_periodic_solution", "period_map", "periodic_eigenfunction",
-    "principal_eigenpair", "threshold",
+    "ode_periodic_solution", "period_map", "principal_eigenpair", "threshold",
 ]

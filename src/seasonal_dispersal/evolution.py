@@ -169,7 +169,7 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
             # interior samples of the exact decay at the nominal sampling period
             # (by index, so that long runs do not drift)
             j = 1
-            while (s := t + j * sample_dt) < bad_end * (1.0 - 1e-15) and s < bad_end:
+            while (s := t + j * sample_dt) < bad_end * (1.0 - 1e-15):
                 times.append(s)
                 states.append(math.exp(-p.delta * (s - t)) * u)
                 j += 1

@@ -6,7 +6,8 @@ constant above the logistic ceiling a/b and a small multiple of the positive
 periodic eigenfunction. Comparison keeps the upper sequence non-increasing
 and the lower one non-decreasing, so the two sandwich every solution and
 meet at the unique positive fixed point when the threshold eigenvalue is
-negative, or certify extinction when it is not.
+negative. When it is not, a decaying multiple of the principal eigenfunction
+is a super-solution, which certifies extinction in closed form.
 
 The spatially homogeneous reference is the scalar seasonal logistic ODE,
 whose periodic orbit has a closed form; it is also the profile limit of the
@@ -20,6 +21,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import IterationBudgetError, SolverError, ValidationError
+# period_map stays importable here: perfbench/tracing.py wraps periodic.period_map
 from .evolution import StepControl, _one_period, evolve, period_map
 from .model import (BoundaryCondition, Grid, KernelSpec, SeasonParams,
                     StateVector, _readonly)
@@ -31,7 +33,7 @@ from .spectral import (EigenPair, Regime, _dirichlet_regime, critical_length,
 #: convergence rates; budget exhaustion is then flagged as slow, not failed
 NEAR_THRESHOLD = 1e-3
 
-#: an upper iterate whose sup-norm falls below this certifies extinction
+#: a certified sup-norm bound below this certifies extinction
 EXTINCTION_THRESHOLD = 1e-10
 
 
@@ -112,7 +114,9 @@ class MonotoneIterationTrace:
 
     Row k holds iterate k; ``gaps[k]`` is the sup-norm distance between the
     two rows. The upper rows are componentwise non-increasing in k, the
-    lower rows non-decreasing, and the gaps non-increasing.
+    lower rows non-decreasing, and the gaps non-increasing. For an
+    Extinction there are two rows: the upper start and the super-solution
+    bound at the certified period, with zero lower rows.
     """
 
     upper: np.ndarray
@@ -147,16 +151,22 @@ class PeriodicSolution:
 
 @dataclass(frozen=True)
 class Extinction:
-    """Certified decay to zero, with the evidence that produced the verdict."""
+    """Certified decay to zero: every solution from nonnegative data at most
+    a/b + ``upper_offset`` is at most ``final_supnorm`` at t = ``periods`` omega.
+
+    ``final_supnorm`` is the super-solution bound of find_periodic_solution,
+    not a simulated sup-norm, and ``periods`` is the first period at which it
+    is below EXTINCTION_THRESHOLD.
+    """
 
     final_supnorm: float
     periods: int
-    evidence: str  # "below_threshold" or "monotone_decay"
+    evidence: str  # "below_threshold": the bound is below EXTINCTION_THRESHOLD
     lambda1: float
     trace: MonotoneIterationTrace
 
 
-def _lower_start_scale(p: SeasonParams, pair: EigenPair, op: DispersalOperator,
+def _lower_start_scale(p: SeasonParams, pair: EigenPair, resid: np.ndarray,
                        lam1: float) -> float:
     """Largest certified multiple of phi1 that is a discrete lower solution.
 
@@ -167,7 +177,6 @@ def _lower_start_scale(p: SeasonParams, pair: EigenPair, op: DispersalOperator,
     0.1 (a/b) / sup phi until the inequality holds, at most 60 times.
     """
     phi = pair.phi1
-    resid = op.apply(phi) + (p.a + pair.sigma1) * phi
     eps = 0.1 * (p.a / p.b) / float(np.max(phi))
     for _ in range(60):
         if np.max(lam1 * phi - resid + p.b * eps * phi * phi) <= 0.0:
@@ -183,59 +192,60 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
                            max_periods: int = 5000,
                            upper_offset: float = 1.0
                            ) -> Union[PeriodicSolution, Extinction]:
-    """Monotone upper/lower iteration of the period map on a Dirichlet habitat.
+    """Periodic attractor on a Dirichlet habitat, or a certificate of extinction.
 
-    With lambda1 < 0 the upper sequence starts from the constant
-    a/b + ``upper_offset`` and the lower one from a certified small multiple
-    of the periodic eigenfunction; both converge monotonically to the unique
-    positive fixed point, accepted once their gap is at most ``tol``. With
-    lambda1 >= 0 the upper sequence alone is driven toward zero and an
-    Extinction certificate is returned, either because it fell below
-    EXTINCTION_THRESHOLD or because it decayed monotonically for the
-    whole budget.
+    With lambda1 < 0, monotone upper/lower iteration of the period map: the
+    upper sequence starts from the constant top = a/b + ``upper_offset`` and
+    the lower one from a certified small multiple of the periodic
+    eigenfunction; both converge monotonically to the unique positive fixed
+    point, accepted once their gap is at most ``tol``.
 
-    Raises IterationBudgetError if the gap is still above ``tol`` after
-    ``max_periods`` periods; the error flags |lambda1| < 1e-3, where the
-    contraction rate degenerates and slowness is expected.
+    With lambda1 >= 0 no period is stepped. The eigen identity gives
+    d(K phi1 - phi1) + a phi1 <= -sigma_eff phi1, with sigma_eff = sigma1 -
+    max_i(resid_i / phi1_i). The model is cooperative (d K_ij >= 0) and
+    -b u^2 <= 0, so M exp(-integral_0^t sigma) phi1, with M = top / min phi1
+    and sigma = delta in the bad season and sigma_eff in the good one, is a
+    super-solution above the upper start. Hence sup u(k omega) <=
+    M sup phi1 exp(-lam k omega) with lam = lambda1(sigma_eff); the
+    Extinction reports the first k at which this bound is strictly below
+    EXTINCTION_THRESHOLD. SolverError is raised if lam <= 0, where lambda1
+    lies within the eigen residual of zero.
+
+    ``max_periods`` bounds the persistence loop only. IterationBudgetError is
+    raised if the gap is still above ``tol`` after ``max_periods`` periods;
+    the error flags |lambda1| < 1e-3, where the contraction rate degenerates
+    and slowness is expected.
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("find_periodic_solution expects a Dirichlet operator")
     lam1 = p.lambda1(pair.sigma1)
-    n = op.n
+    phi = pair.phi1
+    top = p.a / p.b + upper_offset
+    resid = op.apply(phi) + (p.a + pair.sigma1) * phi
 
     if lam1 >= 0.0:
-        u = np.full(n, p.a / p.b + upper_offset)
-        uppers = [u.copy()]
-        sups = [float(np.max(u))]
-        periods = max_periods
-        for k in range(1, max_periods + 1):
-            u = period_map(StateVector(u), p, op, ctl).values
-            uppers.append(u)
-            sups.append(float(np.max(u)))
-            if sups[-1] < EXTINCTION_THRESHOLD:
-                periods = k
-                break
-        sups_arr = np.array(sups)
-        trace = MonotoneIterationTrace(upper=_readonly(np.array(uppers)),
-                                       lower=_readonly(np.zeros_like(np.array(uppers))),
-                                       gaps=_readonly(sups_arr))
-        if sups_arr[-1] < EXTINCTION_THRESHOLD:
-            evidence = "below_threshold"
-        else:
-            slack = max(1e-12, 1e-9 * sups_arr[0])
-            if np.all(np.diff(sups_arr) <= slack) and sups_arr[-1] < sups_arr[0]:
-                evidence = "monotone_decay"
-            else:
-                raise SolverError(
-                    f"no decay evidence after {max_periods} periods "
-                    f"(final sup-norm {sups_arr[-1]:g})")
-        return Extinction(final_supnorm=float(sups_arr[-1]), periods=periods,
-                          evidence=evidence, lambda1=lam1, trace=trace)
+        lam = p.lambda1(pair.sigma1 - float(np.max(resid / phi)))
+        if lam <= 0.0:
+            raise SolverError(
+                f"lambda1 = {lam1:g} lies within the eigen residual of zero "
+                f"(residual-corrected {lam:g}); extinction is not certified")
+        M = top / float(np.min(phi))
+        # floor + 1, not ceil: the bound is strictly below the threshold even
+        # when the log ratio is an integer
+        periods = math.floor(math.log(M * float(np.max(phi)) / EXTINCTION_THRESHOLD)
+                             / (lam * p.omega)) + 1
+        upper = np.array([np.full(op.n, top),
+                          M * math.exp(-lam * p.omega * periods) * phi])
+        trace = MonotoneIterationTrace(upper=_readonly(upper),
+                                       lower=_readonly(np.zeros_like(upper)),
+                                       gaps=_readonly(np.max(upper, axis=1)))
+        return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
+                          evidence="below_threshold", lambda1=lam1, trace=trace)
 
-    eps = _lower_start_scale(p, pair, op, lam1)
+    eps = _lower_start_scale(p, pair, resid, lam1)
     # column 0 is the upper sequence and column 1 the lower one; both
     # advance through each period as one block
-    block = np.column_stack([np.full(n, p.a / p.b + upper_offset), eps * pair.phi1])
+    block = np.column_stack([np.full(op.n, top), eps * phi])
     iterates = [block]
     gaps = [float(np.max(np.abs(block[:, 0] - block[:, 1])))]
     converged = False

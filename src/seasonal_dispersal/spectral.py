@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BracketError, EigenConvergenceError, ValidationError
-from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, StateVector, _readonly
+from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
 from .operator import DispersalOperator, assemble
 
 
@@ -104,25 +104,6 @@ def threshold(p: SeasonParams, op: DispersalOperator,
     if pair is None:
         pair = principal_eigenpair(op, p.a)
     return ThresholdReport(sigma1=pair.sigma1, lambda1=p.lambda1(pair.sigma1), bc=op.bc)
-
-
-def periodic_eigenfunction(p: SeasonParams, pair: EigenPair, t: float) -> StateVector:
-    """Positive periodic eigenfunction of the linearized seasonal problem.
-
-    phi(t, x) = exp(lambda1 t - integral_0^t sigma(s) ds) phi1(x), where
-    sigma(s) is delta through the bad season and sigma1 through the good one.
-    phi(0) = phi1 and phi(omega) = phi(0), since the exponent integrates to
-    zero over one period.
-    """
-    if not (0.0 <= t <= p.omega):
-        raise ValidationError(f"t={t!r} lies outside one period [0, {p.omega}]")
-    lam1 = p.lambda1(pair.sigma1)
-    t_bad = p.rho * p.omega
-    if t <= t_bad:
-        exponent = (lam1 - p.delta) * t
-    else:
-        exponent = lam1 * t - p.delta * t_bad - pair.sigma1 * (t - t_bad)
-    return StateVector(math.exp(exponent) * pair.phi1, time=t)
 
 
 def _dirichlet_regime(p: SeasonParams) -> Regime:

@@ -293,6 +293,29 @@ out.periodic = {tmp_path}/per.csv
         assert float(summary["periodic_residual"]) <= 1e-8 * max(
             1.0, float(summary["final_supnorm"]))
 
+    def test_periodic_subcommand_extinction(self, tmp_path):
+        # P2 on a habitat of length 1, below its critical length of about 4.29
+        path = make_config(tmp_path, f"""
+preset = P2
+domain.l1 = -0.5
+domain.l2 = 0.5
+grid.n = 64
+time.dt_good = 0.002
+ic.type = cosine
+ic.l = 0.5
+out.summary = {tmp_path}/s.txt
+out.periodic = {tmp_path}/per.csv
+""")
+        assert main(["periodic", "--config", path]) == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "s.txt").read_text().splitlines())
+        assert summary["classification"] == "extinction"
+        assert summary["evidence"] == "below_threshold"
+        assert float(summary["lambda1"]) > 0
+        assert float(summary["final_supnorm"]) < 1e-10
+        assert int(summary["periods"]) >= 1
+        assert not os.path.exists(tmp_path / "per.csv")
+
     def test_ode_reference_subcommand(self, tmp_path):
         path = make_config(tmp_path, BASE_P1 + f"out.summary = {tmp_path}/s.txt\n")
         assert main(["ode-reference", "--config", path]) == 0

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,6 +82,13 @@ def p1_attractor():
     return p, op, pair, ctl, sol
 
 
+@pytest.fixture(scope="module")
+def p3_extinct():
+    p = params(P3)
+    op = dirichlet_op(LaplaceKernel(20.0), 8.0, 64, p.d)
+    return p, op, principal_eigenpair(op, p.a), StepControl.for_params(p, 300)
+
+
 class TestFindPeriodicSolution:
     def test_positive_nonconstant_attractor(self, p1_attractor):
         _, _, _, _, sol = p1_attractor
@@ -114,17 +122,61 @@ class TestFindPeriodicSolution:
         other = find_periodic_solution(p, op, pair, ctl, upper_offset=3.0)
         assert np.max(np.abs(other.values[0] - sol.values[0])) <= 1e-7
 
-    def test_extinction_P3(self):
-        p = params(P3)
-        op = dirichlet_op(LaplaceKernel(20.0), 8.0, 64, p.d)
-        pair = principal_eigenpair(op, p.a)
-        ctl = StepControl.for_params(p, 300)
+    def test_extinction_P3(self, p3_extinct):
+        p, op, pair, ctl = p3_extinct
         out = find_periodic_solution(p, op, pair, ctl)
         assert isinstance(out, Extinction)
         assert out.lambda1 >= 0
         assert out.evidence == "below_threshold"
         assert out.final_supnorm < 1e-10
         assert np.all(np.diff(out.trace.gaps) <= 1e-12)
+
+    def test_extinction_bound_dominates_simulated_upper_sequence(self, p3_extinct):
+        # the certificate M sup(phi1) e^{-lam k omega} must lie above the
+        # stepped upper sequence from the same start at every period
+        p, op, pair, ctl = p3_extinct
+        out = find_periodic_solution(p, op, pair, ctl)
+        phi = pair.phi1
+        resid = op.apply(phi) + (p.a + pair.sigma1) * phi
+        lam = p.lambda1(pair.sigma1 - np.max(resid / phi))
+        top = p.a / p.b + 1.0
+        bound = top * np.max(phi) / np.min(phi) * np.exp(
+            -lam * p.omega * np.arange(out.periods + 1))
+        assert out.final_supnorm == pytest.approx(bound[-1], rel=1e-12)
+        assert bound[-2] >= 1e-10 > bound[-1]
+        u = StateVector(np.full(op.n, top))
+        for k in range(1, out.periods + 1):
+            u = period_map(u, p, op, ctl)
+            assert np.max(u.values) <= bound[k]
+
+    def test_extinction_steps_no_period(self, p3_extinct, monkeypatch):
+        from seasonal_dispersal import evolution
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("the extinction certificate stepped the model")
+
+        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
+        p, op, pair, ctl = p3_extinct
+        out = find_periodic_solution(p, op, pair, ctl)
+        assert isinstance(out, Extinction)
+        assert len(out.trace) == 2
+
+    @pytest.mark.parametrize("preset, length, wrong_lambda1, message", [
+        # true lambda1 < 0: the residual correction undoes the raised sigma1
+        (P1, 0.4, 1e-3, "within the eigen residual of zero"),
+        # true lambda1 > 0: no multiple of phi1 is a lower solution
+        (P3, 8.0, -1e-3, "could not certify a lower solution"),
+    ], ids=["extinction", "lower_start"])
+    def test_wrong_sign_sigma1_is_refused(self, preset, length, wrong_lambda1, message):
+        p = params(preset)
+        op = dirichlet_op(LaplaceKernel(20.0), length, 48, p.d)
+        pair = principal_eigenpair(op, p.a)
+        assert p.lambda1(pair.sigma1) * wrong_lambda1 < 0
+        # sigma1 moved so that (1 - rho) sigma1 + rho delta = wrong_lambda1
+        wrong = replace(pair, sigma1=(wrong_lambda1 - p.rho * p.delta) / (1.0 - p.rho))
+        assert p.lambda1(wrong.sigma1) == pytest.approx(wrong_lambda1)
+        with pytest.raises(SolverError, match=message):
+            find_periodic_solution(p, op, wrong, StepControl.for_params(p, 300))
 
     def test_neumann_rejected(self, p1_attractor):
         p, _, pair, ctl, _ = p1_attractor

@@ -5,8 +5,7 @@ import pytest
 
 from seasonal_dispersal import (BoundaryCondition, BracketError, Grid,
                                 LaplaceKernel, Regime, ValidationError,
-                                assemble, critical_length,
-                                periodic_eigenfunction, principal_eigenpair,
+                                assemble, critical_length, principal_eigenpair,
                                 threshold)
 
 from helpers import P1, P2, P3, dense_sigma1, dirichlet_op, params
@@ -122,34 +121,6 @@ class TestThreshold:
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, d=0.7)
         with pytest.raises(ValidationError, match="dispersal"):
             threshold(p, op)
-
-
-class TestPeriodicEigenfunction:
-    def setup_method(self):
-        self.p = params(P1)
-        self.op = dirichlet_op(LaplaceKernel(20.0), 0.4, 48, self.p.d)
-        self.pair = principal_eigenpair(self.op, self.p.a)
-
-    def test_initial_value_is_phi1(self):
-        phi = periodic_eigenfunction(self.p, self.pair, 0.0)
-        assert np.array_equal(phi.values, self.pair.phi1)
-
-    def test_bad_season_end_exponent_by_hand(self):
-        p, pair = self.p, self.pair
-        t = p.rho * p.omega
-        expected = math.exp((1 - p.rho) * (pair.sigma1 - p.delta) * p.rho * p.omega)
-        phi = periodic_eigenfunction(p, pair, t)
-        assert np.allclose(phi.values, expected * pair.phi1, rtol=1e-12)
-
-    def test_periodicity(self):
-        phi = periodic_eigenfunction(self.p, self.pair, self.p.omega)
-        assert np.max(np.abs(phi.values - self.pair.phi1)) <= 1e-10 * np.max(self.pair.phi1)
-
-    def test_outside_period_rejected(self):
-        with pytest.raises(ValidationError):
-            periodic_eigenfunction(self.p, self.pair, -0.1)
-        with pytest.raises(ValidationError):
-            periodic_eigenfunction(self.p, self.pair, 1.5 * self.p.omega)
 
 
 class TestSpectralProperties:
