@@ -18,8 +18,7 @@ from .periodic import (DynamicsClassification, Extinction,
                        find_periodic_solution, logistic_flow, ode_period_map,
                        ode_periodic_solution)
 from .spectral import (CriticalLengthResult, EigenPair, Regime,
-                       ThresholdReport, critical_length, principal_eigenpair,
-                       threshold)
+                       critical_length, principal_eigenpair)
 
 __version__ = "0.1.0"
 
@@ -30,8 +29,8 @@ __all__ = [
     "LaplaceKernel", "MonotoneIterationTrace", "OdePeriodicSolution",
     "PeriodicSolution", "PositivityError", "ProfileEntry", "Regime",
     "SeasonParams", "SolverError", "StateVector", "StepControl",
-    "TabulatedKernel", "ThresholdReport", "Trajectory", "ValidationError",
+    "TabulatedKernel", "Trajectory", "ValidationError",
     "assemble", "asymptotic_profile_study", "classify", "critical_length",
     "evolve", "find_periodic_solution", "logistic_flow", "ode_period_map",
-    "ode_periodic_solution", "period_map", "principal_eigenpair", "threshold",
+    "ode_periodic_solution", "period_map", "principal_eigenpair",
 ]

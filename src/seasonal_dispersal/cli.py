@@ -20,7 +20,7 @@ import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
 from .config import ScenarioConfig, parse_config
@@ -31,7 +31,7 @@ from .operator import assemble
 from .periodic import (Extinction, PeriodicSolution, ProfileEntry,
                        asymptotic_profile_study, classify,
                        find_periodic_solution, ode_periodic_solution)
-from .spectral import critical_length, principal_eigenpair, threshold
+from .spectral import critical_length, principal_eigenpair
 
 SCHEMA_VERSION = 1
 
@@ -45,12 +45,16 @@ def _fmt(v: float) -> str:
 
 @dataclass
 class RunSummary:
-    """Flat result record, rendered as ``key = value`` text."""
+    """Flat result record, rendered as ``key = value`` text in field order.
+
+    Fields left at None are omitted; ``extra`` follows, sorted by key.
+    """
 
     command: str
     status: str = "ok"
     error: Optional[str] = None
     classification: Optional[str] = None
+    evidence: Optional[str] = None
     growth_margin: Optional[float] = None
     sigma1: Optional[float] = None
     lambda1: Optional[float] = None
@@ -59,36 +63,19 @@ class RunSummary:
     eigen_residual: Optional[float] = None
     periodic_residual: Optional[float] = None
     ode_z0: Optional[float] = None
-    evidence: Optional[str] = None
-    grid_n: Optional[int] = None
     dt_good: Optional[float] = None
-    n_periods: Optional[int] = None
     wall_time_s: Optional[float] = None
+    grid_n: Optional[int] = None
+    n_periods: Optional[int] = None
     extra: dict = field(default_factory=dict)
 
     def to_text(self) -> str:
-        lines = [f"schema_version = {SCHEMA_VERSION}",
-                 f"command = {self.command}",
-                 f"status = {self.status}"]
-        if self.error is not None:
-            lines.append(f"error = {self.error}")
-        for name in ("classification", "evidence"):
-            v = getattr(self, name)
-            if v is not None:
-                lines.append(f"{name} = {v}")
-        for name in ("growth_margin", "sigma1", "lambda1", "ell_star",
-                     "final_supnorm", "eigen_residual", "periodic_residual",
-                     "ode_z0", "dt_good", "wall_time_s"):
-            v = getattr(self, name)
-            if v is not None:
-                lines.append(f"{name} = {_fmt(v)}")
-        for name in ("grid_n", "n_periods"):
-            v = getattr(self, name)
-            if v is not None:
-                lines.append(f"{name} = {v}")
-        for key in sorted(self.extra):
-            v = self.extra[key]
-            lines.append(f"{key} = {_fmt(v) if isinstance(v, float) else v}")
+        items = [(f.name, getattr(self, f.name)) for f in fields(self)
+                 if f.name != "extra"]
+        items += sorted(self.extra.items())
+        lines = [f"schema_version = {SCHEMA_VERSION}"]
+        lines += [f"{k} = {_fmt(v) if isinstance(v, float) else v}"
+                  for k, v in items if v is not None]
         return "\n".join(lines) + "\n"
 
 
@@ -178,13 +165,12 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
         if cfg.bc is BoundaryCondition.DIRICHLET:
             pair = principal_eigenpair(op, p.a)
-            report = threshold(p, op, pair)
             summary.sigma1 = pair.sigma1
             summary.eigen_residual = pair.residual
             summary.extra["eigen_iterations"] = pair.iterations
+            summary.lambda1 = p.lambda1(pair.sigma1)
         else:
-            report = threshold(p, op)
-        summary.lambda1 = report.lambda1
+            summary.lambda1 = p.lambda1(-p.a)
 
     elif command == "critical-length":
         res = critical_length(p, cfg.kernel)

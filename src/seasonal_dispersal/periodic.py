@@ -26,8 +26,7 @@ from .evolution import StepControl, _one_period, evolve, period_map
 from .model import (BoundaryCondition, Grid, KernelSpec, SeasonParams,
                     StateVector, _readonly)
 from .operator import DispersalOperator, assemble
-from .spectral import (EigenPair, Regime, _dirichlet_regime, critical_length,
-                       principal_eigenpair, threshold)
+from .spectral import EigenPair, Regime, critical_length, principal_eigenpair
 
 #: below this distance from zero the threshold eigenvalue gives degenerate
 #: convergence rates; budget exhaustion is then flagged as slow, not failed
@@ -36,17 +35,22 @@ NEAR_THRESHOLD = 1e-3
 #: a certified sup-norm bound below this certifies extinction
 EXTINCTION_THRESHOLD = 1e-10
 
+#: rounding slack of the monotone ordering checked after every period
+ORDER_SLACK = 1e-10
+
 
 # ---------------------------------------------------------------------------
 # scalar seasonal ODE reference
 # ---------------------------------------------------------------------------
 
 def logistic_flow(z: float, a: float, b: float, tau: float) -> float:
-    """Advance z' = z (a - b z) by time tau, in closed form."""
+    """Advance z' = z (a - b z) by time tau, in closed form.
+
+    Written with e^{-a tau}, which cannot overflow however large a tau is.
+    """
     if tau == 0.0 or z == 0.0:
         return z
-    e = math.exp(a * tau)
-    return a * z * e / (a + b * z * (e - 1.0))
+    return a * z / (a * math.exp(-a * tau) - b * z * math.expm1(-a * tau))
 
 
 def ode_period_map(z: float, p: SeasonParams) -> float:
@@ -90,17 +94,16 @@ class OdePeriodicSolution:
 def ode_periodic_solution(p: SeasonParams) -> Optional[OdePeriodicSolution]:
     """Closed-form periodic orbit of the scalar model, or None.
 
-    With A = e^{-delta rho omega} and B = e^{a (1-rho) omega}, imposing
-    z(omega) = z(0) on the exact flow gives z0 = a (A B - 1) / (b A (B - 1)).
-    A positive orbit exists exactly when A B > 1, i.e. when the growth
-    margin (1-rho) a - rho delta is positive; otherwise every orbit decays
-    to zero and None is returned.
+    Imposing z(omega) = z(0) on the exact flow gives
+    z0 = (a/b) (1 - e^{-g omega}) / (1 - e^{-a (1-rho) omega}), with g the
+    growth margin (1-rho) a - rho delta; written in decaying exponentials,
+    it cannot overflow. A positive orbit exists exactly when g > 0;
+    otherwise every orbit decays to zero and None is returned.
     """
-    if p.growth_margin <= 0:
+    g = p.growth_margin
+    if g <= 0:
         return None
-    A = math.exp(-p.delta * p.bad_season_length)
-    B = math.exp(p.a * p.good_season_length)
-    z0 = p.a * (A * B - 1.0) / (p.b * A * (B - 1.0))
+    z0 = p.a * math.expm1(-g * p.omega) / (p.b * math.expm1(-p.a * p.good_season_length))
     return OdePeriodicSolution(z0=z0, params=p)
 
 
@@ -114,9 +117,11 @@ class MonotoneIterationTrace:
 
     Row k holds iterate k; ``gaps[k]`` is the sup-norm distance between the
     two rows. The upper rows are componentwise non-increasing in k, the
-    lower rows non-decreasing, and the gaps non-increasing. For an
-    Extinction there are two rows: the upper start and the super-solution
-    bound at the certified period, with zero lower rows.
+    lower rows non-decreasing and below the upper ones, so the gaps are
+    non-increasing; find_periodic_solution enforces this ordering to
+    ORDER_SLACK after every period. For an Extinction there are two rows:
+    the upper start and the super-solution bound at the certified period,
+    with zero lower rows.
     """
 
     upper: np.ndarray
@@ -198,7 +203,8 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     upper sequence starts from the constant top = a/b + ``upper_offset`` and
     the lower one from a certified small multiple of the periodic
     eigenfunction; both converge monotonically to the unique positive fixed
-    point, accepted once their gap is at most ``tol``.
+    point, accepted once their gap is at most ``tol``. SolverError is raised
+    if a period breaks that ordering by more than ORDER_SLACK.
 
     With lambda1 >= 0 no period is stepped. The eigen identity gives
     d(K phi1 - phi1) + a phi1 <= -sigma_eff phi1, with sigma_eff = sigma1 -
@@ -218,6 +224,9 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("find_periodic_solution expects a Dirichlet operator")
+    if op.d != p.d:
+        raise ValidationError(
+            f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
     lam1 = p.lambda1(pair.sigma1)
     phi = pair.phi1
     top = p.a / p.b + upper_offset
@@ -250,7 +259,13 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     gaps = [float(np.max(np.abs(block[:, 0] - block[:, 1])))]
     converged = False
     for k in range(1, max_periods + 1):
-        block = _one_period(block, p, op, ctl)
+        prev, block = block, _one_period(block, p, op, ctl)
+        breach = max(float(np.max(block[:, 0] - prev[:, 0])),   # upper rose
+                     float(np.max(prev[:, 1] - block[:, 1])),   # lower fell
+                     float(np.max(block[:, 1] - block[:, 0])))  # lower above upper
+        if breach > ORDER_SLACK:
+            raise SolverError(f"monotone upper/lower ordering broken by {breach:.3e} "
+                              f"at period {k}")
         iterates.append(block)
         gaps.append(float(np.max(np.abs(block[:, 0] - block[:, 1]))))
         if gaps[-1] <= tol:
@@ -315,15 +330,13 @@ def classify(p: SeasonParams, kernel: KernelSpec, bc: BoundaryCondition,
     sigma1 = lam1 = None
     if domain is not None:
         op = assemble(kernel, domain, BoundaryCondition.DIRICHLET, p.d)
-        report = threshold(p, op)
-        sigma1, lam1 = report.sigma1, report.lambda1
+        sigma1 = principal_eigenpair(op, p.a).sigma1
+        lam1 = p.lambda1(sigma1)
 
-    regime = _dirichlet_regime(p)
-    ell_star = None
-    if regime is Regime.CRITICAL_LENGTH:
-        ell_star = critical_length(p, kernel).ell_star
-    return DynamicsClassification(regime=regime, growth_margin=margin,
-                                  lambda1=lam1, sigma1=sigma1, ell_star=ell_star)
+    crit = critical_length(p, kernel)
+    return DynamicsClassification(regime=crit.verdict, growth_margin=margin,
+                                  lambda1=lam1, sigma1=sigma1,
+                                  ell_star=crit.ell_star)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
-"""Principal eigenpair, persistence threshold and critical habitat length.
+"""Principal eigenpair and critical habitat length.
 
 The time-independent dispersal-growth operator d(K u - u) + a u has a
 principal eigenvalue sigma1 = d - a - r, where r is the Perron root of the
-nonnegative symmetric matrix d K. The seasonal threshold eigenvalue
+nonnegative symmetric matrix d K. The seasonal threshold eigenvalue,
+SeasonParams.lambda1(sigma1),
 
     lambda1 = (1 - rho) sigma1 + rho delta        (Dirichlet)
-    lambda1 = delta rho - a (1 - rho)             (Neumann, closed form)
+    lambda1 = delta rho - a (1 - rho)             (Neumann, sigma1 = -a)
 
 decides persistence: the population persists exactly when lambda1 < 0.
 """
@@ -39,15 +40,6 @@ class EigenPair:
     phi1: np.ndarray
     residual: float
     iterations: int
-
-
-@dataclass(frozen=True)
-class ThresholdReport:
-    """Persistence threshold eigenvalue for one habitat and boundary condition."""
-
-    sigma1: float | None
-    lambda1: float
-    bc: BoundaryCondition
 
 
 def principal_eigenpair(op: DispersalOperator, a: float, *,
@@ -89,37 +81,6 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
         f"(last residual {res:.3e})", last_residual=res, iterations=max_iter)
 
 
-def threshold(p: SeasonParams, op: DispersalOperator,
-              pair: EigenPair | None = None) -> ThresholdReport:
-    """Seasonal threshold eigenvalue lambda1 for the habitat of ``op``.
-
-    The Neumann value is closed form and needs no eigen-solve; the Dirichlet
-    value uses ``pair`` when supplied, otherwise solves for it.
-    """
-    if op.d != p.d:
-        raise ValidationError(
-            f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
-    if op.bc is BoundaryCondition.NEUMANN:
-        return ThresholdReport(sigma1=None, lambda1=p.lambda1(-p.a), bc=op.bc)
-    if pair is None:
-        pair = principal_eigenpair(op, p.a)
-    return ThresholdReport(sigma1=pair.sigma1, lambda1=p.lambda1(pair.sigma1), bc=op.bc)
-
-
-def _dirichlet_regime(p: SeasonParams) -> Regime:
-    """Regime on Dirichlet habitats, from the growth margin g alone.
-
-    g > (1-rho) d persists on every habitat, g <= 0 goes extinct on every
-    habitat, and in between a finite critical length separates the two.
-    """
-    margin = p.growth_margin
-    if margin > (1.0 - p.rho) * p.d:
-        return Regime.PERSIST_ALL_DOMAINS
-    if margin <= 0:
-        return Regime.EXTINCT_ALL_DOMAINS
-    return Regime.CRITICAL_LENGTH
-
-
 @dataclass(frozen=True)
 class CriticalLengthResult:
     """Outcome of the critical-length analysis on centered habitats."""
@@ -148,16 +109,18 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive, got {tol!r}")
-    regime = _dirichlet_regime(p)
-    if regime is not Regime.CRITICAL_LENGTH:
-        return CriticalLengthResult(verdict=regime)
+    margin = p.growth_margin
+    if margin > (1.0 - p.rho) * p.d:
+        return CriticalLengthResult(verdict=Regime.PERSIST_ALL_DOMAINS)
+    if margin <= 0:
+        return CriticalLengthResult(verdict=Regime.EXTINCT_ALL_DOMAINS)
 
     scale = kernel.scale
 
     def lam(ell: float) -> float:
         n = min(4096, max(256, math.ceil(64.0 * ell / scale)))
         op = assemble(kernel, Grid.centered(ell, n), BoundaryCondition.DIRICHLET, p.d)
-        return threshold(p, op).lambda1
+        return p.lambda1(principal_eigenpair(op, p.a).sigma1)
 
     lo = hi = scale
     lam_lo = lam_hi = lam(scale)

@@ -207,6 +207,45 @@ class TestExportTrajectory:
         assert list(tmp_path.iterdir()) == []
 
 
+class TestRunSummary:
+    def test_all_fields_in_output_order(self):
+        full = cli.RunSummary(
+            command="periodic", status="ok", error="none",
+            classification="extinction", evidence="below_threshold",
+            growth_margin=0.1, sigma1=-0.75, lambda1=0.125, ell_star=4.25,
+            final_supnorm=1e-11, eigen_residual=2.5e-9, periodic_residual=3e-10,
+            ode_z0=1.5, dt_good=0.0002, wall_time_s=0.25, grid_n=64, n_periods=3,
+            extra={"periods": 801, "bracket_lo": 4.0, "n_lengths": "2"})
+        assert full.to_text() == """\
+schema_version = 1
+command = periodic
+status = ok
+error = none
+classification = extinction
+evidence = below_threshold
+growth_margin = 0.10000000000000001
+sigma1 = -0.75
+lambda1 = 0.125
+ell_star = 4.25
+final_supnorm = 9.9999999999999994e-12
+eigen_residual = 2.5000000000000001e-09
+periodic_residual = 3e-10
+ode_z0 = 1.5
+dt_good = 0.00020000000000000001
+wall_time_s = 0.25
+grid_n = 64
+n_periods = 3
+bracket_lo = 4
+n_lengths = 2
+periods = 801
+"""
+
+    def test_failed_summary(self):
+        failed = cli.RunSummary(command="simulate", status="failed", error="boom")
+        assert failed.to_text() == ("schema_version = 1\ncommand = simulate\n"
+                                    "status = failed\nerror = boom\n")
+
+
 class TestRunScenario:
     def _sim_config(self, tmp_path, extra=""):
         return make_config(tmp_path, BASE_P1 + f"""
@@ -322,6 +361,15 @@ out.periodic = {tmp_path}/per.csv
         summary = dict(line.split(" = ", 1) for line in
                        (tmp_path / "s.txt").read_text().splitlines())
         assert float(summary["ode_z0"]) == pytest.approx(1.586099, abs=1e-5)
+
+    def test_ode_reference_without_overflow(self, tmp_path):
+        # a (1 - rho) omega = 800 is past exp's overflow at 709.78
+        path = make_config(tmp_path, BASE_P1 + "a = 800\nrho = 0.5\nomega = 2\n"
+                           + f"out.summary = {tmp_path}/s.txt\n")
+        assert main(["ode-reference", "--config", path]) == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "s.txt").read_text().splitlines())
+        assert float(summary["ode_z0"]) == pytest.approx(800 / 0.6, rel=1e-12)
 
     def test_profile_study_subcommand(self, tmp_path):
         path = make_config(tmp_path, """

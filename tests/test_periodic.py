@@ -11,7 +11,7 @@ from seasonal_dispersal import (BoundaryCondition, Extinction, Grid,
                                 asymptotic_profile_study, classify,
                                 find_periodic_solution, logistic_flow,
                                 ode_period_map, ode_periodic_solution,
-                                period_map, principal_eigenpair, threshold)
+                                period_map, principal_eigenpair)
 
 from helpers import P1, P2, P3, dirichlet_op, params
 
@@ -184,6 +184,18 @@ class TestFindPeriodicSolution:
         with pytest.raises(ValidationError, match="Dirichlet"):
             find_periodic_solution(p, op, pair, ctl)
 
+    def test_crossed_sequences_are_refused(self, p1_attractor, monkeypatch):
+        # a period map that swaps the upper and lower columns breaks the
+        # ordering the trace promises, which the gap alone cannot see
+        from seasonal_dispersal import periodic
+
+        one_period = periodic._one_period
+        monkeypatch.setattr(periodic, "_one_period",
+                            lambda block, *args: one_period(block, *args)[:, ::-1])
+        p, op, pair, ctl, _ = p1_attractor
+        with pytest.raises(SolverError, match="ordering broken"):
+            find_periodic_solution(p, op, pair, ctl)
+
 
 class TestIterationBudget:
     def test_budget_exhaustion_reports_gap(self, p1_attractor):
@@ -249,7 +261,7 @@ class TestClassificationCoherence:
             length = rng.uniform(0.5, 6.0)
             op = dirichlet_op(k, length, 32, p.d)
             pair = principal_eigenpair(op, p.a)
-            lam1 = threshold(p, op, pair).lambda1
+            lam1 = p.lambda1(pair.sigma1)
             if abs(lam1) < 0.05:  # stay clear of the slow band near zero
                 continue
             ctl = StepControl.for_params(p, 150)

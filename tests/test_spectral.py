@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from seasonal_dispersal import (BoundaryCondition, BracketError, Grid,
-                                LaplaceKernel, Regime, ValidationError,
-                                assemble, critical_length, principal_eigenpair,
-                                threshold)
+                                LaplaceKernel, Regime, StepControl,
+                                ValidationError, assemble, critical_length,
+                                find_periodic_solution, principal_eigenpair)
 
 from helpers import P1, P2, P3, dense_sigma1, dirichlet_op, params
 
@@ -78,13 +78,14 @@ def test_requires_dirichlet():
 
 
 class TestThreshold:
+    """lambda1 = SeasonParams.lambda1(sigma1) on the eigen-solve's sigma1."""
+
     def test_neumann_closed_form_P1(self):
+        # constants are principal under Neumann, so sigma1 = -a
         p = params(P1)
-        op = assemble(LaplaceKernel(20.0), Grid.centered(0.4, 16), NEU, p.d)
-        rep = threshold(p, op)
-        assert rep.sigma1 is None
-        assert rep.lambda1 == pytest.approx(0.6 * 0.2 - 1.2 * 0.4, abs=1e-15)
-        assert rep.lambda1 == pytest.approx(-0.36)
+        lam1 = p.lambda1(-p.a)
+        assert lam1 == pytest.approx(0.6 * 0.2 - 1.2 * 0.4, abs=1e-15)
+        assert lam1 == pytest.approx(-0.36)
 
     def test_dirichlet_affine_in_rho(self):
         # with sigma1 held fixed, lambda1 interpolates sigma1 (rho -> 0)
@@ -94,14 +95,13 @@ class TestThreshold:
         s = pair.sigma1
         for rho in (0.05, 0.3, 0.5, 0.8, 0.95):
             p = params(d=0.6, a=1.2, rho=rho)
-            rep = threshold(p, op, pair)
-            assert rep.lambda1 == pytest.approx(s + rho * (p.delta - s), rel=1e-12)
+            assert p.lambda1(s) == pytest.approx(s + rho * (p.delta - s), rel=1e-12)
 
     def test_dirichlet_lower_bound(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 64, p.d)
-        rep = threshold(p, op)
-        assert rep.lambda1 > p.rho * p.delta - (1 - p.rho) * p.a
+        lam1 = p.lambda1(principal_eigenpair(op, p.a).sigma1)
+        assert lam1 > p.rho * p.delta - (1 - p.rho) * p.a
 
     def test_P2_opposite_signs_with_oracle(self):
         p = params(P2)
@@ -110,17 +110,18 @@ class TestThreshold:
         for length in (0.4, 8.0):
             n = 512
             op = dirichlet_op(k, length, n, p.d)
-            rep = threshold(p, op)
+            lam1 = p.lambda1(principal_eigenpair(op, p.a).sigma1)
             oracle = (1 - p.rho) * dense_sigma1(op, p.a) + p.rho * p.delta
-            assert rep.lambda1 == pytest.approx(oracle, abs=1e-7)
-            lams[length] = rep.lambda1
+            assert lam1 == pytest.approx(oracle, abs=1e-7)
+            lams[length] = lam1
         assert lams[0.4] > 0 > lams[8.0]
 
     def test_rate_mismatch_rejected(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, d=0.7)
+        pair = principal_eigenpair(op, p.a)
         with pytest.raises(ValidationError, match="dispersal"):
-            threshold(p, op)
+            find_periodic_solution(p, op, pair, StepControl.for_params(p, 10))
 
 
 class TestSpectralProperties:
@@ -166,12 +167,12 @@ def test_threshold_is_linear_period_map_decay_rate():
     # one period: exact decay through the bad season and, since phi1 is an
     # eigenfunction of the frozen good-season operator, pure exponential
     # growth at rate -sigma1 through the good one
-    from seasonal_dispersal import StateVector, StepControl, period_map
+    from seasonal_dispersal import StateVector, period_map
 
     p = params(P1, b=1e-30)
     op = dirichlet_op(LaplaceKernel(2.0), 3.0, 64, p.d)
     pair = principal_eigenpair(op, p.a, tol_residual=1e-12)
-    lam1 = threshold(p, op, pair).lambda1
+    lam1 = p.lambda1(pair.sigma1)
     out = period_map(StateVector(pair.phi1), p, op, StepControl.for_params(p, 2000))
     expected = math.exp(-lam1 * p.omega) * pair.phi1
     assert np.max(np.abs(out.values - expected)) <= 1e-9 * np.max(expected)
