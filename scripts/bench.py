@@ -1,15 +1,19 @@
 #!/usr/bin/env python3
 """Time the solver layer by layer at fixed sizes and record the numbers.
 
-Four layers are timed at n = 128, 512 and 2048, each on the P1 operator
-(Laplace kernel of scale 20 on the habitat [-0.2, 0.2], Dirichlet):
+Four layers are timed at n = 128, 512 and 2048, and a fifth at n = 128
+only, each on the P1 operator (Laplace kernel of scale 20 on the habitat
+[-0.2, 0.2], Dirichlet):
 
 * ``operator.assemble_us``: one ``assemble`` call;
 * ``operator.apply_us``: one ``DispersalOperator.apply``;
 * ``spectral.power_step_us``: one power-iteration step, the mean over a
   50-step ``principal_eigenpair`` run (its per-call set-up included);
 * ``evolution.period_map_ms``: one ``period_map`` at 400 RK4 steps per
-  good season.
+  good season;
+* ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
+  per good season (the ``attractor`` benchmark config), at n = 128 only:
+  the monotone loop it replaced took minutes at n = 2048.
 
 Each figure is the median of repeated calls after one warm-up call. BLAS is
 pinned to one thread for this process. The results are merged into the JSON
@@ -34,11 +38,13 @@ from pathlib import Path
 import numpy as np
 
 SIZES = (128, 512, 2048)
+FIND_N = 128
 ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "thread, on the P1 operator (Laplace kernel of scale 20, habitat "
          "[-0.2, 0.2], Dirichlet). spectral.power_step_us is the mean step of a "
          "50-step principal_eigenpair run, its per-call set-up included; "
-         "evolution.period_map_ms uses 400 RK4 steps per good season.")
+         "evolution.period_map_ms and periodic.find_ms (n = 128 only) use 400 "
+         "RK4 steps per good season.")
 POWER_STEPS = 50
 STEPS_PER_SEASON = 400
 BUDGET_S = 1.0
@@ -75,13 +81,18 @@ def measure(sd, n: int) -> dict:
             return err.iterations
 
     steps = power_steps()
+    layers = [
+        ("operator.assemble_us", lambda: sd.assemble(kernel, grid, dirichlet, p.d), 1e6, 1),
+        ("operator.apply_us", lambda: op.apply(u), 1e6, 1),
+        ("spectral.power_step_us", power_steps, 1e6, steps),
+        ("evolution.period_map_ms", lambda: sd.period_map(sd.StateVector(u), p, op, ctl),
+         1e3, 1)]
+    if n == FIND_N:
+        pair = sd.principal_eigenpair(op, p.a)
+        layers.append(("periodic.find_ms",
+                       lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3, 1))
     out = {}
-    for name, fn, scale, per in [
-            ("operator.assemble_us", lambda: sd.assemble(kernel, grid, dirichlet, p.d), 1e6, 1),
-            ("operator.apply_us", lambda: op.apply(u), 1e6, 1),
-            ("spectral.power_step_us", power_steps, 1e6, steps),
-            ("evolution.period_map_ms", lambda: sd.period_map(sd.StateVector(u), p, op, ctl),
-             1e3, 1)]:
+    for name, fn, scale, per in layers:
         secs, runs = median_seconds(fn)
         out[name] = {"value": scale * secs / per, "runs": runs}
     return out

@@ -137,8 +137,11 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         raise ConfigError(f"unknown subcommand {command!r}")
     p = cfg.params
     t_start = time.perf_counter()
-    summary = RunSummary(command=command, growth_margin=p.growth_margin,
-                         grid_n=cfg.grid.n, dt_good=cfg.ctl.dt_good)
+    summary = RunSummary(command=command, growth_margin=p.growth_margin)
+    # profile-study and critical-length solve on grids of their own
+    if command not in ("profile-study", "critical-length"):
+        summary.grid_n = cfg.grid.n
+        summary.dt_good = cfg.ctl.dt_good
 
     if command == "simulate":
         n_periods = _require(cfg.n_periods, "run.n_periods", command)
@@ -200,6 +203,7 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
             summary.classification = "periodic_solution"
             summary.periodic_residual = sol.residual
             summary.final_supnorm = sol.sup_norm
+            summary.extra["periods"] = sol.periods
 
     elif command == "profile-study":
         lengths = _require(cfg.profile_lengths, "profile.lengths", command)

@@ -1,13 +1,15 @@
 """Periodic attractors, regime classification, and the ODE reference model.
 
-The omega-periodic attractor of the habitat problem is found by iterating
-the period map from an ordered pair of upper/lower starting data: a large
-constant above the logistic ceiling a/b and a small multiple of the positive
-periodic eigenfunction. Comparison keeps the upper sequence non-increasing
-and the lower one non-decreasing, so the two sandwich every solution and
-meet at the unique positive fixed point when the threshold eigenvalue is
-negative. When it is not, a decaying multiple of the principal eigenfunction
-is a super-solution, which certifies extinction in closed form.
+When the threshold eigenvalue is negative, the omega-periodic attractor of
+the habitat problem is the unique positive fixed point of the period map. An
+Anderson-accelerated fixed-point iteration (Walker & Ni, SIAM J. Numer. Anal.
+49, 2011) approximates it, and one period of an ordered pair around the
+approximation certifies it; should that fail, monotone upper/lower iteration
+from a large constant above a/b and a small multiple of the positive periodic
+eigenfunction sandwiches it instead. Both rest on comparison: the period map
+preserves order. When the threshold eigenvalue is not negative, a decaying
+multiple of the principal eigenfunction is a super-solution, which certifies
+extinction in closed form.
 
 The spatially homogeneous reference is the scalar seasonal logistic ODE,
 whose periodic orbit has a closed form; it is also the profile limit of the
@@ -35,8 +37,17 @@ NEAR_THRESHOLD = 1e-3
 #: a certified sup-norm bound below this certifies extinction
 EXTINCTION_THRESHOLD = 1e-10
 
-#: rounding slack of the monotone ordering checked after every period
+#: rounding slack of the monotone ordering checked after every period of the
+#: classic-start iteration; the one-period sandwich of the accelerated start
+#: gets none
 ORDER_SLACK = 1e-10
+
+#: history depth of the Anderson-accelerated fixed-point iteration
+ANDERSON_DEPTH = 3
+
+#: the accelerated iteration stops once |P(u) - u| is below this fraction of
+#: (1 - q) eps, the room the one-period sandwich leaves at contraction q
+ANDERSON_MARGIN = 0.1
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +129,12 @@ class MonotoneIterationTrace:
     Row k holds iterate k; ``gaps[k]`` is the sup-norm distance between the
     two rows. The upper rows are componentwise non-increasing in k, the
     lower rows non-decreasing and below the upper ones, so the gaps are
-    non-increasing; find_periodic_solution enforces this ordering to
-    ORDER_SLACK after every period. For an Extinction there are two rows:
-    the upper start and the super-solution bound at the certified period,
-    with zero lower rows.
+    non-increasing. For a certified accelerated start there are two rows,
+    the pair (u~ + eps, u~ - eps) and its image, ordered with zero slack;
+    after the classic start, one row per period, ordered to ORDER_SLACK.
+    find_periodic_solution enforces both. For an Extinction there are two
+    rows: the upper start and the super-solution bound at the certified
+    period, with zero lower rows.
     """
 
     upper: np.ndarray
@@ -138,7 +151,9 @@ class PeriodicSolution:
 
     ``values[k]`` is the state at ``times[k]``; ``residual`` is the sup-norm
     period-map defect of the t = 0 state. Through the bad season the samples
-    factor exactly as values(t) = e^{-delta t} values(0).
+    factor exactly as values(t) = e^{-delta t} values(0). ``periods`` counts
+    the column-periods find_periodic_solution stepped: one per state carried
+    through one period, the certificate's two included.
     """
 
     times: np.ndarray
@@ -148,6 +163,7 @@ class PeriodicSolution:
     trace: MonotoneIterationTrace
     params: SeasonParams
     grid: Grid
+    periods: int
 
     @property
     def sup_norm(self) -> float:
@@ -192,6 +208,75 @@ def _lower_start_scale(p: SeasonParams, pair: EigenPair, resid: np.ndarray,
         f"lambda1 = {lam1:g} is too close to zero for the eigen residual")
 
 
+def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
+              ctl: StepControl, eps: float, max_periods: int
+              ) -> tuple[np.ndarray, float, int, bool]:
+    """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column.
+
+    Type-II Anderson acceleration of depth ANDERSON_DEPTH (Walker & Ni
+    2011); an extrapolated iterate with an entry <= 0 is replaced by P(x).
+    The contraction q is the sup-norm ratio of the last P(x) and x steps.
+    Stops when |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps (reached), or
+    unreached after ``max_periods`` periods or 2 ANDERSON_DEPTH iterations
+    without a new smallest residual. Returns the last iterate, its
+    residual, the periods stepped and whether it reached.
+    """
+    g = _one_period(x, p, op, ctl)
+    f = g - x
+    dF: list[np.ndarray] = []
+    dG: list[np.ndarray] = []
+    q = 1.0
+    best, stalled = math.inf, 0
+    periods = 1
+    while True:
+        residual = float(np.max(np.abs(f)))
+        if residual <= ANDERSON_MARGIN * (1.0 - q) * eps:
+            return x, residual, periods, True
+        best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
+        if periods >= max_periods or stalled > 2 * ANDERSON_DEPTH:
+            return x, residual, periods, False
+        x_new = g
+        if dF:
+            gamma = np.linalg.lstsq(np.hstack(dF), f, rcond=None)[0]
+            x_new = g - np.hstack(dG) @ gamma
+            if np.min(x_new) <= 0.0:
+                x_new = g
+        g_new = _one_period(x_new, p, op, ctl)
+        periods += 1
+        f_new = g_new - x_new
+        step = float(np.max(np.abs(x_new - x)))
+        q = float(np.max(np.abs(g_new - g))) / step if step > 0.0 else 1.0
+        dF = (dF + [f_new - f])[-ANDERSON_DEPTH:]
+        dG = (dG + [g_new - g])[-ANDERSON_DEPTH:]
+        x, g, f = x_new, g_new, f_new
+
+
+def _march(block: np.ndarray, p: SeasonParams, op: DispersalOperator,
+           ctl: StepControl, tol: float, max_periods: int, slack: float
+           ) -> tuple[list[np.ndarray], list[float], float]:
+    """Monotone iteration of the (upper, lower) column block.
+
+    Steps at most ``max_periods`` periods and stops once the gap
+    max|upper - lower| is at most ``tol``, or at the first period whose
+    ordering breach exceeds ``slack``: the upper column rose, the lower one
+    fell, or the lower one rose above the upper. Returns the iterates, their
+    gaps and the last period's breach (-inf if no period was stepped).
+    """
+    iterates = [block]
+    gaps = [float(np.max(np.abs(block[:, 0] - block[:, 1])))]
+    breach = -math.inf
+    for _ in range(max_periods):
+        prev, block = block, _one_period(block, p, op, ctl)
+        breach = max(float(np.max(block[:, 0] - prev[:, 0])),   # upper rose
+                     float(np.max(prev[:, 1] - block[:, 1])),   # lower fell
+                     float(np.max(block[:, 1] - block[:, 0])))  # lower above upper
+        iterates.append(block)
+        gaps.append(float(np.max(np.abs(block[:, 0] - block[:, 1]))))
+        if breach > slack or gaps[-1] <= tol:
+            break
+    return iterates, gaps, breach
+
+
 def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPair,
                            ctl: StepControl, *, tol: float = 1e-8,
                            max_periods: int = 5000,
@@ -199,12 +284,26 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
                            ) -> Union[PeriodicSolution, Extinction]:
     """Periodic attractor on a Dirichlet habitat, or a certificate of extinction.
 
-    With lambda1 < 0, monotone upper/lower iteration of the period map: the
-    upper sequence starts from the constant top = a/b + ``upper_offset`` and
-    the lower one from a certified small multiple of the periodic
-    eigenfunction; both converge monotonically to the unique positive fixed
-    point, accepted once their gap is at most ``tol``. SolverError is raised
-    if a period breaks that ordering by more than ORDER_SLACK.
+    With lambda1 < 0, the unique positive fixed point u* of the period map P
+    is sandwiched by an ordered (upper, lower) pair whose gap is at most
+    ``tol``, from the first of two starts that certifies:
+
+    * accelerated: Anderson iteration of u <- P(u) on one column from the
+      constant top = a/b + ``upper_offset`` gives u~ with |P(u~) - u~| well
+      below (1 - q) eps, eps = tol/2 and q the measured contraction. One
+      period of the pair (u~ + eps, u~ - eps) then certifies it if
+      P(u~ + eps) <= u~ + eps, P(u~ - eps) >= u~ - eps and
+      P(u~ - eps) <= P(u~ + eps) hold everywhere with zero slack, u~ - eps
+      > 0 and the image gap is at most ``tol``. Since P preserves order,
+      u* = P(u*) lies between the two images.
+    * classic, if the sandwich fails: monotone upper/lower iteration from top
+      and a certified small multiple of the periodic eigenfunction; both
+      converge monotonically to u*, accepted once their gap is at most
+      ``tol``. SolverError is raised if a period breaks that ordering by more
+      than ORDER_SLACK.
+
+    The attractor is sampled along one period from the upper image, and its
+    period-map residual is checked against ``tol``.
 
     With lambda1 >= 0 no period is stepped. The eigen identity gives
     d(K phi1 - phi1) + a phi1 <= -sigma_eff phi1, with sigma_eff = sigma1 -
@@ -217,10 +316,12 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     EXTINCTION_THRESHOLD. SolverError is raised if lam <= 0, where lambda1
     lies within the eigen residual of zero.
 
-    ``max_periods`` bounds the persistence loop only. IterationBudgetError is
-    raised if the gap is still above ``tol`` after ``max_periods`` periods;
-    the error flags |lambda1| < 1e-3, where the contraction rate degenerates
-    and slowness is expected.
+    ``max_periods`` bounds the period maps of the persistence branch, the
+    accelerated iterations, the sandwich and the classic iteration together,
+    a block of columns counting once. IterationBudgetError is raised, with
+    the current gap or fixed-point residual, if no pair has certified after
+    ``max_periods`` periods; the error flags |lambda1| < 1e-3, where the
+    contraction rate degenerates and slowness is expected.
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("find_periodic_solution expects a Dirichlet operator")
@@ -251,38 +352,47 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
                           evidence="below_threshold", lambda1=lam1, trace=trace)
 
+    def budget_spent(gap: float) -> IterationBudgetError:
+        slow = abs(lam1) < NEAR_THRESHOLD
+        return IterationBudgetError(
+            f"no pair {tol:g} apart certified after {max_periods} periods; "
+            f"last gap or fixed-point residual {gap:.3e}"
+            + (" (lambda1 near zero, convergence is slow)" if slow else ""),
+            gap=gap, periods=max_periods, slow_near_threshold=slow)
+
+    # the classic lower start is certified first, so that a lambda1 of the
+    # wrong sign is refused before any period is stepped
     eps = _lower_start_scale(p, pair, resid, lam1)
-    # column 0 is the upper sequence and column 1 the lower one; both
-    # advance through each period as one block
-    block = np.column_stack([np.full(op.n, top), eps * phi])
-    iterates = [block]
-    gaps = [float(np.max(np.abs(block[:, 0] - block[:, 1])))]
-    converged = False
-    for k in range(1, max_periods + 1):
-        prev, block = block, _one_period(block, p, op, ctl)
-        breach = max(float(np.max(block[:, 0] - prev[:, 0])),   # upper rose
-                     float(np.max(prev[:, 1] - block[:, 1])),   # lower fell
-                     float(np.max(block[:, 1] - block[:, 0])))  # lower above upper
+    # blocks are (n, m): column 0 is the upper sequence and column 1 the
+    # lower one, advancing through each period together
+    half = 0.5 * tol
+    u, defect, stepped, reached = _anderson(np.full((op.n, 1), top), p, op, ctl,
+                                            half, max_periods)
+    if stepped >= max_periods:
+        raise budget_spent(defect)
+    columns = stepped
+    certified = False
+    if reached and np.min(u) > half:
+        iterates, gaps, breach = _march(np.hstack([u + half, u - half]), p, op, ctl,
+                                        tol, 1, 0.0)
+        stepped += 1
+        columns += 2
+        certified = breach <= 0.0 and gaps[-1] <= tol
+    if not certified:
+        iterates, gaps, breach = _march(np.column_stack([np.full(op.n, top), eps * phi]),
+                                        p, op, ctl, tol, max_periods - stepped,
+                                        ORDER_SLACK)
+        columns += 2 * (len(gaps) - 1)
         if breach > ORDER_SLACK:
             raise SolverError(f"monotone upper/lower ordering broken by {breach:.3e} "
-                              f"at period {k}")
-        iterates.append(block)
-        gaps.append(float(np.max(np.abs(block[:, 0] - block[:, 1]))))
-        if gaps[-1] <= tol:
-            converged = True
-            break
+                              f"at period {len(gaps) - 1}")
+        if gaps[-1] > tol:
+            raise budget_spent(gaps[-1])
     trace = MonotoneIterationTrace(upper=_readonly(np.array([b[:, 0] for b in iterates])),
                                    lower=_readonly(np.array([b[:, 1] for b in iterates])),
                                    gaps=_readonly(np.array(gaps)))
-    if not converged:
-        raise IterationBudgetError(
-            f"gap {gaps[-1]:.3e} still above {tol:g} after {max_periods} periods"
-            + (" (lambda1 near zero, convergence is slow)"
-               if abs(lam1) < NEAR_THRESHOLD else ""),
-            gap=gaps[-1], periods=max_periods,
-            slow_near_threshold=abs(lam1) < NEAR_THRESHOLD)
 
-    ustar0 = block[:, 0].copy()
+    ustar0 = iterates[-1][:, 0].copy()
     if not np.all(ustar0 > 0):
         raise SolverError("periodic iterate lost strict positivity")
     orbit = evolve(StateVector(ustar0), p, op, ctl, p.omega)
@@ -291,7 +401,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         raise SolverError(f"period-map residual {residual:g} exceeds tolerance {tol:g}")
     return PeriodicSolution(times=orbit.times, values=orbit.values,
                             residual=residual, lambda1=lam1, trace=trace,
-                            params=p, grid=op.grid)
+                            params=p, grid=op.grid, periods=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,8 @@ import pytest
 from seasonal_dispersal import (BoundaryCondition, ConfigError, Grid,
                                 LaplaceKernel, MonotoneIterationTrace,
                                 PeriodicSolution, StateVector, StepControl,
-                                Trajectory, assemble, evolve)
+                                Trajectory, assemble, evolve,
+                                find_periodic_solution, principal_eigenpair)
 from seasonal_dispersal import cli
 from seasonal_dispersal.cli import export_periodic, export_trajectory, main
 from seasonal_dispersal.config import parse_config
@@ -147,7 +148,7 @@ class TestExportTrajectory:
                                        gaps=np.zeros(1))
         return PeriodicSolution(times=tr.times, values=tr.values, residual=0.0,
                                 lambda1=-0.1, trace=trace, params=tr.params,
-                                grid=tr.grid)
+                                grid=tr.grid, periods=0)
 
     @pytest.mark.parametrize("kind", ["trajectory", "periodic"])
     def test_round_trip_bit_exact(self, tmp_path, kind):
@@ -331,6 +332,35 @@ out.periodic = {tmp_path}/per.csv
         assert summary["classification"] == "periodic_solution"
         assert float(summary["periodic_residual"]) <= 1e-8 * max(
             1.0, float(summary["final_supnorm"]))
+
+    def test_periodic_summary_reports_periods(self, tmp_path):
+        path = make_config(tmp_path, BASE_P1 + f"time.dt_good = 0.001\n"
+                           f"out.summary = {tmp_path}/s.txt\nout.periodic = {tmp_path}/per.csv\n")
+        assert main(["periodic", "--config", path]) == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "s.txt").read_text().splitlines())
+        cfg = parse_config(open(path).read())
+        op = assemble(cfg.kernel, cfg.grid, cfg.bc, cfg.params.d)
+        sol = find_periodic_solution(cfg.params, op, principal_eigenpair(op, cfg.params.a),
+                                     cfg.ctl)
+        assert int(summary["periods"]) == sol.periods
+        assert summary["grid_n"] == "24"
+        assert float(summary["dt_good"]) == pytest.approx(0.001)
+
+    @pytest.mark.parametrize("command, body", [
+        ("critical-length", BASE_P1.replace("P1", "P2")),
+        ("profile-study", BASE_P1.replace("0.2", "1") + "kernel.scale = 1\n"
+         "profile.lengths = 4, 6\n"),
+    ])
+    def test_own_grid_subcommands_omit_config_grid(self, tmp_path, command, body):
+        # both solve on grids sized from their lengths, not on grid.n/dt_good
+        path = make_config(tmp_path, body + f"out.summary = {tmp_path}/s.txt\n"
+                           f"out.profile = {tmp_path}/prof.csv\n")
+        assert main([command, "--config", path]) == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "s.txt").read_text().splitlines())
+        assert "grid_n" not in summary and "dt_good" not in summary
+        assert summary["status"] == "ok"
 
     def test_periodic_subcommand_extinction(self, tmp_path):
         # P2 on a habitat of length 1, below its critical length of about 4.29

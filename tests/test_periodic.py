@@ -83,6 +83,30 @@ def p1_attractor():
 
 
 @pytest.fixture(scope="module")
+def p1_classic_start(p1_attractor):
+    # the first (n, 2) block stepped is the one-period sandwich of the
+    # accelerated start; nudging its image up breaks P(u~ + eps) <= u~ + eps
+    from seasonal_dispersal import periodic
+
+    p, op, pair, ctl, _ = p1_attractor
+    one_period = periodic._one_period
+    blocks = []
+
+    def nudged(block, *args):
+        out = one_period(block, *args)
+        if block.shape[1] == 2:
+            blocks.append(block)
+            if len(blocks) == 1:
+                out = out + 1e-6
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periodic, "_one_period", nudged)
+        sol = find_periodic_solution(p, op, pair, ctl)
+    return sol, blocks
+
+
+@pytest.fixture(scope="module")
 def p3_extinct():
     p = params(P3)
     op = dirichlet_op(LaplaceKernel(20.0), 8.0, 64, p.d)
@@ -195,6 +219,39 @@ class TestFindPeriodicSolution:
         p, op, pair, ctl, _ = p1_attractor
         with pytest.raises(SolverError, match="ordering broken"):
             find_periodic_solution(p, op, pair, ctl)
+
+
+class TestTwoStarts:
+    def test_accelerated_start_matches_classic_start(self, p1_attractor,
+                                                      p1_classic_start):
+        _, _, _, _, sol = p1_attractor
+        classic, _ = p1_classic_start
+        u0 = sol.values[0]
+        assert len(sol.trace) == 2  # the certified pair and its image
+        assert np.max(np.abs(u0 - classic.values[0])) <= 1e-8
+        assert np.all(sol.trace.lower[-1] <= u0) and np.all(u0 <= sol.trace.upper[-1])
+
+    def test_failed_sandwich_falls_back_to_classic_start(self, p1_attractor,
+                                                         p1_classic_start):
+        p, op, _, _, sol = p1_attractor
+        classic, blocks = p1_classic_start
+        top = p.a / p.b + 1.0
+        # the sandwich (u~ + tol/2, u~ - tol/2), then the classic start
+        assert np.allclose(blocks[0][:, 0] - blocks[0][:, 1], 1e-8, rtol=0, atol=1e-15)
+        assert np.all(blocks[1][:, 0] == top)
+        assert np.all(classic.trace.upper[0] == top)
+        assert len(classic.trace) > 2
+        assert classic.periods == sol.periods + 2 * (len(classic.trace) - 1)
+        assert np.max(np.abs(classic.values[0] - sol.values[0])) <= 1e-8
+
+    def test_p1_n32_certifies_in_few_column_periods(self):
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 32, p.d)
+        pair = principal_eigenpair(op, p.a)
+        ctl = StepControl.for_params(p, 400)
+        sols = [find_periodic_solution(p, op, pair, ctl) for _ in range(2)]
+        assert all(len(s.trace) == 2 for s in sols)  # certified, no fallback
+        assert sols[0].periods == sols[1].periods <= 40
 
 
 class TestIterationBudget:
