@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the solver layer by layer at fixed sizes and record the numbers.
 
-Four layers are timed at n = 128, 512 and 2048, and a fifth at n = 128
-only, each on the P1 operator (Laplace kernel of scale 20 on the habitat
-[-0.2, 0.2], Dirichlet):
+Four layers are timed at n = 128, 512 and 2048, and two more at n = 128
+only, on the P1 operator (Laplace kernel of scale 20 on the habitat
+[-0.2, 0.2], Dirichlet) unless said otherwise:
 
 * ``operator.assemble_us``: one ``assemble`` call;
 * ``operator.apply_us``: one ``DispersalOperator.apply``;
@@ -13,7 +13,10 @@ only, each on the P1 operator (Laplace kernel of scale 20 on the habitat
   good season;
 * ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
   per good season (the ``attractor`` benchmark config), at n = 128 only:
-  the monotone loop it replaced took minutes at n = 2048.
+  the monotone loop it replaced took minutes at n = 2048;
+* ``periodic.find_p2_ms``: the same solve at P2 (d = 1) on the habitat
+  [-3.34, 3.34] of the same kernel, where lambda1 is about -0.02, at n = 128
+  only, a case nearer the persistence threshold.
 
 Each figure is the median of repeated calls after one warm-up call. BLAS is
 pinned to one thread for this process. The results are merged into the JSON
@@ -39,12 +42,14 @@ import numpy as np
 
 SIZES = (128, 512, 2048)
 FIND_N = 128
+P2_LENGTH = 6.68
 ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "thread, on the P1 operator (Laplace kernel of scale 20, habitat "
          "[-0.2, 0.2], Dirichlet). spectral.power_step_us is the mean step of a "
          "50-step principal_eigenpair run, its per-call set-up included; "
-         "evolution.period_map_ms and periodic.find_ms (n = 128 only) use 400 "
-         "RK4 steps per good season.")
+         "evolution.period_map_ms, periodic.find_ms and periodic.find_p2_ms "
+         "(n = 128 only) use 400 RK4 steps per good season; periodic.find_p2_ms "
+         "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02.")
 POWER_STEPS = 50
 STEPS_PER_SEASON = 400
 BUDGET_S = 1.0
@@ -91,6 +96,12 @@ def measure(sd, n: int) -> dict:
         pair = sd.principal_eigenpair(op, p.a)
         layers.append(("periodic.find_ms",
                        lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3, 1))
+        p2 = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=1.0, rho=0.6, omega=1.0)
+        op2 = sd.assemble(kernel, sd.Grid.centered(P2_LENGTH, n), dirichlet, p2.d)
+        pair2 = sd.principal_eigenpair(op2, p2.a)
+        ctl2 = sd.StepControl.for_params(p2, STEPS_PER_SEASON)
+        layers.append(("periodic.find_p2_ms",
+                       lambda: sd.find_periodic_solution(p2, op2, pair2, ctl2), 1e3, 1))
     out = {}
     for name, fn, scale, per in layers:
         secs, runs = median_seconds(fn)

@@ -1,7 +1,8 @@
 """Nonlocal dispersal logistic model with seasonal succession.
 
 Simulation, spectral persistence thresholds, critical habitat lengths,
-periodic attractors by monotone iteration, and the scalar ODE reference.
+periodic attractors certified by an ordered one-period sandwich, and the
+scalar ODE reference.
 """
 
 from .errors import (BracketError, ConfigError, EigenConvergenceError,

@@ -138,8 +138,9 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
     p = cfg.params
     t_start = time.perf_counter()
     summary = RunSummary(command=command, growth_margin=p.growth_margin)
-    # profile-study and critical-length solve on grids of their own
-    if command not in ("profile-study", "critical-length"):
+    # profile-study and critical-length solve on grids of their own, and
+    # ode-reference steps none
+    if command not in ("profile-study", "critical-length", "ode-reference"):
         summary.grid_n = cfg.grid.n
         summary.dt_good = cfg.ctl.dt_good
 

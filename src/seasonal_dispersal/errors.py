@@ -37,10 +37,12 @@ class BracketError(SolverError):
 
 
 class IterationBudgetError(SolverError):
-    """Monotone iteration exhausted its period budget before converging.
+    """The accelerated fixed-point iteration spent its period budget before
+    an ordered pair around it certified the periodic attractor.
 
-    ``slow_near_threshold`` distinguishes the expected slowdown when the
-    persistence eigenvalue sits close to zero from a genuine failure.
+    ``gap`` is the last fixed-point residual |P(u) - u| and ``periods`` the
+    budget. ``slow_near_threshold`` distinguishes the expected slowdown when
+    the persistence eigenvalue sits close to zero from a genuine failure.
     """
 
     def __init__(self, message, gap, periods, slow_near_threshold):

@@ -4,12 +4,10 @@ When the threshold eigenvalue is negative, the omega-periodic attractor of
 the habitat problem is the unique positive fixed point of the period map. An
 Anderson-accelerated fixed-point iteration (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) approximates it, and one period of an ordered pair around the
-approximation certifies it; should that fail, monotone upper/lower iteration
-from a large constant above a/b and a small multiple of the positive periodic
-eigenfunction sandwiches it instead. Both rest on comparison: the period map
-preserves order. When the threshold eigenvalue is not negative, a decaying
-multiple of the principal eigenfunction is a super-solution, which certifies
-extinction in closed form.
+approximation certifies it, by comparison: the period map preserves order.
+When the threshold eigenvalue is not negative, a decaying multiple of the
+principal eigenfunction is a super-solution, which certifies extinction in
+closed form.
 
 The spatially homogeneous reference is the scalar seasonal logistic ODE,
 whose periodic orbit has a closed form; it is also the profile limit of the
@@ -37,16 +35,14 @@ NEAR_THRESHOLD = 1e-3
 #: a certified sup-norm bound below this certifies extinction
 EXTINCTION_THRESHOLD = 1e-10
 
-#: rounding slack of the monotone ordering checked after every period of the
-#: classic-start iteration; the one-period sandwich of the accelerated start
-#: gets none
-ORDER_SLACK = 1e-10
+#: the constant upper start, shared by both branches, is a/b + UPPER_OFFSET
+UPPER_OFFSET = 1.0
 
 #: history depth of the Anderson-accelerated fixed-point iteration
 ANDERSON_DEPTH = 3
 
-#: the accelerated iteration stops once |P(u) - u| is below this fraction of
-#: (1 - q) eps, the room the one-period sandwich leaves at contraction q
+#: a pair is stepped once |P(u) - u| is below this fraction of (1 - q) eps,
+#: the room the one-period sandwich leaves at contraction q
 ANDERSON_MARGIN = 0.1
 
 
@@ -119,22 +115,20 @@ def ode_periodic_solution(p: SeasonParams) -> Optional[OdePeriodicSolution]:
 
 
 # ---------------------------------------------------------------------------
-# monotone iteration toward the habitat attractor
+# certified periodic attractor, or certified extinction
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class MonotoneIterationTrace:
-    """Snapshots (at t = 0) of the upper/lower iterate sequences.
+    """Snapshots (at t = 0) of an ordered (upper, lower) pair and its bound.
 
-    Row k holds iterate k; ``gaps[k]`` is the sup-norm distance between the
-    two rows. The upper rows are componentwise non-increasing in k, the
-    lower rows non-decreasing and below the upper ones, so the gaps are
-    non-increasing. For a certified accelerated start there are two rows,
-    the pair (u~ + eps, u~ - eps) and its image, ordered with zero slack;
-    after the classic start, one row per period, ordered to ORDER_SLACK.
-    find_periodic_solution enforces both. For an Extinction there are two
-    rows: the upper start and the super-solution bound at the certified
-    period, with zero lower rows.
+    ``gaps[k]`` is the sup-norm distance between the two rows k. For a
+    PeriodicSolution there are two rows: the certified pair
+    (u~ + eps, u~ - eps) and its image under the period map, the upper row
+    non-increasing, the lower non-decreasing and below the upper one, all
+    with zero slack, as find_periodic_solution enforces. For an Extinction
+    there are two rows: the upper start and the super-solution bound at the
+    certified period, with zero lower rows.
     """
 
     upper: np.ndarray
@@ -173,7 +167,7 @@ class PeriodicSolution:
 @dataclass(frozen=True)
 class Extinction:
     """Certified decay to zero: every solution from nonnegative data at most
-    a/b + ``upper_offset`` is at most ``final_supnorm`` at t = ``periods`` omega.
+    a/b + UPPER_OFFSET is at most ``final_supnorm`` at t = ``periods`` omega.
 
     ``final_supnorm`` is the super-solution bound of find_periodic_solution,
     not a simulated sup-norm, and ``periods`` is the first period at which it
@@ -187,54 +181,47 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
-def _lower_start_scale(p: SeasonParams, pair: EigenPair, resid: np.ndarray,
-                       lam1: float) -> float:
-    """Largest certified multiple of phi1 that is a discrete lower solution.
-
-    The good-season lower-solution inequality for eps * phi(t, x), written
-    through the eigen identity d(K phi - phi) + a phi = -sigma1 phi + resid,
-    reduces to lam1 phi_i - resid_i + b eps phi_i^2 <= 0 at every node (the
-    bad season holds automatically for lam1 < 0). eps is halved from
-    0.1 (a/b) / sup phi until the inequality holds, at most 60 times.
-    """
-    phi = pair.phi1
-    eps = 0.1 * (p.a / p.b) / float(np.max(phi))
-    for _ in range(60):
-        if np.max(lam1 * phi - resid + p.b * eps * phi * phi) <= 0.0:
-            return eps
-        eps *= 0.5
-    raise SolverError(
-        "could not certify a lower solution in 60 halvings; "
-        f"lambda1 = {lam1:g} is too close to zero for the eigen residual")
-
-
-def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
-              ctl: StepControl, eps: float, max_periods: int
-              ) -> tuple[np.ndarray, float, int, bool]:
-    """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column.
+def _certified_pair(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
+                    ctl: StepControl, tol: float, max_periods: int
+                    ) -> tuple[Optional[np.ndarray], float, int]:
+    """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column,
+    until one period of an ordered pair around it certifies.
 
     Type-II Anderson acceleration of depth ANDERSON_DEPTH (Walker & Ni
     2011); an extrapolated iterate with an entry <= 0 is replaced by P(x).
     The contraction q is the sup-norm ratio of the last P(x) and x steps.
-    Stops when |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps (reached), or
-    unreached after ``max_periods`` periods or 2 ANDERSON_DEPTH iterations
-    without a new smallest residual. Returns the last iterate, its
-    residual, the periods stepped and whether it reached.
+    Whenever |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps and min x > eps, with
+    eps = tol/2, the pair (x + eps, x - eps) is stepped one period as one
+    (n, 2) block and checked as find_periodic_solution describes; if it
+    does not certify, the iteration goes on with its history kept. Every
+    period map counts once against ``max_periods``, a block included.
+    Returns the pair and its image as one (2, n, 2) array (None once the
+    budget is spent), the last |P(x) - x| and the column-periods stepped.
     """
+    eps = 0.5 * tol
     g = _one_period(x, p, op, ctl)
     f = g - x
     dF: list[np.ndarray] = []
     dG: list[np.ndarray] = []
     q = 1.0
-    best, stalled = math.inf, 0
-    periods = 1
+    periods = columns = 1
     while True:
         residual = float(np.max(np.abs(f)))
-        if residual <= ANDERSON_MARGIN * (1.0 - q) * eps:
-            return x, residual, periods, True
-        best, stalled = (residual, 0) if residual < best else (best, stalled + 1)
-        if periods >= max_periods or stalled > 2 * ANDERSON_DEPTH:
-            return x, residual, periods, False
+        if (periods < max_periods and residual <= ANDERSON_MARGIN * (1.0 - q) * eps
+                and np.min(x) > eps):
+            pair = np.hstack([x + eps, x - eps])
+            image = _one_period(pair, p, op, ctl)
+            periods += 1
+            columns += 2
+            crossed = float(np.max(image[:, 1] - image[:, 0]))
+            if crossed > 0.0:
+                raise SolverError(f"upper/lower ordering broken by {crossed:.3e}: "
+                                  "the period map did not preserve order")
+            if (np.all(image[:, 0] <= pair[:, 0]) and np.all(image[:, 1] >= pair[:, 1])
+                    and np.max(image[:, 0] - image[:, 1]) <= tol):
+                return np.stack([pair, image]), residual, columns
+        if periods >= max_periods:
+            return None, residual, columns
         x_new = g
         if dF:
             gamma = np.linalg.lstsq(np.hstack(dF), f, rcond=None)[0]
@@ -243,6 +230,7 @@ def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
                 x_new = g
         g_new = _one_period(x_new, p, op, ctl)
         periods += 1
+        columns += 1
         f_new = g_new - x_new
         step = float(np.max(np.abs(x_new - x)))
         q = float(np.max(np.abs(g_new - g))) / step if step > 0.0 else 1.0
@@ -251,59 +239,32 @@ def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
         x, g, f = x_new, g_new, f_new
 
 
-def _march(block: np.ndarray, p: SeasonParams, op: DispersalOperator,
-           ctl: StepControl, tol: float, max_periods: int, slack: float
-           ) -> tuple[list[np.ndarray], list[float], float]:
-    """Monotone iteration of the (upper, lower) column block.
-
-    Steps at most ``max_periods`` periods and stops once the gap
-    max|upper - lower| is at most ``tol``, or at the first period whose
-    ordering breach exceeds ``slack``: the upper column rose, the lower one
-    fell, or the lower one rose above the upper. Returns the iterates, their
-    gaps and the last period's breach (-inf if no period was stepped).
-    """
-    iterates = [block]
-    gaps = [float(np.max(np.abs(block[:, 0] - block[:, 1])))]
-    breach = -math.inf
-    for _ in range(max_periods):
-        prev, block = block, _one_period(block, p, op, ctl)
-        breach = max(float(np.max(block[:, 0] - prev[:, 0])),   # upper rose
-                     float(np.max(prev[:, 1] - block[:, 1])),   # lower fell
-                     float(np.max(block[:, 1] - block[:, 0])))  # lower above upper
-        iterates.append(block)
-        gaps.append(float(np.max(np.abs(block[:, 0] - block[:, 1]))))
-        if breach > slack or gaps[-1] <= tol:
-            break
-    return iterates, gaps, breach
-
-
 def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPair,
                            ctl: StepControl, *, tol: float = 1e-8,
-                           max_periods: int = 5000,
-                           upper_offset: float = 1.0
+                           max_periods: int = 5000
                            ) -> Union[PeriodicSolution, Extinction]:
     """Periodic attractor on a Dirichlet habitat, or a certificate of extinction.
 
-    With lambda1 < 0, the unique positive fixed point u* of the period map P
-    is sandwiched by an ordered (upper, lower) pair whose gap is at most
-    ``tol``, from the first of two starts that certifies:
+    With lambda1 < 0, Anderson iteration of u <- P(u) on one column from the
+    constant top = a/b + UPPER_OFFSET gives u~ with |P(u~) - u~| well below
+    (1 - q) eps, eps = tol/2 and q the measured contraction. One period of
+    the pair (u~ + eps, u~ - eps) certifies it if P(u~ + eps) <= u~ + eps,
+    P(u~ - eps) >= u~ - eps and P(u~ - eps) <= P(u~ + eps) hold everywhere
+    with zero slack, u~ - eps > 0 and the image gap is at most ``tol``. Since
+    P preserves order, the unique positive fixed point u* = P(u*) lies
+    between the two images. A pair that does not certify is stepped again
+    from a later iterate; a lower image above the upper one means P did not
+    preserve order, and SolverError is raised. The attractor is sampled
+    along one period from the upper image, and its period-map residual is
+    checked against ``tol``.
 
-    * accelerated: Anderson iteration of u <- P(u) on one column from the
-      constant top = a/b + ``upper_offset`` gives u~ with |P(u~) - u~| well
-      below (1 - q) eps, eps = tol/2 and q the measured contraction. One
-      period of the pair (u~ + eps, u~ - eps) then certifies it if
-      P(u~ + eps) <= u~ + eps, P(u~ - eps) >= u~ - eps and
-      P(u~ - eps) <= P(u~ + eps) hold everywhere with zero slack, u~ - eps
-      > 0 and the image gap is at most ``tol``. Since P preserves order,
-      u* = P(u*) lies between the two images.
-    * classic, if the sandwich fails: monotone upper/lower iteration from top
-      and a certified small multiple of the periodic eigenfunction; both
-      converge monotonically to u*, accepted once their gap is at most
-      ``tol``. SolverError is raised if a period breaks that ordering by more
-      than ORDER_SLACK.
-
-    The attractor is sampled along one period from the upper image, and its
-    period-map residual is checked against ``tol``.
+    Before any period is stepped, eps phi1 must be a lower solution for some
+    eps > 0: the good-season inequality, written through the eigen identity
+    d(K phi1 - phi1) + a phi1 = -sigma1 phi1 + resid, reads
+    lam1 phi1_i - resid_i + b eps phi1_i^2 <= 0 at every node (the bad
+    season holds automatically for lam1 < 0), and holds for small eps
+    exactly when max_i(lam1 phi1_i - resid_i) < 0. Otherwise lambda1 lies
+    within the eigen residual of zero and SolverError is raised.
 
     With lambda1 >= 0 no period is stepped. The eigen identity gives
     d(K phi1 - phi1) + a phi1 <= -sigma_eff phi1, with sigma_eff = sigma1 -
@@ -316,10 +277,9 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     EXTINCTION_THRESHOLD. SolverError is raised if lam <= 0, where lambda1
     lies within the eigen residual of zero.
 
-    ``max_periods`` bounds the period maps of the persistence branch, the
-    accelerated iterations, the sandwich and the classic iteration together,
-    a block of columns counting once. IterationBudgetError is raised, with
-    the current gap or fixed-point residual, if no pair has certified after
+    ``max_periods`` bounds the period maps of the persistence branch, a
+    block of columns counting once. IterationBudgetError is raised, with
+    the last fixed-point residual, if no pair has certified after
     ``max_periods`` periods; the error flags |lambda1| < 1e-3, where the
     contraction rate degenerates and slowness is expected.
     """
@@ -330,7 +290,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
             f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
     lam1 = p.lambda1(pair.sigma1)
     phi = pair.phi1
-    top = p.a / p.b + upper_offset
+    top = p.a / p.b + UPPER_OFFSET
     resid = op.apply(phi) + (p.a + pair.sigma1) * phi
 
     if lam1 >= 0.0:
@@ -352,49 +312,25 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
                           evidence="below_threshold", lambda1=lam1, trace=trace)
 
-    def budget_spent(gap: float) -> IterationBudgetError:
+    defect = float(np.max(lam1 * phi - resid))
+    if defect >= 0.0:
+        raise SolverError(
+            f"lambda1 = {lam1:g} lies within the eigen residual of zero "
+            f"(max(lambda1 phi1 - resid) = {defect:g}); no multiple of phi1 is a "
+            "certified lower solution, so persistence is not certified")
+    rows, residual, columns = _certified_pair(np.full((op.n, 1), top), p, op, ctl,
+                                              tol, max_periods)
+    if rows is None:
         slow = abs(lam1) < NEAR_THRESHOLD
-        return IterationBudgetError(
+        raise IterationBudgetError(
             f"no pair {tol:g} apart certified after {max_periods} periods; "
-            f"last gap or fixed-point residual {gap:.3e}"
+            f"last fixed-point residual {residual:.3e}"
             + (" (lambda1 near zero, convergence is slow)" if slow else ""),
-            gap=gap, periods=max_periods, slow_near_threshold=slow)
-
-    # the classic lower start is certified first, so that a lambda1 of the
-    # wrong sign is refused before any period is stepped
-    eps = _lower_start_scale(p, pair, resid, lam1)
-    # blocks are (n, m): column 0 is the upper sequence and column 1 the
-    # lower one, advancing through each period together
-    half = 0.5 * tol
-    u, defect, stepped, reached = _anderson(np.full((op.n, 1), top), p, op, ctl,
-                                            half, max_periods)
-    if stepped >= max_periods:
-        raise budget_spent(defect)
-    columns = stepped
-    certified = False
-    if reached and np.min(u) > half:
-        iterates, gaps, breach = _march(np.hstack([u + half, u - half]), p, op, ctl,
-                                        tol, 1, 0.0)
-        stepped += 1
-        columns += 2
-        certified = breach <= 0.0 and gaps[-1] <= tol
-    if not certified:
-        iterates, gaps, breach = _march(np.column_stack([np.full(op.n, top), eps * phi]),
-                                        p, op, ctl, tol, max_periods - stepped,
-                                        ORDER_SLACK)
-        columns += 2 * (len(gaps) - 1)
-        if breach > ORDER_SLACK:
-            raise SolverError(f"monotone upper/lower ordering broken by {breach:.3e} "
-                              f"at period {len(gaps) - 1}")
-        if gaps[-1] > tol:
-            raise budget_spent(gaps[-1])
-    trace = MonotoneIterationTrace(upper=_readonly(np.array([b[:, 0] for b in iterates])),
-                                   lower=_readonly(np.array([b[:, 1] for b in iterates])),
-                                   gaps=_readonly(np.array(gaps)))
-
-    ustar0 = iterates[-1][:, 0].copy()
-    if not np.all(ustar0 > 0):
-        raise SolverError("periodic iterate lost strict positivity")
+            gap=residual, periods=max_periods, slow_near_threshold=slow)
+    upper, lower = rows[:, :, 0], rows[:, :, 1]
+    trace = MonotoneIterationTrace(upper=_readonly(upper), lower=_readonly(lower),
+                                   gaps=_readonly(np.max(upper - lower, axis=1)))
+    ustar0 = upper[1].copy()
     orbit = evolve(StateVector(ustar0), p, op, ctl, p.omega)
     residual = float(np.max(np.abs(orbit.values[-1] - ustar0)))
     if residual > tol * max(1.0, float(np.max(ustar0))):

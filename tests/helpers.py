@@ -8,7 +8,7 @@ the power iteration, fine midpoint sums for closed-form kernel masses.
 import numpy as np
 
 from seasonal_dispersal import (BoundaryCondition, Grid, PositivityError, SeasonParams,
-                                assemble)
+                                StateVector, assemble, period_map)
 
 P1 = dict(delta=0.2, d=0.6, a=1.2, b=0.6, rho=0.6, omega=1.0)
 P2 = dict(delta=0.2, d=1.0, a=1.2, b=0.6, rho=0.6, omega=1.0)
@@ -73,6 +73,19 @@ def rk4_span_reference(op, p, u: np.ndarray, span: float, steps: int,
                                       value=float(u[low]), suggested_dt=dt / 2)
             u = np.where(u < 0.0, 0.0, u)
     return u
+
+
+def plain_fixed_point(p, op, ctl, tol: float = 1e-12, max_periods: int = 2000) -> np.ndarray:
+    """Fixed point of the period map by plain iteration u <- P(u) from the
+    constant a/b + 1, stopped once |P(u) - u| <= tol: no acceleration and no
+    certificate, only the public period_map."""
+    u = StateVector(np.full(op.n, p.a / p.b + 1.0))
+    for _ in range(max_periods):
+        nxt = period_map(u, p, op, ctl)
+        if np.max(np.abs(nxt.values - u.values)) <= tol:
+            return nxt.values
+        u = nxt
+    raise AssertionError(f"plain iteration did not reach {tol:g} in {max_periods} periods")
 
 
 def laplace_mass_quadrature(D: float, W: float, n: int = 200_000) -> float:

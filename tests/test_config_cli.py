@@ -351,9 +351,11 @@ out.periodic = {tmp_path}/per.csv
         ("critical-length", BASE_P1.replace("P1", "P2")),
         ("profile-study", BASE_P1.replace("0.2", "1") + "kernel.scale = 1\n"
          "profile.lengths = 4, 6\n"),
+        ("ode-reference", BASE_P1),
     ])
     def test_own_grid_subcommands_omit_config_grid(self, tmp_path, command, body):
-        # both solve on grids sized from their lengths, not on grid.n/dt_good
+        # two solve on grids sized from their lengths, not on grid.n/dt_good,
+        # and ode-reference steps no grid at all
         path = make_config(tmp_path, body + f"out.summary = {tmp_path}/s.txt\n"
                            f"out.profile = {tmp_path}/prof.csv\n")
         assert main([command, "--config", path]) == 0

@@ -13,7 +13,7 @@ from seasonal_dispersal import (BoundaryCondition, Extinction, Grid,
                                 ode_period_map, ode_periodic_solution,
                                 period_map, principal_eigenpair)
 
-from helpers import P1, P2, P3, dirichlet_op, params
+from helpers import P1, P2, P3, dirichlet_op, params, plain_fixed_point
 
 NEU = BoundaryCondition.NEUMANN
 
@@ -83,9 +83,9 @@ def p1_attractor():
 
 
 @pytest.fixture(scope="module")
-def p1_classic_start(p1_attractor):
-    # the first (n, 2) block stepped is the one-period sandwich of the
-    # accelerated start; nudging its image up breaks P(u~ + eps) <= u~ + eps
+def p1_retried(p1_attractor):
+    # every (n, 2) block stepped is a one-period sandwich; nudging the first
+    # one's image up breaks P(u~ + eps) <= u~ + eps but keeps the order
     from seasonal_dispersal import periodic
 
     p, op, pair, ctl, _ = p1_attractor
@@ -141,9 +141,12 @@ class TestFindPeriodicSolution:
             err = np.max(np.abs(sol.values[k] - expect))
             assert err <= 1e-10 * max(1.0, np.max(np.abs(u0)))
 
-    def test_uniqueness_from_distinct_starts(self, p1_attractor):
+    def test_uniqueness_from_distinct_starts(self, p1_attractor, monkeypatch):
+        from seasonal_dispersal import periodic
+
         p, op, pair, ctl, sol = p1_attractor
-        other = find_periodic_solution(p, op, pair, ctl, upper_offset=3.0)
+        monkeypatch.setattr(periodic, "UPPER_OFFSET", 3.0)
+        other = find_periodic_solution(p, op, pair, ctl)
         assert np.max(np.abs(other.values[0] - sol.values[0])) <= 1e-7
 
     def test_extinction_P3(self, p3_extinct):
@@ -189,9 +192,12 @@ class TestFindPeriodicSolution:
         # true lambda1 < 0: the residual correction undoes the raised sigma1
         (P1, 0.4, 1e-3, "within the eigen residual of zero"),
         # true lambda1 > 0: no multiple of phi1 is a lower solution
-        (P3, 8.0, -1e-3, "could not certify a lower solution"),
+        (P3, 8.0, -1e-3, "no multiple of phi1 is a certified lower solution"),
     ], ids=["extinction", "lower_start"])
-    def test_wrong_sign_sigma1_is_refused(self, preset, length, wrong_lambda1, message):
+    def test_wrong_sign_sigma1_is_refused(self, preset, length, wrong_lambda1, message,
+                                          monkeypatch):
+        from seasonal_dispersal import evolution
+
         p = params(preset)
         op = dirichlet_op(LaplaceKernel(20.0), length, 48, p.d)
         pair = principal_eigenpair(op, p.a)
@@ -199,6 +205,12 @@ class TestFindPeriodicSolution:
         # sigma1 moved so that (1 - rho) sigma1 + rho delta = wrong_lambda1
         wrong = replace(pair, sigma1=(wrong_lambda1 - p.rho * p.delta) / (1.0 - p.rho))
         assert p.lambda1(wrong.sigma1) == pytest.approx(wrong_lambda1)
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused solve stepped the model")
+
+        # refused before any period is stepped
+        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
         with pytest.raises(SolverError, match=message):
             find_periodic_solution(p, op, wrong, StepControl.for_params(p, 300))
 
@@ -222,27 +234,30 @@ class TestFindPeriodicSolution:
 
 
 class TestTwoStarts:
-    def test_accelerated_start_matches_classic_start(self, p1_attractor,
-                                                      p1_classic_start):
-        _, _, _, _, sol = p1_attractor
-        classic, _ = p1_classic_start
+    """The accelerated, certified start against plain iteration of P from
+    the classic start's upper member, the constant a/b + 1."""
+
+    def test_accelerated_start_matches_classic_start(self, p1_attractor):
+        p, op, _, ctl, sol = p1_attractor
         u0 = sol.values[0]
         assert len(sol.trace) == 2  # the certified pair and its image
-        assert np.max(np.abs(u0 - classic.values[0])) <= 1e-8
+        assert np.max(np.abs(u0 - plain_fixed_point(p, op, ctl))) <= 1e-8
         assert np.all(sol.trace.lower[-1] <= u0) and np.all(u0 <= sol.trace.upper[-1])
 
-    def test_failed_sandwich_falls_back_to_classic_start(self, p1_attractor,
-                                                         p1_classic_start):
-        p, op, _, _, sol = p1_attractor
-        classic, blocks = p1_classic_start
-        top = p.a / p.b + 1.0
-        # the sandwich (u~ + tol/2, u~ - tol/2), then the classic start
-        assert np.allclose(blocks[0][:, 0] - blocks[0][:, 1], 1e-8, rtol=0, atol=1e-15)
-        assert np.all(blocks[1][:, 0] == top)
-        assert np.all(classic.trace.upper[0] == top)
-        assert len(classic.trace) > 2
-        assert classic.periods == sol.periods + 2 * (len(classic.trace) - 1)
-        assert np.max(np.abs(classic.values[0] - sol.values[0])) <= 1e-8
+    def test_failed_sandwich_is_retried(self, p1_attractor, p1_retried):
+        _, _, _, _, sol = p1_attractor
+        retried, blocks = p1_retried
+        # two sandwiches (u~ + tol/2, u~ - tol/2), the second from a later
+        # iterate; no other block is stepped
+        assert len(blocks) == 2
+        for block in blocks:
+            assert np.allclose(block[:, 0] - block[:, 1], 1e-8, rtol=0, atol=1e-15)
+        assert np.any(blocks[1] != blocks[0])
+        assert len(retried.trace) == 2
+        assert np.all(retried.trace.upper[0] == blocks[1][:, 0])
+        # the failed sandwich's two columns and one more accelerated period
+        assert retried.periods == sol.periods + 3
+        assert np.max(np.abs(retried.values[0] - sol.values[0])) <= 1e-8
 
     def test_p1_n32_certifies_in_few_column_periods(self):
         p = params(P1)
@@ -250,8 +265,20 @@ class TestTwoStarts:
         pair = principal_eigenpair(op, p.a)
         ctl = StepControl.for_params(p, 400)
         sols = [find_periodic_solution(p, op, pair, ctl) for _ in range(2)]
-        assert all(len(s.trace) == 2 for s in sols)  # certified, no fallback
+        assert all(len(s.trace) == 2 for s in sols)  # certified pair and image
         assert sols[0].periods == sols[1].periods <= 40
+
+    def test_p2_lambda1_near_minus_0p1_certifies_in_few_column_periods(self):
+        # Anderson's residual goes more than 2 ANDERSON_DEPTH periods without a
+        # new minimum here, and the iteration must not give up on that
+        p = params(P2)
+        op = dirichlet_op(LaplaceKernel(20.0), 18.57, 32, p.d)
+        pair = principal_eigenpair(op, p.a)
+        assert p.lambda1(pair.sigma1) == pytest.approx(-0.1, abs=5e-3)
+        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 200))
+        assert isinstance(sol, PeriodicSolution)
+        assert len(sol.trace) == 2
+        assert sol.periods <= 40
 
 
 class TestIterationBudget:
