@@ -1,14 +1,20 @@
 #!/usr/bin/env python3
 """Time the solver layer by layer at fixed sizes and record the numbers.
 
-Four layers are timed at n = 128, 512 and 2048, and two more at n = 128
-only, on the P1 operator (Laplace kernel of scale 20 on the habitat
-[-0.2, 0.2], Dirichlet) unless said otherwise:
+Four layers are timed at n = 128, 512 and 2048, and four more at the size
+or settings given below, on the P1 operator (Laplace kernel of scale 20 on the
+habitat [-0.2, 0.2], Dirichlet) unless said otherwise:
 
 * ``operator.assemble_us``: one ``assemble`` call;
 * ``operator.apply_us``: one ``DispersalOperator.apply``;
-* ``spectral.power_step_us``: one power-iteration step, the mean over a
-  50-step ``principal_eigenpair`` run (its per-call set-up included);
+* ``spectral.eigen_ms``: one ``principal_eigenpair`` at its default
+  tolerance, with the operator products it took beside it;
+* ``spectral.eigen_wide_ms``: the same on the ``threshold-wide`` operator
+  (P2, kernel scale 1, habitat [-50, 50]), at n = 2048 only, where the top
+  two eigenvalues of K lie close together;
+* ``spectral.critical_length_ms``: one ``critical_length`` for P2 at
+  tolerance 1e-4, keyed by the kernel scale (1 and 20), with the number of
+  eigen-solves it made beside it;
 * ``evolution.period_map_ms``: one ``period_map`` at 400 RK4 steps per
   good season;
 * ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
@@ -43,14 +49,19 @@ import numpy as np
 SIZES = (128, 512, 2048)
 FIND_N = 128
 P2_LENGTH = 6.68
+P2 = dict(delta=0.2, a=1.2, b=0.6, d=1.0, rho=0.6, omega=1.0)
+WIDE_N = 2048
+CRITICAL_SCALES = (1.0, 20.0)
 ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "thread, on the P1 operator (Laplace kernel of scale 20, habitat "
-         "[-0.2, 0.2], Dirichlet). spectral.power_step_us is the mean step of a "
-         "50-step principal_eigenpair run, its per-call set-up included; "
+         "[-0.2, 0.2], Dirichlet). spectral.eigen_ms is one principal_eigenpair "
+         "('products': operator products taken); spectral.eigen_wide_ms the same "
+         "on P2, kernel scale 1, habitat [-50, 50], n = 2048; "
+         "spectral.critical_length_ms one critical_length for P2 at tol 1e-4, "
+         "keyed by kernel scale ('eigen_solves': principal_eigenpair calls); "
          "evolution.period_map_ms, periodic.find_ms and periodic.find_p2_ms "
          "(n = 128 only) use 400 RK4 steps per good season; periodic.find_p2_ms "
          "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02.")
-POWER_STEPS = 50
 STEPS_PER_SEASON = 400
 BUDGET_S = 1.0
 MIN_RUNS = 3
@@ -78,35 +89,53 @@ def measure(sd, n: int) -> dict:
     u = np.cos(np.pi * grid.nodes / 0.4)
     ctl = sd.StepControl.for_params(p, STEPS_PER_SEASON)
 
-    def power_steps():
-        try:
-            return sd.principal_eigenpair(op, p.a, tol_residual=0.0,
-                                          max_iter=POWER_STEPS).iterations
-        except sd.EigenConvergenceError as err:
-            return err.iterations
-
-    steps = power_steps()
+    p2 = sd.SeasonParams(**P2)
+    pair = sd.principal_eigenpair(op, p.a)
     layers = [
-        ("operator.assemble_us", lambda: sd.assemble(kernel, grid, dirichlet, p.d), 1e6, 1),
-        ("operator.apply_us", lambda: op.apply(u), 1e6, 1),
-        ("spectral.power_step_us", power_steps, 1e6, steps),
+        ("operator.assemble_us", lambda: sd.assemble(kernel, grid, dirichlet, p.d), 1e6, {}),
+        ("operator.apply_us", lambda: op.apply(u), 1e6, {}),
+        ("spectral.eigen_ms", lambda: sd.principal_eigenpair(op, p.a), 1e3,
+         {"products": pair.iterations}),
         ("evolution.period_map_ms", lambda: sd.period_map(sd.StateVector(u), p, op, ctl),
-         1e3, 1)]
+         1e3, {})]
+    if n == WIDE_N:
+        wide = sd.assemble(sd.LaplaceKernel(1.0), sd.Grid.centered(100.0, n), dirichlet, p2.d)
+        layers.append(("spectral.eigen_wide_ms", lambda: sd.principal_eigenpair(wide, p2.a),
+                       1e3, {"products": sd.principal_eigenpair(wide, p2.a).iterations}))
     if n == FIND_N:
-        pair = sd.principal_eigenpair(op, p.a)
         layers.append(("periodic.find_ms",
-                       lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3, 1))
-        p2 = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=1.0, rho=0.6, omega=1.0)
+                       lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3, {}))
         op2 = sd.assemble(kernel, sd.Grid.centered(P2_LENGTH, n), dirichlet, p2.d)
         pair2 = sd.principal_eigenpair(op2, p2.a)
         ctl2 = sd.StepControl.for_params(p2, STEPS_PER_SEASON)
         layers.append(("periodic.find_p2_ms",
-                       lambda: sd.find_periodic_solution(p2, op2, pair2, ctl2), 1e3, 1))
+                       lambda: sd.find_periodic_solution(p2, op2, pair2, ctl2), 1e3, {}))
     out = {}
-    for name, fn, scale, per in layers:
+    for name, fn, scale, extra in layers:
         secs, runs = median_seconds(fn)
-        out[name] = {"value": scale * secs / per, "runs": runs}
+        out[name] = {"value": scale * secs, "runs": runs, **extra}
     return out
+
+
+def measure_critical_length(sd, scale: float) -> dict:
+    """One P2 critical_length at ``scale``, with its count of eigen-solves."""
+    p2 = sd.SeasonParams(**P2)
+    kernel = sd.LaplaceKernel(scale)
+    solve = sd.spectral.principal_eigenpair
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(None)
+        return solve(*args, **kwargs)
+
+    sd.spectral.principal_eigenpair = counted
+    try:
+        sd.critical_length(p2, kernel)
+        solves = len(calls)
+    finally:
+        sd.spectral.principal_eigenpair = solve
+    secs, runs = median_seconds(lambda: sd.critical_length(p2, kernel))
+    return {"value": 1e3 * secs, "runs": runs, "eigen_solves": solves}
 
 
 def main(argv=None) -> int:
@@ -121,10 +150,19 @@ def main(argv=None) -> int:
     import seasonal_dispersal as sd
 
     layers = {}
+
+    def record(key, recs):
+        for name, rec in recs.items():
+            layers.setdefault(name, {})[key] = rec
+            extra = "".join(f", {k} {v}" for k, v in rec.items() if k not in ("value", "runs"))
+            print(f"{key:8s}  {name:28s} {rec['value']:12.3f}  ({rec['runs']} runs{extra})",
+                  flush=True)
+
     for n in SIZES:
-        for name, rec in measure(sd, n).items():
-            layers.setdefault(name, {})[str(n)] = rec
-            print(f"n={n:5d}  {name:26s} {rec['value']:12.3f}  ({rec['runs']} runs)", flush=True)
+        record(str(n), measure(sd, n))
+    for scale in CRITICAL_SCALES:
+        record(f"scale{scale:g}",
+               {"spectral.critical_length_ms": measure_critical_length(sd, scale)})
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = ABOUT

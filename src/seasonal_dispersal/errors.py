@@ -14,7 +14,12 @@ class SolverError(RuntimeError):
 
 
 class EigenConvergenceError(SolverError):
-    """Power iteration did not reach the residual tolerance."""
+    """The Lanczos eigen-solve did not reach the residual tolerance within its
+    budget of operator products, or its eigenfunction was not positive.
+
+    ``last_residual`` is the last explicit sup-norm residual, or the Ritz
+    estimate when none was measured; ``iterations`` counts the products.
+    """
 
     def __init__(self, message, last_residual, iterations):
         super().__init__(message)

@@ -9,6 +9,8 @@ SeasonParams.lambda1(sigma1),
     lambda1 = delta rho - a (1 - rho)             (Neumann, sigma1 = -a)
 
 decides persistence: the population persists exactly when lambda1 < 0.
+The Perron pair comes from a Lanczos iteration on the FFT product of K, and
+the critical habitat length from Illinois regula falsi on lambda1(ell).
 """
 
 import enum
@@ -20,6 +22,10 @@ import numpy as np
 from .errors import BracketError, EigenConvergenceError, ValidationError
 from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
 from .operator import DispersalOperator, assemble
+
+
+# beta_j below CLOSURE * theta: the Krylov space is invariant to rounding
+CLOSURE = 1e-12
 
 
 class Regime(enum.Enum):
@@ -45,40 +51,67 @@ class EigenPair:
 def principal_eigenpair(op: DispersalOperator, a: float, *,
                         tol_residual: float = 1e-8,
                         max_iter: int = 100_000) -> EigenPair:
-    """Power iteration for the principal eigenpair of d(K u - u) + a u.
+    """Lanczos iteration for the principal eigenpair of d(K u - u) + a u.
 
     K is nonnegative, symmetric and irreducible for kernels positive near the
-    origin, so the Perron root r of d K is the simple dominant eigenvalue and
-    the iteration converges from any positive start. Convergence requires the
-    sup-norm residual below ``tol_residual`` together with Rayleigh-quotient
-    stagnation below a relative 1e-12. Each step applies K by FFT from its
-    first column, so no n x n matrix is formed.
+    origin, so the Perron root r of d K is its simple largest eigenvalue and
+    its eigenvector is positive. Lanczos with full reorthogonalisation (two
+    Gram-Schmidt passes; Golub & Van Loan, *Matrix Computations*, ch. 10)
+    builds an orthonormal basis of the Krylov space of the ones vector and
+    takes the largest Ritz pair (theta, y) of the tridiagonal projection.
+    Once the Ritz estimate |beta_j s_j| is at most ``tol_residual / 10``, or
+    the space closes (beta_j ~ 0; K is centrosymmetric, so the space of the
+    ones vector closes by dimension ceil(n/2)), one explicit product measures
+    the sup-norm residual max|d K y - theta y| of y scaled to max y = 1, and
+    the pair is accepted at or below ``tol_residual``.
+
+    Every product applies K by FFT from its first column, so no n x n matrix
+    is formed, and the basis grows with the steps taken. ``max_iter`` bounds
+    the products, the explicit ones included; ``iterations`` reports them.
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("principal_eigenpair expects a Dirichlet operator")
-    v = np.ones(op.n)
-    v /= np.linalg.norm(v)
-    lam = 0.0
-    lam_prev = math.inf
+    n = op.n
+    basis = np.empty((min(n, 32) + 1, n))  # doubled when full
+    basis[0] = 1.0 / math.sqrt(n)
+    alpha, beta = [], []  # the tridiagonal projection of d K
     res = math.inf
-    for it in range(1, max_iter + 1):
-        y = op.d * op._matvec(v)
-        lam = float(v @ y)
-        res = float(np.max(np.abs(y - lam * v))) / float(np.max(v))
-        if res <= tol_residual and abs(lam - lam_prev) <= 1e-12 * max(1.0, abs(lam)):
-            phi = v / np.max(v)
-            if not np.all(phi > 0):
-                raise EigenConvergenceError(
-                    "eigenfunction is not strictly positive (reducible kernel?)",
-                    last_residual=res, iterations=it)
-            sigma1 = op.d - a - lam
-            return EigenPair(sigma1=sigma1, phi1=_readonly(phi),
-                             residual=res, iterations=it)
-        lam_prev = lam
-        v = y / np.linalg.norm(y)
+    products = 0
+    while products < max_iter:
+        k = len(alpha)
+        V = basis[:k + 1]
+        w = op.d * op._matvec(V[k])
+        products += 1
+        alpha.append(float(V[k] @ w))
+        for _ in range(2):
+            w -= V.T @ (V @ w)
+        b = float(np.linalg.norm(w))
+        ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        theta, s = float(ritz[-1]), vecs[:, -1]
+        closed = b <= CLOSURE * theta
+        res = abs(b * s[-1])
+        if (closed or res <= tol_residual / 10) and products < max_iter:
+            y = V.T @ s
+            y /= y[np.argmax(np.abs(y))]
+            res = float(np.max(np.abs(op.d * op._matvec(y) - theta * y)))
+            products += 1
+            if res <= tol_residual:
+                if not np.all(y > 0):
+                    raise EigenConvergenceError(
+                        "eigenfunction is not strictly positive (reducible kernel?)",
+                        last_residual=res, iterations=products)
+                return EigenPair(sigma1=op.d - a - theta, phi1=_readonly(y),
+                                 residual=res, iterations=products)
+        if closed:
+            break
+        if k + 1 == basis.shape[0]:
+            basis = np.concatenate((basis, np.empty_like(basis)))
+        basis[k + 1] = w / b
+        beta.append(b)
     raise EigenConvergenceError(
-        f"power iteration did not converge in {max_iter} iterations "
-        f"(last residual {res:.3e})", last_residual=res, iterations=max_iter)
+        f"Lanczos iteration did not converge in {products} operator products "
+        f"of {max_iter} (last residual {res:.3e})",
+        last_residual=res, iterations=products)
 
 
 @dataclass(frozen=True)
@@ -99,9 +132,17 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
     Only the regime 0 < (1-rho) a - rho delta <= (1-rho) d has a finite
     critical length; below it every habitat goes extinct and above it every
     habitat persists, both reported without any eigen-solve. In the critical
-    regime, lambda1(ell) is strictly decreasing and continuous in the length,
-    so bisection on centered habitats [-ell/2, ell/2] is unconditionally
-    safe. The result brackets the root to width ``tol``.
+    regime, lambda1(ell) is strictly decreasing and continuous in the length
+    of centered habitats [-ell/2, ell/2]. A sign change is bracketed by
+    doubling or halving from one kernel scale, then narrowed by Illinois
+    regula falsi (Dowell & Jarratt, *BIT* 11, 1971), which keeps the bracket
+    and converges superlinearly. A point it solves becomes a bracket end only
+    when that solve certifies its sign, |lambda1| > (1 - rho) sqrt(n)
+    residual (a Bauer-Fike bound, since max phi1 = 1). Once the estimate
+    lies within tol/4 of an end, or its sign is not certified, the points
+    estimate -+ tol/4 inside the bracket are solved instead, and a probe
+    whose sign is not certified raises BracketError. The result brackets
+    the root to width ``tol``.
 
     Grid resolution follows the kernel scale, n = max(256, ceil(64 ell / D))
     capped at 4096, so wide habitats stay resolved without unbounded
@@ -117,13 +158,15 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
 
     scale = kernel.scale
 
-    def lam(ell: float) -> float:
+    def lam(ell: float) -> tuple[float, bool]:
         n = min(4096, max(256, math.ceil(64.0 * ell / scale)))
         op = assemble(kernel, Grid.centered(ell, n), BoundaryCondition.DIRICHLET, p.d)
-        return p.lambda1(principal_eigenpair(op, p.a).sigma1)
+        pair = principal_eigenpair(op, p.a)
+        value = p.lambda1(pair.sigma1)
+        return value, abs(value) > (1.0 - p.rho) * math.sqrt(n) * pair.residual
 
     lo = hi = scale
-    lam_lo = lam_hi = lam(scale)
+    lam_lo = lam_hi = lam(scale)[0]
     if lam_lo > 0:
         while lam_hi > 0:
             lo, lam_lo = hi, lam_hi
@@ -132,12 +175,12 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
                 raise BracketError(
                     f"no sign change of lambda1 up to ell = {hi:g} "
                     f"({expand_cap:g} kernel scales)")
-            lam_hi = lam(hi)
+            lam_hi = lam(hi)[0]
     elif lam_hi < 0:
         for _ in range(200):
             hi, lam_hi = lo, lam_lo
             lo = 0.5 * hi
-            lam_lo = lam(lo)
+            lam_lo = lam(lo)[0]
             if lam_lo > 0:
                 break
         else:
@@ -145,13 +188,34 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
                 f"lambda1 stayed negative down to ell = {lo:g}; "
                 "parameters sit at the degenerate regime boundary")
 
+    # Illinois: an end kept while the other moves twice in a row has its
+    # weight halved; a moved end starts again at weight 1
+    w_lo = w_hi = 1.0
+    moved = 0  # -1: lo moved last, +1: hi moved last
+    uncertain = None  # last estimate whose sign was not certified
     while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        lam_mid = lam(mid)
-        if lam_mid > 0:
-            lo, lam_lo = mid, lam_mid
+        if uncertain is None:
+            x = (lo * w_hi * lam_hi - hi * w_lo * lam_lo) / (w_hi * lam_hi - w_lo * lam_lo)
         else:
-            hi, lam_hi = mid, lam_mid
+            x = uncertain
+        probing = uncertain is not None or min(x - lo, hi - x) <= 0.25 * tol
+        probes = [q for q in (x - 0.25 * tol, x + 0.25 * tol) if lo < q < hi] \
+            if probing else [x]
+        uncertain = None
+        for q in probes:
+            value, certified = lam(q)
+            if not certified:
+                if probing:
+                    raise BracketError(
+                        f"sign of lambda1 = {value:g} at ell = {q:g} is within its "
+                        f"eigen residual; no certified bracket of width {tol:g}")
+                uncertain = q
+            elif value > 0:
+                w_hi *= 0.5 if moved == -1 else 1.0
+                lo, lam_lo, w_lo, moved = q, value, 1.0, -1
+            else:
+                w_lo *= 0.5 if moved == 1 else 1.0
+                hi, lam_hi, w_hi, moved = q, value, 1.0, 1
     return CriticalLengthResult(verdict=Regime.CRITICAL_LENGTH,
                                 ell_star=0.5 * (lo + hi), bracket=(lo, hi),
                                 lambda_lo=lam_lo, lambda_hi=lam_hi)

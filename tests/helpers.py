@@ -2,8 +2,12 @@
 
 Oracles here deliberately avoid the code paths they check: brute-force
 double loops for the operator, dense full-spectrum eigendecomposition for
-the power iteration, fine midpoint sums for closed-form kernel masses.
+the Lanczos eigen-solve, the continuum closed form of the Laplace kernel
+for the critical-length root-find, fine midpoint sums for closed-form
+kernel masses.
 """
+
+import math
 
 import numpy as np
 
@@ -29,6 +33,21 @@ def dense_sigma1(op, a: float) -> float:
     """Full-spectrum oracle: sigma1 from the largest eigenvalue of d K."""
     lam = float(np.linalg.eigvalsh(op.d * op.K)[-1])
     return op.d - a - lam
+
+
+def laplace_critical_length(p: SeasonParams, D: float) -> float:
+    """Continuum critical length for the Laplace kernel e^{-|x|/D}/(2D).
+
+    That kernel is the Green's function of 1 - D^2 d^2/dx^2 on the line, so
+    K phi = mu phi on [-l/2, l/2] becomes phi'' = -k^2 phi with
+    mu = 1/(1 + k^2 D^2) and Robin conditions from the exponential tails;
+    the even principal mode satisfies k D tan(k l/2) = 1. lambda1 = 0 fixes
+    mu* = 1 - g/((1-rho) d), g the growth margin, hence k* and l*. For P2
+    this is 0.2145003696 D.
+    """
+    mu = 1.0 - p.growth_margin / ((1.0 - p.rho) * p.d)
+    k = math.sqrt(1.0 / mu - 1.0) / D
+    return 2.0 * math.atan(1.0 / (k * D)) / k
 
 
 def brute_apply(op, u: np.ndarray) -> np.ndarray:

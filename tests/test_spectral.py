@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ import pytest
 from seasonal_dispersal import (BoundaryCondition, BracketError, Grid,
                                 LaplaceKernel, Regime, StepControl,
                                 ValidationError, assemble, critical_length,
-                                find_periodic_solution, principal_eigenpair)
+                                find_periodic_solution, principal_eigenpair, spectral)
 
-from helpers import P1, P2, P3, dense_sigma1, dirichlet_op, params
+from helpers import (P1, P2, P3, dense_sigma1, dirichlet_op, laplace_critical_length,
+                     params)
 
 NEU = BoundaryCondition.NEUMANN
 
@@ -56,10 +58,28 @@ def test_against_dense_full_spectrum_oracle():
 
 
 def test_wide_habitat_against_dense_oracle():
-    # 100 kernel scales at n = 2048, where the power iteration takes 1647 steps
-    op = dirichlet_op(LaplaceKernel(1.0), 100.0, 2048, 1.0)
-    pair = principal_eigenpair(op, 1.2)
-    assert pair.sigma1 == pytest.approx(dense_sigma1(op, 1.2), abs=1e-8)
+    # 100 and 200 kernel scales at n = 2048: the top two eigenvalues of K lie
+    # close together (ratio 0.99717 at 100 scales), so a power iteration
+    # would need thousands of steps; Lanczos needs a few dozen products
+    for length, products in ((100.0, 60), (200.0, 100)):
+        op = dirichlet_op(LaplaceKernel(1.0), length, 2048, 1.0)
+        pair = principal_eigenpair(op, 1.2)
+        assert pair.sigma1 == pytest.approx(dense_sigma1(op, 1.2), abs=1e-8)
+        assert pair.iterations <= products
+
+
+def test_krylov_space_closing_early():
+    # K is centrosymmetric, so the Krylov space of the ones vector closes at
+    # dimension ceil(n/2); on tiny grids that happens before the Ritz
+    # estimate converges, and the exact Ritz pair is returned
+    for n in range(1, 10):
+        op = dirichlet_op(LaplaceKernel(1.0), 2.0, n, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            pair = principal_eigenpair(op, 1.2)
+        assert pair.sigma1 == pytest.approx(dense_sigma1(op, 1.2), abs=1e-12)
+        assert np.all(np.isfinite(pair.phi1)) and np.all(pair.phi1 > 0)
+        assert pair.residual <= 1e-8
 
 
 def test_grid_refinement_stability():
@@ -225,6 +245,37 @@ class TestCriticalLength:
             op = dirichlet_op(LaplaceKernel(20.0), ell, n, p.d)
             lam = (1 - p.rho) * dense_sigma1(op, p.a) + p.rho * p.delta
             assert (lam > 0) is expect_positive
+
+    @pytest.mark.parametrize("scale", [1.0, 3.7, 20.0])
+    def test_P2_against_continuum_closed_form(self, scale, monkeypatch):
+        p = params(P2)
+        solves = []
+
+        def spy(op, a, **kw):
+            pair = principal_eigenpair(op, a, **kw)
+            solves.append((op.grid.length, op.n, pair))
+            return pair
+
+        monkeypatch.setattr(spectral, "principal_eigenpair", spy)
+        res = critical_length(p, LaplaceKernel(scale), tol=1e-4)
+        assert len(solves) <= 12
+        lo, hi = res.bracket
+        assert hi - lo <= 1e-4
+        assert res.lambda_lo > 0 > res.lambda_hi
+        # each end's sign is certified by its own solve (Bauer-Fike with
+        # max phi1 = 1)
+        for ell, lam in ((lo, res.lambda_lo), (hi, res.lambda_hi)):
+            (n, pair), = [(n, pair) for length, n, pair in solves if length == ell]
+            assert lam == p.lambda1(pair.sigma1)
+            assert abs(lam) > (1 - p.rho) * math.sqrt(n) * pair.residual
+        assert abs(res.ell_star - laplace_critical_length(p, scale)) <= 1e-4
+
+    def test_tolerance_below_certified_resolution_reported(self):
+        # near ell* at kernel scale 20, lambda1 falls by 8.7e-3 per unit
+        # length, so it moves by 2e-17 over tol/4: far below the certificate
+        # (1 - rho) sqrt(n) residual of any eigen-solve in floating point
+        with pytest.raises(BracketError, match="eigen residual"):
+            critical_length(params(P2), LaplaceKernel(20.0), tol=1e-14)
 
     def test_invalid_tol(self):
         with pytest.raises(ValidationError):
