@@ -17,6 +17,14 @@ habitat [-0.2, 0.2], Dirichlet) unless said otherwise:
   eigen-solves it made beside it;
 * ``evolution.period_map_ms``: one ``period_map`` at 400 RK4 steps per
   good season;
+* ``evolution.rk4_step_us``: one RK4 step of one state, the mean over a
+  50-step good-season span (the span builds its matrix once), and
+  ``evolution.rk4_step_us.block2`` the same for an (n, 2) block of states;
+* ``evolution.simulate_figure_ms``: the ``simulate`` run behind the figures
+  (60 periods from the cosine start at n = 128 only, nominal step 1/2000 of
+  the good season, a sample every 100 nominal steps): ``fit_step`` and
+  ``evolve`` at the step it chose, with the steps per good season beside
+  it; on a tree without ``fit_step``, ``evolve`` at the nominal step;
 * ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
   per good season (the ``attractor`` benchmark config), at n = 128 only:
   the monotone loop it replaced took minutes at n = 2048;
@@ -61,8 +69,16 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "keyed by kernel scale ('eigen_solves': principal_eigenpair calls); "
          "evolution.period_map_ms, periodic.find_ms and periodic.find_p2_ms "
          "(n = 128 only) use 400 RK4 steps per good season; periodic.find_p2_ms "
-         "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02.")
+         "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02. "
+         "evolution.rk4_step_us is one RK4 step, the mean over a 50-step span, "
+         "of a state (.block2: of an (n, 2) block). "
+         "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
+         "over 60 periods from the cosine start, nominal 2000 steps per good "
+         "season and stride 100 ('steps_per_season': the steps evolve took; "
+         "evolve alone at the nominal step on a tree without fit_step).")
 STEPS_PER_SEASON = 400
+SPAN_STEPS = 50
+FIGURE_PERIODS = 60
 BUDGET_S = 1.0
 MIN_RUNS = 3
 
@@ -81,6 +97,7 @@ def median_seconds(fn) -> tuple[float, int]:
 
 
 def measure(sd, n: int) -> dict:
+    evolution = sd.evolution
     p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
     kernel = sd.LaplaceKernel(20.0)
     grid = sd.Grid.centered(0.4, n)
@@ -102,7 +119,24 @@ def measure(sd, n: int) -> dict:
         wide = sd.assemble(sd.LaplaceKernel(1.0), sd.Grid.centered(100.0, n), dirichlet, p2.d)
         layers.append(("spectral.eigen_wide_ms", lambda: sd.principal_eigenpair(wide, p2.a),
                        1e3, {"products": sd.principal_eigenpair(wide, p2.a).iterations}))
+    good = p.good_season_length
+    block = np.column_stack([u, 0.5 * u])
+    for name, state in (("evolution.rk4_step_us", u), ("evolution.rk4_step_us.block2", block)):
+        layers.append((name, lambda state=state: evolution._rk4_span(
+            state, op, p, good * SPAN_STEPS / STEPS_PER_SEASON, SPAN_STEPS, 1e-12),
+            1e6 / SPAN_STEPS, {}))
     if n == FIND_N:
+        nominal = sd.StepControl.for_params(p, 2000, stride=100)
+        u0 = sd.StateVector(u)
+        fit = getattr(evolution, "fit_step", lambda u0, p, op, ctl: (ctl, None))
+
+        def simulate():
+            ctl = fit(u0, p, op, nominal)[0]
+            sd.evolve(u0, p, op, ctl, FIGURE_PERIODS * p.omega)
+            return ctl
+
+        layers.append(("evolution.simulate_figure_ms", simulate, 1e3,
+                       {"steps_per_season": simulate().steps_for(good)}))
         layers.append(("periodic.find_ms",
                        lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3, {}))
         op2 = sd.assemble(kernel, sd.Grid.centered(P2_LENGTH, n), dirichlet, p2.d)

@@ -23,9 +23,11 @@ import time
 from dataclasses import dataclass, field, fields
 from typing import Iterable, Optional
 
+import numpy as np
+
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigError, SolverError, ValidationError
-from .evolution import Trajectory, evolve
+from .evolution import Trajectory, evolve, fit_step
 from .model import BoundaryCondition
 from .operator import assemble
 from .periodic import (Extinction, PeriodicSolution, ProfileEntry,
@@ -95,16 +97,18 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 def _write_csv(path: str, header: str, times, values, nodes=None) -> None:
     """CSV of ``header``, then one row ``t,x,value`` per time and node, times
     and nodes in the given order; without ``nodes``, one row ``t,value`` per
-    time. Each node is formatted once per file, and the rows stream into the
-    temp file of the atomic write.
+    time. Each node is formatted once per file, into a template that the
+    time joins and one ``%`` fills per time; ``%.17g`` is ``_fmt``. The rows
+    stream into the temp file of the atomic write.
     """
     cols = [""] if nodes is None else [_fmt(x) + "," for x in nodes]
+    # "t,".join(parts) puts the time before every node column
+    parts = [""] + [c + "%.17g\n" for c in cols]
 
     def lines():
         yield header + "\n"
-        for t, row in zip(times, values):
-            t = _fmt(t) + ","
-            yield "".join(f"{t}{c}{_fmt(v)}\n" for c, v in zip(cols, row))
+        for t, row in zip(times, np.asarray(values, dtype=float)):
+            yield (_fmt(t) + ",").join(parts) % tuple(row.tolist())
 
     _atomic_write(path, lines())
 
@@ -139,16 +143,21 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
     t_start = time.perf_counter()
     summary = RunSummary(command=command, growth_margin=p.growth_margin)
     # profile-study and critical-length solve on grids of their own, and
-    # ode-reference steps none
+    # ode-reference steps none; only simulate and periodic take time steps
     if command not in ("profile-study", "critical-length", "ode-reference"):
         summary.grid_n = cfg.grid.n
+    if command == "periodic":
         summary.dt_good = cfg.ctl.dt_good
 
     if command == "simulate":
         n_periods = _require(cfg.n_periods, "run.n_periods", command)
         _require(cfg.out_trajectory, "out.trajectory", command)
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
-        tr = evolve(cfg.u0, p, op, cfg.ctl, n_periods * p.omega)
+        ctl, step_error = fit_step(cfg.u0, p, op, cfg.ctl)
+        summary.dt_good = ctl.dt_good
+        if step_error is not None:
+            summary.extra["step_error_estimate"] = step_error
+        tr = evolve(cfg.u0, p, op, ctl, n_periods * p.omega)
         verdict = classify(p, cfg.kernel, cfg.bc, domain=cfg.grid)
         export_trajectory(tr, cfg.out_trajectory)
         summary.classification = verdict.regime.value

@@ -6,10 +6,16 @@ system du_i/dt = (L u)_i + u_i (a - b u_i). Step counts are chosen per
 season so every season boundary i*omega and (i+rho)*omega is landed on
 exactly, never interpolated. Season boundary instants are always computed
 as i*omega and (i+rho)*omega so trajectories and tests agree bit for bit.
+
+``evolve`` and the period map step at the control they are given.
+``fit_step`` coarsens a control to the step whose RK4 truncation error is
+already below rounding, by step doubling over the first good season, with
+the sample instants kept; the ``simulate`` subcommand steps at it.
 """
 
 import math
 from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -27,7 +33,9 @@ class StepControl:
 
     ``dt_good`` is nominal: each integrated span uses the nearest integer
     step count, so the step divides the span exactly. Samples are recorded
-    every ``stride`` RK steps (and at every season boundary).
+    every ``stride`` RK steps (and at every season boundary), and every
+    ``dt_good * stride`` through bad seasons. ``fit_step`` trades a finer
+    step for a coarser one at the same ``dt_good * stride``.
     """
 
     dt_good: float
@@ -200,6 +208,51 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     return Trajectory(times=_readonly(np.array(times)),
                       values=_readonly(np.array(states)),
                       params=p, grid=op.grid, bc=op.bc)
+
+
+def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
+             ctl: StepControl) -> tuple[StepControl, Optional[float]]:
+    """Coarsest RK4 step whose truncation error is already below rounding,
+    with the sample instants of ``ctl`` kept.
+
+    With S = N_nom / stride samples per good season of N_nom nominal steps,
+    the candidates are N = S 2^k steps per good season, tried while
+    4 N <= N_nom. Each runs the first period from ``u0`` (exact decay, then
+    the good season); est(N) = |u_N - u_2N| 16/15 (sup norm).
+    The first N with est(N) < 8 est(2N), or est(N) = 0, is where halving
+    the step stops gaining RK4's factor 16, and 2N is taken. A candidate
+    whose run raises PositivityError fails. A one-season tolerance would
+    not do: errors pile up over the slowly contracting periods.
+
+    Returns the control of 2N steps and stride 2N / S, whose sample spacing
+    equals ``ctl.dt_good * ctl.stride`` bit for bit, with est(2N). Returns
+    ``ctl`` itself and None when S is not an integer or no candidate passes,
+    so no more steps are taken than ``ctl`` takes.
+    """
+    nominal = ctl.steps_for(p.good_season_length)
+    samples, rest = divmod(nominal, ctl.stride)
+    if rest or 4 * samples > nominal:
+        return ctl, None
+
+    def end(steps):
+        try:
+            return _one_period(u0.values, p, op, StepControl.for_params(p, steps))
+        except PositivityError:
+            return None
+
+    steps, coarse, est = samples, end(samples), None
+    while 2 * steps <= nominal:
+        steps *= 2
+        fine = end(steps)
+        # est(steps / 4) and est(steps / 2)
+        est_coarse, est = est, (None if coarse is None or fine is None else
+                                float(np.max(np.abs(coarse - fine))) * 16.0 / 15.0)
+        coarse = fine
+        if (est_coarse is not None and est is not None
+                and (est_coarse == 0.0 or est_coarse < 8.0 * est)):
+            ratio = steps // (2 * samples)
+            return StepControl(dt_good=ctl.dt_good * ctl.stride / ratio, stride=ratio), est
+    return ctl, None
 
 
 def _one_period(u: np.ndarray, p: SeasonParams, op: DispersalOperator,

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 
 import numpy as np
@@ -11,6 +12,7 @@ from seasonal_dispersal import (BoundaryCondition, ConfigError, Grid,
 from seasonal_dispersal import cli
 from seasonal_dispersal.cli import export_periodic, export_trajectory, main
 from seasonal_dispersal.config import parse_config
+from seasonal_dispersal.evolution import fit_step
 
 from helpers import P1, params, tent_kernel_table
 
@@ -189,23 +191,26 @@ class TestExportTrajectory:
         export_trajectory(tr, path)
         assert open(path).read() == "t,x,u\n"
 
-    def test_failed_export_leaves_no_files(self, tmp_path, monkeypatch):
-        # formatting fails on the second time row, after the header and the
-        # first row have streamed into the temp file
-        fmt, calls, tmp_at_failure = cli._fmt, [], []
+    def test_failed_export_leaves_no_files(self, tmp_path):
+        # the second time row fails, after the header and the first row have
+        # streamed into the temp file
+        tmp_at_failure = []
 
-        def failing(v):
-            calls.append(v)
-            if len(calls) == 6:
-                tmp_at_failure.extend(tmp_path.glob("*.tmp"))
-                raise RuntimeError("formatting failed")
-            return fmt(v)
+        def times():
+            yield 0.0
+            tmp_at_failure.extend(tmp_path.glob("*.tmp"))
+            raise RuntimeError("second time row failed")
 
-        monkeypatch.setattr(cli, "_fmt", failing)
-        with pytest.raises(RuntimeError, match="formatting failed"):
-            export_trajectory(self._tiny_trajectory(), str(tmp_path / "t.csv"))
+        tr = dataclasses.replace(self._tiny_trajectory(), times=times())
+        with pytest.raises(RuntimeError, match="second time row failed"):
+            export_trajectory(tr, str(tmp_path / "t.csv"))
         assert len(tmp_at_failure) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e22])
+    def test_row_template_formats_as_fmt(self, v):
+        # _write_csv fills its row template with %.17g
+        assert "%.17g" % v == cli._fmt(v)
 
 
 class TestRunSummary:
@@ -363,6 +368,28 @@ out.periodic = {tmp_path}/per.csv
                        (tmp_path / "s.txt").read_text().splitlines())
         assert "grid_n" not in summary and "dt_good" not in summary
         assert summary["status"] == "ok"
+
+    @pytest.mark.parametrize("command", ["classify", "spectrum"])
+    def test_stepless_subcommands_omit_dt_good(self, tmp_path, command):
+        # both solve on the config's grid but take no time step
+        path = make_config(tmp_path, BASE_P1 + f"out.summary = {tmp_path}/s.txt\n")
+        assert main([command, "--config", path]) == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "s.txt").read_text().splitlines())
+        assert "dt_good" not in summary
+        assert summary["grid_n"] == "24"
+
+    def test_simulate_summary_reports_step_taken(self, tmp_path):
+        path = self._sim_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "summary.txt").read_text().splitlines())
+        cfg = parse_config(open(path).read())
+        op = assemble(cfg.kernel, cfg.grid, cfg.bc, cfg.params.d)
+        fit, est = fit_step(cfg.u0, cfg.params, op, cfg.ctl)
+        assert fit.dt_good > cfg.ctl.dt_good
+        assert float(summary["dt_good"]) == fit.dt_good
+        assert float(summary["step_error_estimate"]) == est
 
     def test_periodic_subcommand_extinction(self, tmp_path):
         # P2 on a habitat of length 1, below its critical length of about 4.29

@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from seasonal_dispersal import (BoundaryCondition, Grid, LaplaceKernel,
                                 StepControl, ValidationError, assemble, evolve,
                                 period_map)
 from seasonal_dispersal import evolution
+from seasonal_dispersal.config import parse_config
 from seasonal_dispersal.evolution import _rk4_span
 
 from helpers import (P1, dirichlet_op, params, random_nonneg_state,
@@ -338,3 +340,87 @@ class TestPeriodMap:
         M = p.a / p.b + 1.0
         out = period_map(StateVector(np.full(24, M)), p, op, ctl)
         assert np.all(out.values <= M)
+
+
+class TestFitStep:
+    """``fit_step``: the coarsest RK4 step at the rounding floor, with the
+    sample instants of the nominal control (the ``simulate`` default of
+    2000 steps per good season and stride 100)."""
+
+    @staticmethod
+    def _case(n=64, **kw):
+        p = params(P1, **kw)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, p.d)
+        u0 = StateVector(np.cos(np.pi * op.grid.nodes / 0.4))
+        return p, op, u0, StepControl.for_params(p, 2000, stride=100)
+
+    def test_fitted_trajectory_matches_nominal_step(self):
+        p, op, u0, ctl = self._case()
+        fit, est = evolution.fit_step(u0, p, op, ctl)
+        assert fit.steps_for(p.good_season_length) < 2000 and 0.0 < est < 1e-13
+        assert fit.dt_good * fit.stride == ctl.dt_good * ctl.stride
+        coarse = evolve(u0, p, op, fit, 3 * p.omega)
+        nominal = evolve(u0, p, op, ctl, 3 * p.omega)
+        assert len(coarse) == len(nominal)
+        assert np.max(np.abs(coarse.values - nominal.values)) <= 1e-12
+        # season boundaries exact; interior labels within an ulp
+        boundaries = [i * p.omega for i in range(4)] + [(i + p.rho) * p.omega
+                                                       for i in range(3)]
+        for t in boundaries:
+            assert np.count_nonzero(coarse.times == t) == 1
+            assert np.count_nonzero(nominal.times == t) == 1
+        assert np.all(np.abs(coarse.times - nominal.times) <= np.spacing(nominal.times))
+
+    def test_figure_config_takes_at_most_200_steps(self, tmp_path):
+        text = (Path(__file__).resolve().parent.parent / "scripts" / "p1_figure.cfg").read_text()
+        cfg = parse_config(text.replace("out/", f"{tmp_path}/"))
+        op = assemble(cfg.kernel, cfg.grid, cfg.bc, cfg.params.d)
+        fit, est = evolution.fit_step(cfg.u0, cfg.params, op, cfg.ctl)
+        assert fit.steps_for(cfg.params.good_season_length) <= 200
+        assert est is not None and est < 1e-13
+
+    def test_long_season_keeps_nominal_step(self):
+        # omega = 10: no candidate up to a quarter of the nominal count is
+        # at the rounding floor, so no more steps than the nominal are taken
+        p, op, u0, ctl = self._case(omega=10.0)
+        assert evolution.fit_step(u0, p, op, ctl) == (ctl, None)
+
+    @pytest.mark.parametrize("stride", [300, 1], ids=["non_integral", "over_cap"])
+    def test_no_candidate_keeps_nominal_step_unstepped(self, monkeypatch, stride):
+        # 2000 / 300 samples per good season is not an integer; with a
+        # sample every step, the first candidate (2000) exceeds a quarter
+        # of the nominal count
+        p, op, u0, _ = self._case()
+        ctl = StepControl.for_params(p, 2000, stride=stride)
+
+        def stepped(*args, **kwargs):
+            raise AssertionError("no candidate may be run")
+
+        monkeypatch.setattr(evolution, "_rk4_span", stepped)
+        assert evolution.fit_step(u0, p, op, ctl) == (ctl, None)
+
+    def test_candidate_raising_positivity_error_is_skipped(self, monkeypatch):
+        p, op, u0, ctl = self._case()
+        unpatched = evolution.fit_step(u0, p, op, ctl)
+        stepper, failed = evolution._rk4_span, []
+
+        def coarse_fails(u, op_, p_, span, steps, *args, **kwargs):
+            if steps < 80:
+                failed.append(steps)
+                raise PositivityError("negative", node=0, value=-1.0,
+                                      suggested_dt=span / steps / 2)
+            return stepper(u, op_, p_, span, steps, *args, **kwargs)
+
+        monkeypatch.setattr(evolution, "_rk4_span", coarse_fails)
+        assert evolution.fit_step(u0, p, op, ctl) == unpatched
+        assert sorted(failed) == [20, 40]
+
+    def test_every_candidate_failing_keeps_nominal_step(self, monkeypatch):
+        p, op, u0, ctl = self._case()
+
+        def fails(u, op_, p_, span, steps, *args, **kwargs):
+            raise PositivityError("negative", node=0, value=-1.0,
+                                  suggested_dt=span / steps / 2)
+
+        monkeypatch.setattr(evolution, "_rk4_span", fails)
+        assert evolution.fit_step(u0, p, op, ctl) == (ctl, None)
