@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Time the solver layer by layer at fixed sizes and record the numbers.
 
-Four layers are timed at n = 128, 512 and 2048, and four more at the size
-or settings given below, on the P1 operator (Laplace kernel of scale 20 on the
-habitat [-0.2, 0.2], Dirichlet) unless said otherwise:
+Each layer is timed at n = 128, 512 and 2048, or at the size or settings
+given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
+[-0.2, 0.2], Dirichlet) unless said otherwise:
 
 * ``operator.assemble_us``: one ``assemble`` call;
 * ``operator.apply_us``: one ``DispersalOperator.apply``;
@@ -30,7 +30,12 @@ habitat [-0.2, 0.2], Dirichlet) unless said otherwise:
   the monotone loop it replaced took minutes at n = 2048;
 * ``periodic.find_p2_ms``: the same solve at P2 (d = 1) on the habitat
   [-3.34, 3.34] of the same kernel, where lambda1 is about -0.02, at n = 128
-  only, a case nearer the persistence threshold.
+  only, a case nearer the persistence threshold;
+* ``periodic.find_near_ms``: one P2 solve on the habitat of length 4.319876
+  at n = 64, 200 RK4 steps per good season and a budget of 400 periods,
+  where lambda1 is about -2.6e-4, with the column-periods it took beside it
+  (or, on a tree where it raises, the error's class name and the time to
+  the raise).
 
 Each figure is the median of repeated calls after one warm-up call. BLAS is
 pinned to one thread for this process. The results are merged into the JSON
@@ -57,6 +62,7 @@ import numpy as np
 SIZES = (128, 512, 2048)
 FIND_N = 128
 P2_LENGTH = 6.68
+NEAR = dict(length=4.319876, n=64, steps=200, max_periods=400)
 P2 = dict(delta=0.2, a=1.2, b=0.6, d=1.0, rho=0.6, omega=1.0)
 WIDE_N = 2048
 CRITICAL_SCALES = (1.0, 20.0)
@@ -69,7 +75,10 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "keyed by kernel scale ('eigen_solves': principal_eigenpair calls); "
          "evolution.period_map_ms, periodic.find_ms and periodic.find_p2_ms "
          "(n = 128 only) use 400 RK4 steps per good season; periodic.find_p2_ms "
-         "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02. "
+         "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02; "
+         "periodic.find_near_ms solves P2 on a habitat of length 4.319876, n = 64, "
+         "200 steps per good season, at most 400 periods, lambda1 about -2.6e-4 "
+         "('periods': column-periods taken, or 'error': the class raised). "
          "evolution.rk4_step_us is one RK4 step, the mean over a 50-step span, "
          "of a state (.block2: of an (n, 2) block). "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
@@ -151,6 +160,26 @@ def measure(sd, n: int) -> dict:
     return out
 
 
+def measure_near(sd) -> dict:
+    """The NEAR solve, with its column-periods or the class of its error."""
+    p2 = sd.SeasonParams(**P2)
+    op = sd.assemble(sd.LaplaceKernel(20.0), sd.Grid.centered(NEAR["length"], NEAR["n"]),
+                     sd.BoundaryCondition.DIRICHLET, p2.d)
+    pair = sd.principal_eigenpair(op, p2.a)
+    ctl = sd.StepControl.for_params(p2, NEAR["steps"])
+
+    def solve() -> dict:
+        try:
+            return {"periods": sd.find_periodic_solution(
+                p2, op, pair, ctl, max_periods=NEAR["max_periods"]).periods}
+        except sd.SolverError as err:
+            return {"error": type(err).__name__}
+
+    outcome = solve()
+    secs, runs = median_seconds(solve)
+    return {"value": 1e3 * secs, "runs": runs, **outcome}
+
+
 def measure_critical_length(sd, scale: float) -> dict:
     """One P2 critical_length at ``scale``, with its count of eigen-solves."""
     p2 = sd.SeasonParams(**P2)
@@ -194,6 +223,7 @@ def main(argv=None) -> int:
 
     for n in SIZES:
         record(str(n), measure(sd, n))
+    record(f"{NEAR['n']}", {"periodic.find_near_ms": measure_near(sd)})
     for scale in CRITICAL_SCALES:
         record(f"scale{scale:g}",
                {"spectral.critical_length_ms": measure_critical_length(sd, scale)})

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import PositivityError, SolverError, ValidationError
-from .model import BoundaryCondition, Grid, SeasonParams, StateVector, _readonly
+from .model import Grid, SeasonParams, StateVector, _readonly
 from .operator import DispersalOperator
 
 #: entries in (-_TOL_POS, 0) are clamped to zero; anything below is an error
@@ -63,19 +63,14 @@ class Trajectory:
 
     times: np.ndarray
     values: np.ndarray
-    params: SeasonParams
     grid: Grid
-    bc: BoundaryCondition
 
     def __len__(self) -> int:
         return self.times.size
 
-    def state(self, i: int) -> StateVector:
-        return StateVector(self.values[i], time=float(self.times[i]))
-
     @property
     def final(self) -> StateVector:
-        return self.state(len(self) - 1)
+        return StateVector(self.values[-1], time=float(self.times[-1]))
 
 
 def _rk4_span(u: np.ndarray, op: DispersalOperator, p: SeasonParams,
@@ -206,8 +201,7 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
         i += 1
 
     return Trajectory(times=_readonly(np.array(times)),
-                      values=_readonly(np.array(states)),
-                      params=p, grid=op.grid, bc=op.bc)
+                      values=_readonly(np.array(states)), grid=op.grid)
 
 
 def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,

@@ -26,7 +26,8 @@ from .evolution import StepControl, _one_period, evolve, period_map
 from .model import (BoundaryCondition, Grid, KernelSpec, SeasonParams,
                     StateVector, _readonly)
 from .operator import DispersalOperator, assemble
-from .spectral import EigenPair, Regime, critical_length, principal_eigenpair
+from .spectral import (EigenPair, Regime, critical_length, principal_eigenpair,
+                       sigma1_bounds)
 
 #: below this distance from zero the threshold eigenvalue gives degenerate
 #: convergence rates; budget exhaustion is then flagged as slow, not failed
@@ -124,7 +125,7 @@ class MonotoneIterationTrace:
 
     ``gaps[k]`` is the sup-norm distance between the two rows k. For a
     PeriodicSolution there are two rows: the certified pair
-    (u~ + eps, u~ - eps) and its image under the period map, the upper row
+    u~ +- eps phi1 / max phi1 and its image under the period map, the upper row
     non-increasing, the lower non-decreasing and below the upper one, all
     with zero slack, as find_periodic_solution enforces. For an Extinction
     there are two rows: the upper start and the super-solution bound at the
@@ -155,7 +156,6 @@ class PeriodicSolution:
     residual: float
     lambda1: float
     trace: MonotoneIterationTrace
-    params: SeasonParams
     grid: Grid
     periods: int
 
@@ -181,24 +181,26 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
-def _certified_pair(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
-                    ctl: StepControl, tol: float, max_periods: int
-                    ) -> tuple[Optional[np.ndarray], float, int]:
+def _certified_pair(x: np.ndarray, phi: np.ndarray, p: SeasonParams,
+                    op: DispersalOperator, ctl: StepControl, tol: float,
+                    max_periods: int) -> tuple[Optional[np.ndarray], float, int]:
     """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column,
     until one period of an ordered pair around it certifies.
 
     Type-II Anderson acceleration of depth ANDERSON_DEPTH (Walker & Ni
     2011); an extrapolated iterate with an entry <= 0 is replaced by P(x).
     The contraction q is the sup-norm ratio of the last P(x) and x steps.
-    Whenever |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps and min x > eps, with
-    eps = tol/2, the pair (x + eps, x - eps) is stepped one period as one
-    (n, 2) block and checked as find_periodic_solution describes; if it
-    does not certify, the iteration goes on with its history kept. Every
-    period map counts once against ``max_periods``, a block included.
-    Returns the pair and its image as one (2, n, 2) array (None once the
-    budget is spent), the last |P(x) - x| and the column-periods stepped.
+    Whenever |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps and min(x - v) > 0,
+    with eps = tol/2 and v = eps phi / max phi, the pair (x + v, x - v) is
+    stepped one period as one (n, 2) block and checked as
+    find_periodic_solution describes; if it does not certify, the iteration
+    goes on with its history kept. Every period map counts once against
+    ``max_periods``, a block included. Returns the pair and its image as one
+    (2, n, 2) array (None once the budget is spent), the last |P(x) - x| and
+    the column-periods stepped.
     """
     eps = 0.5 * tol
+    v = eps / float(np.max(phi)) * phi[:, None]
     g = _one_period(x, p, op, ctl)
     f = g - x
     dF: list[np.ndarray] = []
@@ -208,8 +210,8 @@ def _certified_pair(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
     while True:
         residual = float(np.max(np.abs(f)))
         if (periods < max_periods and residual <= ANDERSON_MARGIN * (1.0 - q) * eps
-                and np.min(x) > eps):
-            pair = np.hstack([x + eps, x - eps])
+                and np.min(x - v) > 0.0):
+            pair = np.hstack([x + v, x - v])
             image = _one_period(pair, p, op, ctl)
             periods += 1
             columns += 2
@@ -245,37 +247,33 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
                            ) -> Union[PeriodicSolution, Extinction]:
     """Periodic attractor on a Dirichlet habitat, or a certificate of extinction.
 
+    The sign of lambda1 = lambda1(pair.sigma1) is certified first, on the
+    enclosure (sigma_lo, sigma_hi) = sigma1_bounds(op, a, phi1) of the
+    operator that is stepped: lambda1(sigma_lo) > 0 must hold when lambda1 >=
+    0, and lambda1(sigma_hi) < 0 when lambda1 < 0, or SolverError is raised
+    before any period is stepped. The model is cooperative and sigma_lo phi1
+    <= -(L phi1 + a phi1) <= sigma_hi phi1, so m(t) phi1, with m' = -delta m
+    in the bad season and m' = -sigma m in the good one, is a super-solution
+    for sigma = sigma_lo and, scaled small, a lower solution for any sigma >
+    sigma_hi; over a period m changes by the factor exp(-lambda1(sigma) omega).
+
     With lambda1 < 0, Anderson iteration of u <- P(u) on one column from the
     constant top = a/b + UPPER_OFFSET gives u~ with |P(u~) - u~| well below
-    (1 - q) eps, eps = tol/2 and q the measured contraction. One period of
-    the pair (u~ + eps, u~ - eps) certifies it if P(u~ + eps) <= u~ + eps,
-    P(u~ - eps) >= u~ - eps and P(u~ - eps) <= P(u~ + eps) hold everywhere
-    with zero slack, u~ - eps > 0 and the image gap is at most ``tol``. Since
-    P preserves order, the unique positive fixed point u* = P(u*) lies
-    between the two images. A pair that does not certify is stepped again
-    from a later iterate; a lower image above the upper one means P did not
-    preserve order, and SolverError is raised. The attractor is sampled
-    along one period from the upper image, and its period-map residual is
-    checked against ``tol``.
+    (1 - q) eps, eps = tol/2 and q the measured contraction. With v = eps
+    phi1 / max phi1, one period of the pair (u~ + v, u~ - v) certifies it if
+    P(u~ + v) <= u~ + v, P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold
+    everywhere with zero slack, u~ - v > 0 and the image gap is at most
+    ``tol``. Since P preserves order, the unique positive fixed point
+    u* = P(u*) lies between the two images. A pair that does not certify is
+    stepped again from a later iterate; a lower image above the upper one
+    means P did not preserve order, and SolverError is raised. The attractor
+    is sampled along one period from the upper image, and its period-map
+    residual is checked against ``tol``.
 
-    Before any period is stepped, eps phi1 must be a lower solution for some
-    eps > 0: the good-season inequality, written through the eigen identity
-    d(K phi1 - phi1) + a phi1 = -sigma1 phi1 + resid, reads
-    lam1 phi1_i - resid_i + b eps phi1_i^2 <= 0 at every node (the bad
-    season holds automatically for lam1 < 0), and holds for small eps
-    exactly when max_i(lam1 phi1_i - resid_i) < 0. Otherwise lambda1 lies
-    within the eigen residual of zero and SolverError is raised.
-
-    With lambda1 >= 0 no period is stepped. The eigen identity gives
-    d(K phi1 - phi1) + a phi1 <= -sigma_eff phi1, with sigma_eff = sigma1 -
-    max_i(resid_i / phi1_i). The model is cooperative (d K_ij >= 0) and
-    -b u^2 <= 0, so M exp(-integral_0^t sigma) phi1, with M = top / min phi1
-    and sigma = delta in the bad season and sigma_eff in the good one, is a
-    super-solution above the upper start. Hence sup u(k omega) <=
-    M sup phi1 exp(-lam k omega) with lam = lambda1(sigma_eff); the
-    Extinction reports the first k at which this bound is strictly below
-    EXTINCTION_THRESHOLD. SolverError is raised if lam <= 0, where lambda1
-    lies within the eigen residual of zero.
+    With lambda1 >= 0 no period is stepped: with M = top / min phi1 and lam =
+    lambda1(sigma_lo), sup u(k omega) <= M sup phi1 exp(-lam k omega), and
+    the Extinction reports the first k at which this bound is strictly below
+    EXTINCTION_THRESHOLD.
 
     ``max_periods`` bounds the period maps of the persistence branch, a
     block of columns counting once. IterationBudgetError is raised, with
@@ -291,35 +289,30 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     lam1 = p.lambda1(pair.sigma1)
     phi = pair.phi1
     top = p.a / p.b + UPPER_OFFSET
-    resid = op.apply(phi) + (p.a + pair.sigma1) * phi
+    lam_lo, lam_hi = (p.lambda1(s) for s in sigma1_bounds(op, p.a, phi))
+    if lam_lo <= 0.0 <= lam1 or lam1 < 0.0 <= lam_hi:
+        raise SolverError(
+            f"lambda1 = {lam1:g} lies within the eigen residual of zero: the "
+            f"enclosure [{lam_lo:g}, {lam_hi:g}] does not certify its sign, so no "
+            "multiple of phi1 is a certified "
+            + ("decaying super-solution" if lam1 >= 0.0 else "lower solution"))
 
     if lam1 >= 0.0:
-        lam = p.lambda1(pair.sigma1 - float(np.max(resid / phi)))
-        if lam <= 0.0:
-            raise SolverError(
-                f"lambda1 = {lam1:g} lies within the eigen residual of zero "
-                f"(residual-corrected {lam:g}); extinction is not certified")
         M = top / float(np.min(phi))
         # floor + 1, not ceil: the bound is strictly below the threshold even
         # when the log ratio is an integer
         periods = math.floor(math.log(M * float(np.max(phi)) / EXTINCTION_THRESHOLD)
-                             / (lam * p.omega)) + 1
+                             / (lam_lo * p.omega)) + 1
         upper = np.array([np.full(op.n, top),
-                          M * math.exp(-lam * p.omega * periods) * phi])
+                          M * math.exp(-lam_lo * p.omega * periods) * phi])
         trace = MonotoneIterationTrace(upper=_readonly(upper),
                                        lower=_readonly(np.zeros_like(upper)),
                                        gaps=_readonly(np.max(upper, axis=1)))
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
                           evidence="below_threshold", lambda1=lam1, trace=trace)
 
-    defect = float(np.max(lam1 * phi - resid))
-    if defect >= 0.0:
-        raise SolverError(
-            f"lambda1 = {lam1:g} lies within the eigen residual of zero "
-            f"(max(lambda1 phi1 - resid) = {defect:g}); no multiple of phi1 is a "
-            "certified lower solution, so persistence is not certified")
-    rows, residual, columns = _certified_pair(np.full((op.n, 1), top), p, op, ctl,
-                                              tol, max_periods)
+    rows, residual, columns = _certified_pair(np.full((op.n, 1), top), phi, p, op,
+                                              ctl, tol, max_periods)
     if rows is None:
         slow = abs(lam1) < NEAR_THRESHOLD
         raise IterationBudgetError(
@@ -337,7 +330,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         raise SolverError(f"period-map residual {residual:g} exceeds tolerance {tol:g}")
     return PeriodicSolution(times=orbit.times, values=orbit.values,
                             residual=residual, lambda1=lam1, trace=trace,
-                            params=p, grid=op.grid, periods=columns)
+                            grid=op.grid, periods=columns)
 
 
 # ---------------------------------------------------------------------------

@@ -114,6 +114,20 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
         last_residual=res, iterations=products)
 
 
+def sigma1_bounds(op: DispersalOperator, a: float, phi: np.ndarray) -> tuple[float, float]:
+    """Enclosure (sigma_lo, sigma_hi) of sigma1 = -a - mu, mu the largest
+    eigenvalue of L, from one product with any positive phi: L plus a multiple
+    of the identity is nonnegative and irreducible, so min_i (L phi)_i / phi_i
+    <= mu <= max_i (L phi)_i / phi_i (Collatz-Wielandt; Horn & Johnson,
+    *Matrix Analysis*, 2nd ed., 8.1). At an eigenpair of residual res and
+    max phi = 1 the enclosure is at most 2 res / min phi wide.
+    """
+    if not np.all(phi > 0):
+        raise ValidationError("the sigma1 enclosure needs a strictly positive phi")
+    ratio = op.apply(phi) / phi
+    return -a - float(np.max(ratio)), -a - float(np.min(ratio))
+
+
 @dataclass(frozen=True)
 class CriticalLengthResult:
     """Outcome of the critical-length analysis on centered habitats."""
@@ -134,15 +148,15 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
     habitat persists, both reported without any eigen-solve. In the critical
     regime, lambda1(ell) is strictly decreasing and continuous in the length
     of centered habitats [-ell/2, ell/2]. A sign change is bracketed by
-    doubling or halving from one kernel scale, then narrowed by Illinois
+    doubling or halving from one kernel scale, within expand_cap kernel
+    scales either way and not below ``tol``, then narrowed by Illinois
     regula falsi (Dowell & Jarratt, *BIT* 11, 1971), which keeps the bracket
-    and converges superlinearly. A point it solves becomes a bracket end only
-    when that solve certifies its sign, |lambda1| > (1 - rho) sqrt(n)
-    residual (a Bauer-Fike bound, since max phi1 = 1). Once the estimate
-    lies within tol/4 of an end, or its sign is not certified, the points
-    estimate -+ tol/4 inside the bracket are solved instead, and a probe
-    whose sign is not certified raises BracketError. The result brackets
-    the root to width ``tol``.
+    and converges superlinearly. A point becomes a bracket end only when
+    lambda1 has one sign on the whole sigma1_bounds enclosure of its solve.
+    Once the estimate lies within tol/4 of an end, or its sign is not
+    certified, the points estimate -+ tol/4 inside the bracket are solved
+    instead, and a probe whose sign is not certified raises BracketError.
+    The result brackets the root to width ``tol``.
 
     Grid resolution follows the kernel scale, n = max(256, ceil(64 ell / D))
     capped at 4096, so wide habitats stay resolved without unbounded
@@ -158,64 +172,59 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
 
     scale = kernel.scale
 
-    def lam(ell: float) -> tuple[float, bool]:
+    def lam(ell: float) -> tuple[float, int]:
+        """lambda1 at ell and its certified sign, 1 or -1 (0: not certified)."""
         n = min(4096, max(256, math.ceil(64.0 * ell / scale)))
         op = assemble(kernel, Grid.centered(ell, n), BoundaryCondition.DIRICHLET, p.d)
         pair = principal_eigenpair(op, p.a)
-        value = p.lambda1(pair.sigma1)
-        return value, abs(value) > (1.0 - p.rho) * math.sqrt(n) * pair.residual
+        lower, upper = (p.lambda1(s) for s in sigma1_bounds(op, p.a, pair.phi1))
+        return p.lambda1(pair.sigma1), (lower > 0) - (upper < 0)
 
-    lo = hi = scale
-    lam_lo = lam_hi = lam(scale)[0]
-    if lam_lo > 0:
-        while lam_hi > 0:
-            lo, lam_lo = hi, lam_hi
-            hi *= 2.0
-            if hi > expand_cap * scale:
-                raise BracketError(
-                    f"no sign change of lambda1 up to ell = {hi:g} "
-                    f"({expand_cap:g} kernel scales)")
-            lam_hi = lam(hi)[0]
-    elif lam_hi < 0:
-        for _ in range(200):
-            hi, lam_hi = lo, lam_lo
-            lo = 0.5 * hi
-            lam_lo = lam(lo)[0]
-            if lam_lo > 0:
-                break
-        else:
-            raise BracketError(
-                f"lambda1 stayed negative down to ell = {lo:g}; "
-                "parameters sit at the degenerate regime boundary")
-
+    # the ends hold certified signs, lambda1(lo) > 0 > lambda1(hi); until an
+    # end is found it sits at 0 or inf with no value, and the other end
+    # doubles or halves towards it
+    lo, hi = 0.0, math.inf
+    lam_lo = lam_hi = None
     # Illinois: an end kept while the other moves twice in a row has its
     # weight halved; a moved end starts again at weight 1
     w_lo = w_hi = 1.0
-    moved = 0  # -1: lo moved last, +1: hi moved last
-    uncertain = None  # last estimate whose sign was not certified
-    while hi - lo > tol:
-        if uncertain is None:
-            x = (lo * w_hi * lam_hi - hi * w_lo * lam_lo) / (w_hi * lam_hi - w_lo * lam_lo)
+    moved = 0  # -1: lo moved last, +1: hi moved last, 0: an end was just found
+    while lam_lo is None or lam_hi is None or hi - lo > tol:
+        if lam_hi is None:
+            x = scale if lam_lo is None else 2.0 * lo
+            if x > expand_cap * scale:
+                raise BracketError(
+                    f"no sign change of lambda1 up to ell = {x:g} "
+                    f"({expand_cap:g} kernel scales)")
+        elif lam_lo is None:
+            x = 0.5 * hi
+            if x < max(scale / expand_cap, tol):
+                raise BracketError(
+                    f"lambda1 stayed negative down to ell = {hi:g}; parameters "
+                    "sit at or near the degenerate regime boundary")
         else:
-            x = uncertain
-        probing = uncertain is not None or min(x - lo, hi - x) <= 0.25 * tol
-        probes = [q for q in (x - 0.25 * tol, x + 0.25 * tol) if lo < q < hi] \
-            if probing else [x]
-        uncertain = None
-        for q in probes:
-            value, certified = lam(q)
-            if not certified:
+            x = (lo * w_hi * lam_hi - hi * w_lo * lam_lo) / (w_hi * lam_hi - w_lo * lam_lo)
+        probing = min(x - lo, hi - x) <= 0.25 * tol
+        points = [x - 0.25 * tol, x + 0.25 * tol] if probing else [x]
+        while points:
+            q = points.pop(0)
+            if not lo < q < hi:
+                continue  # outside the bracket, or passed by the probe before
+            value, sign = lam(q)
+            if sign == 0:
                 if probing:
                     raise BracketError(
                         f"sign of lambda1 = {value:g} at ell = {q:g} is within its "
                         f"eigen residual; no certified bracket of width {tol:g}")
-                uncertain = q
-            elif value > 0:
+                points, probing = [q - 0.25 * tol, q + 0.25 * tol], True
+            elif sign > 0:
                 w_hi *= 0.5 if moved == -1 else 1.0
-                lo, lam_lo, w_lo, moved = q, value, 1.0, -1
+                moved = 0 if lam_lo is None else -1
+                lo, lam_lo, w_lo = q, value, 1.0
             else:
                 w_lo *= 0.5 if moved == 1 else 1.0
-                hi, lam_hi, w_hi, moved = q, value, 1.0, 1
+                moved = 0 if lam_hi is None else 1
+                hi, lam_hi, w_hi = q, value, 1.0
     return CriticalLengthResult(verdict=Regime.CRITICAL_LENGTH,
                                 ell_star=0.5 * (lo + hi), bracket=(lo, hi),
                                 lambda_lo=lam_lo, lambda_hi=lam_hi)

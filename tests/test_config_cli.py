@@ -131,11 +131,9 @@ class TestParseConfig:
 
 class TestExportTrajectory:
     def _tiny_trajectory(self):
-        p = params(P1)
-        g = Grid.centered(0.4, 2)
         return Trajectory(times=np.array([0.0, 0.6]),
                           values=np.array([[1.0, 2.0], [0.25, 0.5]]),
-                          params=p, grid=g, bc=BoundaryCondition.DIRICHLET)
+                          grid=Grid.centered(0.4, 2))
 
     def test_row_count(self, tmp_path):
         path = str(tmp_path / "t.csv")
@@ -149,8 +147,8 @@ class TestExportTrajectory:
         trace = MonotoneIterationTrace(upper=tr.values[:1], lower=tr.values[:1],
                                        gaps=np.zeros(1))
         return PeriodicSolution(times=tr.times, values=tr.values, residual=0.0,
-                                lambda1=-0.1, trace=trace, params=tr.params,
-                                grid=tr.grid, periods=0)
+                                lambda1=-0.1, trace=trace, grid=tr.grid,
+                                periods=0)
 
     @pytest.mark.parametrize("kind", ["trajectory", "periodic"])
     def test_round_trip_bit_exact(self, tmp_path, kind):
@@ -184,9 +182,8 @@ class TestExportTrajectory:
             assert np.all(np.diff(xs) > 0)
 
     def test_empty_trajectory_header_only(self, tmp_path):
-        p = params(P1)
-        tr = Trajectory(times=np.zeros(0), values=np.zeros((0, 3)), params=p,
-                        grid=Grid.centered(1.0, 3), bc=BoundaryCondition.DIRICHLET)
+        tr = Trajectory(times=np.zeros(0), values=np.zeros((0, 3)),
+                        grid=Grid.centered(1.0, 3))
         path = str(tmp_path / "t.csv")
         export_trajectory(tr, path)
         assert open(path).read() == "t,x,u\n"

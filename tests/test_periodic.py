@@ -85,7 +85,8 @@ def p1_attractor():
 @pytest.fixture(scope="module")
 def p1_retried(p1_attractor):
     # every (n, 2) block stepped is a one-period sandwich; nudging the first
-    # one's image up breaks P(u~ + eps) <= u~ + eps but keeps the order
+    # one's image up breaks P(u~ + eps phi1) <= u~ + eps phi1 but keeps the
+    # order
     from seasonal_dispersal import periodic
 
     p, op, pair, ctl, _ = p1_attractor
@@ -214,6 +215,19 @@ class TestFindPeriodicSolution:
         with pytest.raises(SolverError, match=message):
             find_periodic_solution(p, op, wrong, StepControl.for_params(p, 300))
 
+    def test_non_positive_phi1_refused_before_stepping(self, p1_attractor, monkeypatch):
+        from seasonal_dispersal import evolution
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused solve stepped the model")
+
+        p, op, pair, ctl, _ = p1_attractor
+        phi = pair.phi1.copy()
+        phi[0] = 0.0
+        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
+        with pytest.raises(ValidationError, match="positive"):
+            find_periodic_solution(p, op, replace(pair, phi1=phi), ctl)
+
     def test_neumann_rejected(self, p1_attractor):
         p, _, pair, ctl, _ = p1_attractor
         op = assemble(LaplaceKernel(20.0), Grid.centered(0.4, 16), NEU, p.d)
@@ -245,13 +259,15 @@ class TestTwoStarts:
         assert np.all(sol.trace.lower[-1] <= u0) and np.all(u0 <= sol.trace.upper[-1])
 
     def test_failed_sandwich_is_retried(self, p1_attractor, p1_retried):
-        _, _, _, _, sol = p1_attractor
+        _, _, pair, _, sol = p1_attractor
         retried, blocks = p1_retried
-        # two sandwiches (u~ + tol/2, u~ - tol/2), the second from a later
-        # iterate; no other block is stepped
+        # two sandwiches u~ +- (tol/2) phi1 (max phi1 = 1), the second from a
+        # later iterate; no other block is stepped
         assert len(blocks) == 2
+        assert np.max(pair.phi1) == 1.0
         for block in blocks:
-            assert np.allclose(block[:, 0] - block[:, 1], 1e-8, rtol=0, atol=1e-15)
+            assert np.allclose(block[:, 0] - block[:, 1], 1e-8 * pair.phi1,
+                               rtol=0, atol=1e-15)
         assert np.any(blocks[1] != blocks[0])
         assert len(retried.trace) == 2
         assert np.all(retried.trace.upper[0] == blocks[1][:, 0])
@@ -279,6 +295,20 @@ class TestTwoStarts:
         assert isinstance(sol, PeriodicSolution)
         assert len(sol.trace) == 2
         assert sol.periods <= 40
+
+    def test_p2_lambda1_near_minus_2p6e_4_certifies(self):
+        # with a constant shift eps the sandwich's upper image rose above
+        # u~ + eps at the centre nodes here, on every attempt; shifted along
+        # phi1 it certifies well within the budget
+        p = params(P2)
+        op = dirichlet_op(LaplaceKernel(20.0), 4.319876, 64, p.d)
+        pair = principal_eigenpair(op, p.a)
+        assert p.lambda1(pair.sigma1) == pytest.approx(-2.6e-4, abs=1e-5)
+        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 200),
+                                     max_periods=400)
+        assert isinstance(sol, PeriodicSolution)
+        assert len(sol.trace) == 2
+        assert sol.trace.gaps[-1] <= 1e-8
 
 
 class TestIterationBudget:

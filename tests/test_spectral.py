@@ -8,6 +8,7 @@ from seasonal_dispersal import (BoundaryCondition, BracketError, Grid,
                                 LaplaceKernel, Regime, StepControl,
                                 ValidationError, assemble, critical_length,
                                 find_periodic_solution, principal_eigenpair, spectral)
+from seasonal_dispersal.spectral import sigma1_bounds
 
 from helpers import (P1, P2, P3, dense_sigma1, dirichlet_op, laplace_critical_length,
                      params)
@@ -209,6 +210,34 @@ def test_tabulated_kernel_eigen_matches_dense_oracle():
     assert np.all(pair.phi1 > 0)
 
 
+class TestSigma1Bounds:
+    def test_encloses_dense_sigma1_for_any_positive_phi(self):
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 24, p.d)
+        exact = dense_sigma1(op, p.a)
+        rng = np.random.default_rng(12)
+        for _ in range(20):
+            lo, hi = sigma1_bounds(op, p.a, rng.uniform(0.01, 1.0, op.n))
+            assert lo <= exact <= hi
+
+    def test_width_at_eigenpair_within_residual_bound(self):
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 24, p.d)
+        pair = principal_eigenpair(op, p.a)
+        lo, hi = sigma1_bounds(op, p.a, pair.phi1)
+        assert lo <= dense_sigma1(op, p.a) <= hi
+        assert lo <= pair.sigma1 <= hi
+        assert hi - lo <= 2.0 * pair.residual / np.min(pair.phi1)
+
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, np.nan])
+    def test_non_positive_phi_refused(self, bad):
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 8, 0.6)
+        phi = np.ones(op.n)
+        phi[3] = bad
+        with pytest.raises(ValidationError, match="positive"):
+            sigma1_bounds(op, 1.2, phi)
+
+
 def test_eigen_iteration_budget_error():
     from seasonal_dispersal import EigenConvergenceError
 
@@ -262,18 +291,38 @@ class TestCriticalLength:
         lo, hi = res.bracket
         assert hi - lo <= 1e-4
         assert res.lambda_lo > 0 > res.lambda_hi
-        # each end's sign is certified by its own solve (Bauer-Fike with
-        # max phi1 = 1)
+        # each end's sign is certified by the enclosure of its own solve
         for ell, lam in ((lo, res.lambda_lo), (hi, res.lambda_hi)):
             (n, pair), = [(n, pair) for length, n, pair in solves if length == ell]
             assert lam == p.lambda1(pair.sigma1)
-            assert abs(lam) > (1 - p.rho) * math.sqrt(n) * pair.residual
+            lower, upper = (p.lambda1(s) for s in sigma1_bounds(
+                dirichlet_op(LaplaceKernel(scale), ell, n, p.d), p.a, pair.phi1))
+            assert lower > 0 if lam > 0 else upper < 0
         assert abs(res.ell_star - laplace_critical_length(p, scale)) <= 1e-4
+
+    def test_uncertified_start_is_probed_not_kept(self):
+        # delta tuned so that lambda1 = 0 at the starting length ell = 1 (one
+        # kernel scale, n = 256): that solve's enclosure straddles zero, so it
+        # must not become a bracket end; the probes at 1 -+ tol/4 certify
+        p2 = params(P2)
+        op = dirichlet_op(LaplaceKernel(1.0), 1.0, 256, p2.d)
+        delta0 = -(1 - p2.rho) * principal_eigenpair(op, p2.a).sigma1 / p2.rho
+        for shift in (0.0, 1e-15, -1e-15):
+            p = params(P2, delta=delta0 + shift)
+            res = critical_length(p, LaplaceKernel(1.0), tol=1e-4)
+            lo, hi = res.bracket
+            assert 0 < hi - lo <= 1e-4
+            assert lo < 1.0 < hi
+            for ell, positive in ((lo, True), (hi, False)):
+                op = dirichlet_op(LaplaceKernel(1.0), ell, 256, p.d)
+                pair = principal_eigenpair(op, p.a)
+                lower, upper = (p.lambda1(s) for s in sigma1_bounds(op, p.a, pair.phi1))
+                assert (lower > 0) if positive else (upper < 0)
 
     def test_tolerance_below_certified_resolution_reported(self):
         # near ell* at kernel scale 20, lambda1 falls by 8.7e-3 per unit
-        # length, so it moves by 2e-17 over tol/4: far below the certificate
-        # (1 - rho) sqrt(n) residual of any eigen-solve in floating point
+        # length, so it moves by 2e-17 over tol/4: far below the width of
+        # the lambda1 enclosure of any eigen-solve in floating point
         with pytest.raises(BracketError, match="eigen residual"):
             critical_length(params(P2), LaplaceKernel(20.0), tol=1e-14)
 
