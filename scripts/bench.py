@@ -27,15 +27,16 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   it; on a tree without ``fit_step``, ``evolve`` at the nominal step;
 * ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
   per good season (the ``attractor`` benchmark config), at n = 128 only:
-  the monotone loop it replaced took minutes at n = 2048;
+  the monotone loop it replaced took minutes at n = 2048; with the
+  column-periods it took at that step and before it, on the coarse-step
+  period map (0 on a tree without one) beside it;
 * ``periodic.find_p2_ms``: the same solve at P2 (d = 1) on the habitat
   [-3.34, 3.34] of the same kernel, where lambda1 is about -0.02, at n = 128
-  only, a case nearer the persistence threshold;
+  only, a case nearer the persistence threshold, with the same counts;
 * ``periodic.find_near_ms``: one P2 solve on the habitat of length 4.319876
   at n = 64, 200 RK4 steps per good season and a budget of 400 periods,
-  where lambda1 is about -2.6e-4, with the column-periods it took beside it
-  (or, on a tree where it raises, the error's class name and the time to
-  the raise).
+  where lambda1 is about -2.6e-4, with the same counts beside it (or, on a
+  tree where it raises, the error's class name and the time to the raise).
 
 Each figure is the median of repeated calls after one warm-up call. BLAS is
 pinned to one thread for this process. The results are merged into the JSON
@@ -78,7 +79,9 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02; "
          "periodic.find_near_ms solves P2 on a habitat of length 4.319876, n = 64, "
          "200 steps per good season, at most 400 periods, lambda1 about -2.6e-4 "
-         "('periods': column-periods taken, or 'error': the class raised). "
+         "('error': the class raised). The periodic.find layers record 'periods', "
+         "the column-periods taken at the given step, and 'coarse_periods', those "
+         "taken before on the coarse-step period map (0 on a tree without one). "
          "evolution.rk4_step_us is one RK4 step, the mean over a 50-step span, "
          "of a state (.block2: of an (n, 2) block). "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
@@ -103,6 +106,11 @@ def median_seconds(fn) -> tuple[float, int]:
         fn()
         samples.append(time.perf_counter() - t0)
     return statistics.median(samples), len(samples)
+
+
+def periods(sol) -> dict:
+    """The column-periods a periodic solve took at its step and before it."""
+    return {"periods": sol.periods, "coarse_periods": getattr(sol, "coarse_periods", 0)}
 
 
 def measure(sd, n: int) -> dict:
@@ -147,12 +155,14 @@ def measure(sd, n: int) -> dict:
         layers.append(("evolution.simulate_figure_ms", simulate, 1e3,
                        {"steps_per_season": simulate().steps_for(good)}))
         layers.append(("periodic.find_ms",
-                       lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3, {}))
+                       lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3,
+                       periods(sd.find_periodic_solution(p, op, pair, ctl))))
         op2 = sd.assemble(kernel, sd.Grid.centered(P2_LENGTH, n), dirichlet, p2.d)
         pair2 = sd.principal_eigenpair(op2, p2.a)
         ctl2 = sd.StepControl.for_params(p2, STEPS_PER_SEASON)
         layers.append(("periodic.find_p2_ms",
-                       lambda: sd.find_periodic_solution(p2, op2, pair2, ctl2), 1e3, {}))
+                       lambda: sd.find_periodic_solution(p2, op2, pair2, ctl2), 1e3,
+                       periods(sd.find_periodic_solution(p2, op2, pair2, ctl2))))
     out = {}
     for name, fn, scale, extra in layers:
         secs, runs = median_seconds(fn)
@@ -170,8 +180,8 @@ def measure_near(sd) -> dict:
 
     def solve() -> dict:
         try:
-            return {"periods": sd.find_periodic_solution(
-                p2, op, pair, ctl, max_periods=NEAR["max_periods"]).periods}
+            return periods(sd.find_periodic_solution(
+                p2, op, pair, ctl, max_periods=NEAR["max_periods"]))
         except sd.SolverError as err:
             return {"error": type(err).__name__}
 

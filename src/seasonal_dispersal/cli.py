@@ -214,6 +214,8 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
             summary.periodic_residual = sol.residual
             summary.final_supnorm = sol.sup_norm
             summary.extra["periods"] = sol.periods
+            summary.extra["coarse_periods"] = sol.coarse_periods
+            summary.extra["coarse_steps"] = sol.coarse_steps
 
     elif command == "profile-study":
         lengths = _require(cfg.profile_lengths, "profile.lengths", command)

@@ -10,7 +10,8 @@ as i*omega and (i+rho)*omega so trajectories and tests agree bit for bit.
 ``evolve`` and the period map step at the control they are given.
 ``fit_step`` coarsens a control to the step whose RK4 truncation error is
 already below rounding, by step doubling over the first good season, with
-the sample instants kept; the ``simulate`` subcommand steps at it.
+the sample instants kept; the ``simulate`` subcommand steps at it. The
+periodic solve chooses its coarse step by the same estimate.
 """
 
 import math
@@ -204,6 +205,29 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
                       values=_readonly(np.array(states)), grid=op.grid)
 
 
+def _step_doubling(u: np.ndarray, p: SeasonParams, op: DispersalOperator,
+                   steps: int, last: int):
+    """Yield (N, est(N)) for N = steps, 2 steps, 4 steps, ... up to ``last``:
+    est(N) = |P_N(u) - P_2N(u)| 16/15 in the sup norm, with P_N the period map
+    at N RK4 steps per good season, or None when either run raises
+    PositivityError. Each yield costs one period map, the first two.
+    """
+    def end(steps):
+        try:
+            return _one_period(u, p, op, StepControl.for_params(p, steps))
+        except PositivityError:
+            return None
+
+    if steps > last:
+        return
+    coarse = end(steps)
+    while steps <= last:
+        fine = end(2 * steps)
+        yield steps, (None if coarse is None or fine is None else
+                      float(np.max(np.abs(coarse - fine))) * 16.0 / 15.0)
+        steps, coarse = 2 * steps, fine
+
+
 def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
              ctl: StepControl) -> tuple[StepControl, Optional[float]]:
     """Coarsest RK4 step whose truncation error is already below rounding,
@@ -212,11 +236,12 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     With S = N_nom / stride samples per good season of N_nom nominal steps,
     the candidates are N = S 2^k steps per good season, tried while
     4 N <= N_nom. Each runs the first period from ``u0`` (exact decay, then
-    the good season); est(N) = |u_N - u_2N| 16/15 (sup norm).
-    The first N with est(N) < 8 est(2N), or est(N) = 0, is where halving
-    the step stops gaining RK4's factor 16, and 2N is taken. A candidate
-    whose run raises PositivityError fails. A one-season tolerance would
-    not do: errors pile up over the slowly contracting periods.
+    the good season); est(N) is the step-doubling estimate of
+    ``_step_doubling``, which the periodic solve shares to choose its coarse
+    step. The first N with est(N) < 8 est(2N), or est(N) = 0, is where
+    halving the step stops gaining RK4's factor 16, and 2N is taken. A
+    candidate whose run raises PositivityError fails. A one-season tolerance
+    would not do: errors pile up over the slowly contracting periods.
 
     Returns the control of 2N steps and stride 2N / S, whose sample spacing
     equals ``ctl.dt_good * ctl.stride`` bit for bit, with est(2N). Returns
@@ -227,25 +252,12 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     samples, rest = divmod(nominal, ctl.stride)
     if rest or 4 * samples > nominal:
         return ctl, None
-
-    def end(steps):
-        try:
-            return _one_period(u0.values, p, op, StepControl.for_params(p, steps))
-        except PositivityError:
-            return None
-
-    steps, coarse, est = samples, end(samples), None
-    while 2 * steps <= nominal:
-        steps *= 2
-        fine = end(steps)
-        # est(steps / 4) and est(steps / 2)
-        est_coarse, est = est, (None if coarse is None or fine is None else
-                                float(np.max(np.abs(coarse - fine))) * 16.0 / 15.0)
-        coarse = fine
-        if (est_coarse is not None and est is not None
-                and (est_coarse == 0.0 or est_coarse < 8.0 * est)):
-            ratio = steps // (2 * samples)
+    prev = None  # est(steps / 2)
+    for steps, est in _step_doubling(u0.values, p, op, samples, nominal // 2):
+        if prev is not None and est is not None and (prev == 0.0 or prev < 8.0 * est):
+            ratio = steps // samples
             return StepControl(dt_good=ctl.dt_good * ctl.stride / ratio, stride=ratio), est
+        prev = est
     return ctl, None
 
 

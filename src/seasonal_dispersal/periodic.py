@@ -3,8 +3,9 @@
 When the threshold eigenvalue is negative, the omega-periodic attractor of
 the habitat problem is the unique positive fixed point of the period map. An
 Anderson-accelerated fixed-point iteration (Walker & Ni, SIAM J. Numer. Anal.
-49, 2011) approximates it, and one period of an ordered pair around the
-approximation certifies it, by comparison: the period map preserves order.
+49, 2011) approximates it, on a coarse-step period map first, and one period
+of an ordered pair around the approximation certifies it at the given step,
+by comparison: the period map preserves order.
 When the threshold eigenvalue is not negative, a decaying multiple of the
 principal eigenfunction is a super-solution, which certifies extinction in
 closed form.
@@ -16,13 +17,14 @@ habitat attractor as the habitat grows.
 
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import IterationBudgetError, SolverError, ValidationError
 # period_map stays importable here: perfbench/tracing.py wraps periodic.period_map
-from .evolution import StepControl, _one_period, evolve, period_map
+from .evolution import StepControl, _one_period, _step_doubling, evolve, period_map
 from .model import (BoundaryCondition, Grid, KernelSpec, SeasonParams,
                     StateVector, _readonly)
 from .operator import DispersalOperator, assemble
@@ -147,8 +149,10 @@ class PeriodicSolution:
     ``values[k]`` is the state at ``times[k]``; ``residual`` is the sup-norm
     period-map defect of the t = 0 state. Through the bad season the samples
     factor exactly as values(t) = e^{-delta t} values(0). ``periods`` counts
-    the column-periods find_periodic_solution stepped: one per state carried
-    through one period, the certificate's two included.
+    the column-periods find_periodic_solution stepped at the control it was
+    given: one per state carried through one period, the certificate's two
+    included. ``coarse_periods`` counts those it stepped before, at
+    ``coarse_steps`` RK4 steps per good season (None: no coarse phase).
     """
 
     times: np.ndarray
@@ -158,6 +162,8 @@ class PeriodicSolution:
     trace: MonotoneIterationTrace
     grid: Grid
     periods: int
+    coarse_periods: int = 0
+    coarse_steps: Optional[int] = None
 
     @property
     def sup_norm(self) -> float:
@@ -181,49 +187,56 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
-def _certified_pair(x: np.ndarray, phi: np.ndarray, p: SeasonParams,
-                    op: DispersalOperator, ctl: StepControl, tol: float,
-                    max_periods: int) -> tuple[Optional[np.ndarray], float, int]:
-    """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column,
-    until one period of an ordered pair around it certifies.
+def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
+              ctl: StepControl, tol: float, budget: int, *,
+              phi: Optional[np.ndarray] = None, q: float = 1.0, residual: float = math.inf
+              ) -> tuple[np.ndarray, float, float, Optional[np.ndarray], int]:
+    """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column at
+    ``ctl``'s step, for at most ``budget`` period maps.
 
     Type-II Anderson acceleration of depth ANDERSON_DEPTH (Walker & Ni
     2011); an extrapolated iterate with an entry <= 0 is replaced by P(x).
-    The contraction q is the sup-norm ratio of the last P(x) and x steps.
-    Whenever |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps and min(x - v) > 0,
-    with eps = tol/2 and v = eps phi / max phi, the pair (x + v, x - v) is
+    The contraction q, ``q`` until measured, is the sup-norm ratio of the
+    last P(x) and x steps. Once |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps,
+    eps = tol/2, the iteration stops if ``phi`` is None. Otherwise, with
+    v = eps phi / max phi and if min(x - v) > 0, the pair (x + v, x - v) is
     stepped one period as one (n, 2) block and checked as
     find_periodic_solution describes; if it does not certify, the iteration
-    goes on with its history kept. Every period map counts once against
-    ``max_periods``, a block included. Returns the pair and its image as one
-    (2, n, 2) array (None once the budget is spent), the last |P(x) - x| and
-    the column-periods stepped.
+    goes on with its history kept. A block counts as one period map against
+    ``budget`` and as two column-periods.
+
+    Returns the last iterate x, q and |P(x) - x| (``residual`` if no period
+    was stepped), the certified pair and its image as one (2, n, 2) array
+    (None if none certified) and the column-periods stepped.
     """
+    if budget < 1:
+        return x, q, residual, None, 0
     eps = 0.5 * tol
-    v = eps / float(np.max(phi)) * phi[:, None]
+    v = None if phi is None else eps / float(np.max(phi)) * phi[:, None]
     g = _one_period(x, p, op, ctl)
     f = g - x
     dF: list[np.ndarray] = []
     dG: list[np.ndarray] = []
-    q = 1.0
-    periods = columns = 1
+    maps = columns = 1
     while True:
         residual = float(np.max(np.abs(f)))
-        if (periods < max_periods and residual <= ANDERSON_MARGIN * (1.0 - q) * eps
-                and np.min(x - v) > 0.0):
-            pair = np.hstack([x + v, x - v])
-            image = _one_period(pair, p, op, ctl)
-            periods += 1
-            columns += 2
-            crossed = float(np.max(image[:, 1] - image[:, 0]))
-            if crossed > 0.0:
-                raise SolverError(f"upper/lower ordering broken by {crossed:.3e}: "
-                                  "the period map did not preserve order")
-            if (np.all(image[:, 0] <= pair[:, 0]) and np.all(image[:, 1] >= pair[:, 1])
-                    and np.max(image[:, 0] - image[:, 1]) <= tol):
-                return np.stack([pair, image]), residual, columns
-        if periods >= max_periods:
-            return None, residual, columns
+        if residual <= ANDERSON_MARGIN * (1.0 - q) * eps:
+            if phi is None:
+                return x, q, residual, None, columns
+            if maps < budget and np.min(x - v) > 0.0:
+                pair = np.hstack([x + v, x - v])
+                image = _one_period(pair, p, op, ctl)
+                maps += 1
+                columns += 2
+                crossed = float(np.max(image[:, 1] - image[:, 0]))
+                if crossed > 0.0:
+                    raise SolverError(f"upper/lower ordering broken by {crossed:.3e}: "
+                                      "the period map did not preserve order")
+                if (np.all(image[:, 0] <= pair[:, 0]) and np.all(image[:, 1] >= pair[:, 1])
+                        and np.max(image[:, 0] - image[:, 1]) <= tol):
+                    return x, q, residual, np.stack([pair, image]), columns
+        if maps >= budget:
+            return x, q, residual, None, columns
         x_new = g
         if dF:
             gamma = np.linalg.lstsq(np.hstack(dF), f, rcond=None)[0]
@@ -231,7 +244,7 @@ def _certified_pair(x: np.ndarray, phi: np.ndarray, p: SeasonParams,
             if np.min(x_new) <= 0.0:
                 x_new = g
         g_new = _one_period(x_new, p, op, ctl)
-        periods += 1
+        maps += 1
         columns += 1
         f_new = g_new - x_new
         step = float(np.max(np.abs(x_new - x)))
@@ -259,7 +272,13 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
 
     With lambda1 < 0, Anderson iteration of u <- P(u) on one column from the
     constant top = a/b + UPPER_OFFSET gives u~ with |P(u~) - u~| well below
-    (1 - q) eps, eps = tol/2 and q the measured contraction. With v = eps
+    (1 - q) eps, eps = tol/2 and q the measured contraction. It runs first on
+    the coarse-step period map P_N, until |P_N(x) - x| is that small: N is
+    the coarsest 2^k with 4 N at most ``ctl``'s steps per good season whose
+    step-doubling estimate |P_N(top) - P_2N(top)| 16/15 (that of fit_step)
+    is at most eps; with none, there is no coarse phase. Its iterate and q
+    start the iteration at ``ctl``'s step. The coarse phase only chooses the
+    start: every check below is made at ``ctl``'s step. With v = eps
     phi1 / max phi1, one period of the pair (u~ + v, u~ - v) certifies it if
     P(u~ + v) <= u~ + v, P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold
     everywhere with zero slack, u~ - v > 0 and the image gap is at most
@@ -275,9 +294,10 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     the Extinction reports the first k at which this bound is strictly below
     EXTINCTION_THRESHOLD.
 
-    ``max_periods`` bounds the period maps of the persistence branch, a
-    block of columns counting once. IterationBudgetError is raised, with
-    the last fixed-point residual, if no pair has certified after
+    ``max_periods`` bounds the period maps of the persistence branch, the
+    runs that choose N and the coarse ones included, a block of columns
+    counting once. IterationBudgetError is raised, with the last fixed-point
+    residual (inf if none was stepped), if no pair has certified after
     ``max_periods`` periods; the error flags |lambda1| < 1e-3, where the
     contraction rate degenerates and slowness is expected.
     """
@@ -311,8 +331,22 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
                           evidence="below_threshold", lambda1=lam1, trace=trace)
 
-    rows, residual, columns = _certified_pair(np.full((op.n, 1), top), phi, p, op,
-                                              ctl, tol, max_periods)
+    # the coarse step N: the first 2^k whose estimate is at most eps; the
+    # runs count against the budget, the first two at once
+    x = np.full((op.n, 1), top)
+    coarse, spent = None, 0
+    doubling = _step_doubling(x, p, op, 1, ctl.steps_for(p.good_season_length) // 4)
+    for spent, (steps, est) in enumerate(islice(doubling, max(0, max_periods - 1)), 2):
+        if est is not None and est <= 0.5 * tol:
+            coarse = steps
+            break
+    q, residual, coarse_periods = 1.0, math.inf, 0
+    if coarse is not None:
+        x, q, residual, _, coarse_periods = _anderson(
+            x, p, op, StepControl.for_params(p, coarse), tol, max_periods - spent)
+    _, _, residual, rows, columns = _anderson(
+        x, p, op, ctl, tol, max_periods - spent - coarse_periods, phi=phi, q=q,
+        residual=residual)
     if rows is None:
         slow = abs(lam1) < NEAR_THRESHOLD
         raise IterationBudgetError(
@@ -330,7 +364,8 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         raise SolverError(f"period-map residual {residual:g} exceeds tolerance {tol:g}")
     return PeriodicSolution(times=orbit.times, values=orbit.values,
                             residual=residual, lambda1=lam1, trace=trace,
-                            grid=op.grid, periods=columns)
+                            grid=op.grid, periods=columns,
+                            coarse_periods=coarse_periods, coarse_steps=coarse)
 
 
 # ---------------------------------------------------------------------------

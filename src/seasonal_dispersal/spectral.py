@@ -40,12 +40,17 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Principal eigenvalue and positive eigenfunction, sup-normalized."""
+    """Principal eigenvalue and positive eigenfunction, sup-normalized.
+
+    ``enclosure`` is (sigma_lo, sigma_hi) of sigma1_bounds for phi1, from
+    the product that measured ``residual``.
+    """
 
     sigma1: float
     phi1: np.ndarray
     residual: float
     iterations: int
+    enclosure: tuple[float, float]
 
 
 def principal_eigenpair(op: DispersalOperator, a: float, *,
@@ -63,7 +68,8 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
     the space closes (beta_j ~ 0; K is centrosymmetric, so the space of the
     ones vector closes by dimension ceil(n/2)), one explicit product measures
     the sup-norm residual max|d K y - theta y| of y scaled to max y = 1, and
-    the pair is accepted at or below ``tol_residual``.
+    the pair is accepted at or below ``tol_residual``; the same product
+    gives its sigma1_bounds enclosure.
 
     Every product applies K by FFT from its first column, so no n x n matrix
     is formed, and the basis grows with the steps taken. ``max_iter`` bounds
@@ -93,15 +99,18 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
         if (closed or res <= tol_residual / 10) and products < max_iter:
             y = V.T @ s
             y /= y[np.argmax(np.abs(y))]
-            res = float(np.max(np.abs(op.d * op._matvec(y) - theta * y)))
+            Ky = op._matvec(y)
+            res = float(np.max(np.abs(op.d * Ky - theta * y)))
             products += 1
             if res <= tol_residual:
                 if not np.all(y > 0):
                     raise EigenConvergenceError(
                         "eigenfunction is not strictly positive (reducible kernel?)",
                         last_residual=res, iterations=products)
+                # L y, as op.apply(y) computes it
+                enclosure = sigma1_bounds(op, a, y, op.d * (Ky - op.loss * y))
                 return EigenPair(sigma1=op.d - a - theta, phi1=_readonly(y),
-                                 residual=res, iterations=products)
+                                 residual=res, iterations=products, enclosure=enclosure)
         if closed:
             break
         if k + 1 == basis.shape[0]:
@@ -114,17 +123,19 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
         last_residual=res, iterations=products)
 
 
-def sigma1_bounds(op: DispersalOperator, a: float, phi: np.ndarray) -> tuple[float, float]:
+def sigma1_bounds(op: DispersalOperator, a: float, phi: np.ndarray,
+                  Lphi: np.ndarray | None = None) -> tuple[float, float]:
     """Enclosure (sigma_lo, sigma_hi) of sigma1 = -a - mu, mu the largest
     eigenvalue of L, from one product with any positive phi: L plus a multiple
     of the identity is nonnegative and irreducible, so min_i (L phi)_i / phi_i
     <= mu <= max_i (L phi)_i / phi_i (Collatz-Wielandt; Horn & Johnson,
     *Matrix Analysis*, 2nd ed., 8.1). At an eigenpair of residual res and
-    max phi = 1 the enclosure is at most 2 res / min phi wide.
+    max phi = 1 the enclosure is at most 2 res / min phi wide. ``Lphi`` is
+    the product L phi, when it is already made.
     """
     if not np.all(phi > 0):
         raise ValidationError("the sigma1 enclosure needs a strictly positive phi")
-    ratio = op.apply(phi) / phi
+    ratio = (op.apply(phi) if Lphi is None else Lphi) / phi
     return -a - float(np.max(ratio)), -a - float(np.min(ratio))
 
 
@@ -177,7 +188,7 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
         n = min(4096, max(256, math.ceil(64.0 * ell / scale)))
         op = assemble(kernel, Grid.centered(ell, n), BoundaryCondition.DIRICHLET, p.d)
         pair = principal_eigenpair(op, p.a)
-        lower, upper = (p.lambda1(s) for s in sigma1_bounds(op, p.a, pair.phi1))
+        lower, upper = (p.lambda1(s) for s in pair.enclosure)
         return p.lambda1(pair.sigma1), (lower > 0) - (upper < 0)
 
     # the ends hold certified signs, lambda1(lo) > 0 > lambda1(hi); until an

@@ -371,6 +371,21 @@ class TestFitStep:
             assert np.count_nonzero(nominal.times == t) == 1
         assert np.all(np.abs(coarse.times - nominal.times) <= np.spacing(nominal.times))
 
+    def test_choice_is_the_rule_on_one_period_estimates(self):
+        # est(N) = |P_N(u0) - P_2N(u0)| 16/15 over 20 2^k steps, and the first
+        # N with est(N) < 8 est(2N) gives 2N, bit for bit: the step-doubling
+        # helper it shares with the periodic solve changes no number
+        p, op, u0, ctl = self._case()
+        counts = [20 * 2 ** k for k in range(7)]
+        ends = {k: evolution._one_period(u0.values, p, op, StepControl.for_params(p, k))
+                for k in counts}
+        est = {k: float(np.max(np.abs(ends[k] - ends[2 * k]))) * 16.0 / 15.0
+               for k in counts[:-1]}
+        N = next(k for k in counts[:-2] if est[k] == 0.0 or est[k] < 8.0 * est[2 * k])
+        fit, e = evolution.fit_step(u0, p, op, ctl)
+        assert fit.steps_for(p.good_season_length) == 2 * N
+        assert e == est[2 * N]
+
     def test_figure_config_takes_at_most_200_steps(self, tmp_path):
         text = (Path(__file__).resolve().parent.parent / "scripts" / "p1_figure.cfg").read_text()
         cfg = parse_config(text.replace("out/", f"{tmp_path}/"))

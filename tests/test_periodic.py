@@ -311,6 +311,106 @@ class TestTwoStarts:
         assert sol.trace.gaps[-1] <= 1e-8
 
 
+@pytest.fixture(scope="module")
+def p1_stepped(p1_attractor):
+    # the P1 fixture's solve again, with every RK4 span recorded as (state
+    # shape, steps, sampled); period maps sample nothing, the orbit does
+    from seasonal_dispersal import evolution
+
+    p, op, pair, ctl, _ = p1_attractor
+    stepper, spans = evolution._rk4_span, []
+
+    def recorded(u, op_, p_, span, steps, tol_pos, record_every=0):
+        spans.append((np.shape(u), steps, record_every > 0))
+        return stepper(u, op_, p_, span, steps, tol_pos, record_every)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_rk4_span", recorded)
+        sol = find_periodic_solution(p, op, pair, ctl)
+    return sol, spans
+
+
+class TestCoarsePhase:
+    """Anderson on a coarse-step period map chooses the start; the
+    certificate is stepped at the control the solve was given."""
+
+    def test_certificate_is_stepped_at_the_given_step(self, p1_attractor, p1_stepped):
+        p, _, _, ctl, _ = p1_attractor
+        sol, spans = p1_stepped
+        fine = ctl.steps_for(p.good_season_length)
+        blocks = [steps for shape, steps, _ in spans if shape[1:] == (2,)]
+        assert blocks == [fine]
+        # the orbit is sampled at the given step too
+        assert [steps for _, steps, sampled in spans if sampled] == [fine]
+        assert sol.coarse_steps is not None and 4 * sol.coarse_steps <= fine
+
+    def test_coarse_periods_and_step_choice_count_against_the_budget(self, p1_attractor,
+                                                                    p1_stepped):
+        from seasonal_dispersal import IterationBudgetError
+
+        p, op, pair, ctl, _ = p1_attractor
+        sol, spans = p1_stepped
+        assert sol.coarse_periods > 0
+        maps = [steps for _, steps, sampled in spans if not sampled]
+        fine = maps.count(ctl.steps_for(p.good_season_length))
+        assert fine == sol.periods - 1  # the certificate's block maps once
+        # the step choice runs once at each 2^k up to twice the chosen count
+        choice = len(maps) - sol.coarse_periods - fine
+        assert choice == 2 + int(math.log2(sol.coarse_steps))
+        assert maps.count(sol.coarse_steps) == sol.coarse_periods + 1
+        exact = find_periodic_solution(p, op, pair, ctl, max_periods=len(maps))
+        assert np.all(exact.values == sol.values)
+        with pytest.raises(IterationBudgetError) as err:
+            find_periodic_solution(p, op, pair, ctl, max_periods=len(maps) - 1)
+        assert err.value.periods == len(maps) - 1
+        assert 0.0 < err.value.gap < 1e-8  # the fine phase's residual
+
+    def test_coarse_step_is_the_coarsest_within_eps(self, p1_attractor):
+        # est(N) = |P_N(top) - P_2N(top)| 16/15 is at most eps = tol/2 at the
+        # chosen N and above it at N/2
+        from seasonal_dispersal.evolution import _one_period
+
+        p, op, _, _, sol = p1_attractor
+        top = np.full(op.n, p.a / p.b + 1.0)
+
+        def est(steps):
+            ends = [_one_period(top, p, op, StepControl.for_params(p, k))
+                    for k in (steps, 2 * steps)]
+            return float(np.max(np.abs(ends[0] - ends[1]))) * 16.0 / 15.0
+
+        assert est(sol.coarse_steps) <= 0.5e-8 < est(sol.coarse_steps // 2)
+
+    def test_perturbed_coarse_start_certifies_the_same_attractor(self, p1_attractor,
+                                                                monkeypatch):
+        # the certificate does not rest on the coarse phase: a start 1e-6 phi1
+        # off still certifies u* within tol
+        from seasonal_dispersal import periodic
+
+        p, op, pair, ctl, sol = p1_attractor
+        anderson = periodic._anderson
+
+        def perturbed(x, *args, phi=None, **kwargs):
+            out = anderson(x, *args, phi=phi, **kwargs)
+            if phi is None:
+                out = (out[0] + 1e-6 * pair.phi1[:, None],) + out[1:]
+            return out
+
+        monkeypatch.setattr(periodic, "_anderson", perturbed)
+        other = find_periodic_solution(p, op, pair, ctl)
+        assert other.coarse_periods == sol.coarse_periods
+        assert other.periods > sol.periods
+        assert np.max(np.abs(other.values[0] - sol.values[0])) <= 1e-8
+        assert other.trace.gaps[-1] <= 1e-8
+
+    def test_no_qualifying_coarse_step_steps_no_coarse_period(self, p1_attractor):
+        # at 7 steps per good season the only candidate, one step, is far
+        # from eps: the solve is the given step's iteration alone
+        p, op, pair, _, _ = p1_attractor
+        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 7))
+        assert (sol.coarse_periods, sol.coarse_steps) == (0, None)
+        assert len(sol.trace) == 2 and sol.trace.gaps[-1] <= 1e-8
+
+
 class TestIterationBudget:
     def test_budget_exhaustion_reports_gap(self, p1_attractor):
         from seasonal_dispersal import IterationBudgetError
