@@ -23,13 +23,12 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
 * ``evolution.simulate_figure_ms``: the ``simulate`` run behind the figures
   (60 periods from the cosine start at n = 128 only, nominal step 1/2000 of
   the good season, a sample every 100 nominal steps): ``fit_step`` and
-  ``evolve`` at the step it chose, with the steps per good season beside
-  it; on a tree without ``fit_step``, ``evolve`` at the nominal step;
+  ``evolve`` at the step it chose, with the steps per good season beside it;
 * ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
   per good season (the ``attractor`` benchmark config), at n = 128 only:
   the monotone loop it replaced took minutes at n = 2048; with the
   column-periods it took at that step and before it, on the coarse-step
-  period map (0 on a tree without one) beside it;
+  period map, beside it;
 * ``periodic.find_p2_ms``: the same solve at P2 (d = 1) on the habitat
   [-3.34, 3.34] of the same kernel, where lambda1 is about -0.02, at n = 128
   only, a case nearer the persistence threshold, with the same counts;
@@ -81,13 +80,12 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "200 steps per good season, at most 400 periods, lambda1 about -2.6e-4 "
          "('error': the class raised). The periodic.find layers record 'periods', "
          "the column-periods taken at the given step, and 'coarse_periods', those "
-         "taken before on the coarse-step period map (0 on a tree without one). "
+         "taken before on the coarse-step period map. "
          "evolution.rk4_step_us is one RK4 step, the mean over a 50-step span, "
          "of a state (.block2: of an (n, 2) block). "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
          "over 60 periods from the cosine start, nominal 2000 steps per good "
-         "season and stride 100 ('steps_per_season': the steps evolve took; "
-         "evolve alone at the nominal step on a tree without fit_step).")
+         "season and stride 100 ('steps_per_season': the steps evolve took).")
 STEPS_PER_SEASON = 400
 SPAN_STEPS = 50
 FIGURE_PERIODS = 60
@@ -110,7 +108,7 @@ def median_seconds(fn) -> tuple[float, int]:
 
 def periods(sol) -> dict:
     """The column-periods a periodic solve took at its step and before it."""
-    return {"periods": sol.periods, "coarse_periods": getattr(sol, "coarse_periods", 0)}
+    return {"periods": sol.periods, "coarse_periods": sol.coarse_periods}
 
 
 def measure(sd, n: int) -> dict:
@@ -145,10 +143,9 @@ def measure(sd, n: int) -> dict:
     if n == FIND_N:
         nominal = sd.StepControl.for_params(p, 2000, stride=100)
         u0 = sd.StateVector(u)
-        fit = getattr(evolution, "fit_step", lambda u0, p, op, ctl: (ctl, None))
 
         def simulate():
-            ctl = fit(u0, p, op, nominal)[0]
+            ctl = evolution.fit_step(u0, p, op, nominal)[0]
             sd.evolve(u0, p, op, ctl, FIGURE_PERIODS * p.omega)
             return ctl
 

@@ -83,8 +83,11 @@ class RunSummary:
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
     parent = os.path.dirname(os.path.abspath(path))
+    umask = os.umask(0)  # read back at once; the file gets open()'s mode, not 0o600
+    os.umask(umask)
     fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
     try:
+        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -146,15 +149,16 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
     # ode-reference steps none; only simulate and periodic take time steps
     if command not in ("profile-study", "critical-length", "ode-reference"):
         summary.grid_n = cfg.grid.n
+    good = p.good_season_length
     if command == "periodic":
-        summary.dt_good = cfg.ctl.dt_good
+        summary.dt_good = good / cfg.ctl.steps_for(good)  # the step taken
 
     if command == "simulate":
         n_periods = _require(cfg.n_periods, "run.n_periods", command)
         _require(cfg.out_trajectory, "out.trajectory", command)
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
         ctl, step_error = fit_step(cfg.u0, p, op, cfg.ctl)
-        summary.dt_good = ctl.dt_good
+        summary.dt_good = good / ctl.steps_for(good)
         if step_error is not None:
             summary.extra["step_error_estimate"] = step_error
         tr = evolve(cfg.u0, p, op, ctl, n_periods * p.omega)

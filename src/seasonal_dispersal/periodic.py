@@ -17,8 +17,7 @@ habitat attractor as the habitat grows.
 
 import math
 from dataclasses import dataclass
-from itertools import islice
-from typing import Optional, Sequence, Union
+from typing import Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -188,55 +187,23 @@ class Extinction:
 
 
 def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
-              ctl: StepControl, tol: float, budget: int, *,
-              phi: Optional[np.ndarray] = None, q: float = 1.0, residual: float = math.inf
-              ) -> tuple[np.ndarray, float, float, Optional[np.ndarray], int]:
+              ctl: StepControl, q: float = 1.0
+              ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
     """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column at
-    ``ctl``'s step, for at most ``budget`` period maps.
+    ``ctl``'s step: yields (x, P(x), q), one period map each, for as long as
+    it is drawn from.
 
     Type-II Anderson acceleration of depth ANDERSON_DEPTH (Walker & Ni
     2011); an extrapolated iterate with an entry <= 0 is replaced by P(x).
     The contraction q, ``q`` until measured, is the sup-norm ratio of the
-    last P(x) and x steps. Once |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps,
-    eps = tol/2, the iteration stops if ``phi`` is None. Otherwise, with
-    v = eps phi / max phi and if min(x - v) > 0, the pair (x + v, x - v) is
-    stepped one period as one (n, 2) block and checked as
-    find_periodic_solution describes; if it does not certify, the iteration
-    goes on with its history kept. A block counts as one period map against
-    ``budget`` and as two column-periods.
-
-    Returns the last iterate x, q and |P(x) - x| (``residual`` if no period
-    was stepped), the certified pair and its image as one (2, n, 2) array
-    (None if none certified) and the column-periods stepped.
+    last P(x) and x steps.
     """
-    if budget < 1:
-        return x, q, residual, None, 0
-    eps = 0.5 * tol
-    v = None if phi is None else eps / float(np.max(phi)) * phi[:, None]
     g = _one_period(x, p, op, ctl)
     f = g - x
     dF: list[np.ndarray] = []
     dG: list[np.ndarray] = []
-    maps = columns = 1
     while True:
-        residual = float(np.max(np.abs(f)))
-        if residual <= ANDERSON_MARGIN * (1.0 - q) * eps:
-            if phi is None:
-                return x, q, residual, None, columns
-            if maps < budget and np.min(x - v) > 0.0:
-                pair = np.hstack([x + v, x - v])
-                image = _one_period(pair, p, op, ctl)
-                maps += 1
-                columns += 2
-                crossed = float(np.max(image[:, 1] - image[:, 0]))
-                if crossed > 0.0:
-                    raise SolverError(f"upper/lower ordering broken by {crossed:.3e}: "
-                                      "the period map did not preserve order")
-                if (np.all(image[:, 0] <= pair[:, 0]) and np.all(image[:, 1] >= pair[:, 1])
-                        and np.max(image[:, 0] - image[:, 1]) <= tol):
-                    return x, q, residual, np.stack([pair, image]), columns
-        if maps >= budget:
-            return x, q, residual, None, columns
+        yield x, g, q
         x_new = g
         if dF:
             gamma = np.linalg.lstsq(np.hstack(dF), f, rcond=None)[0]
@@ -244,8 +211,6 @@ def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
             if np.min(x_new) <= 0.0:
                 x_new = g
         g_new = _one_period(x_new, p, op, ctl)
-        maps += 1
-        columns += 1
         f_new = g_new - x_new
         step = float(np.max(np.abs(x_new - x)))
         q = float(np.max(np.abs(g_new - g))) / step if step > 0.0 else 1.0
@@ -331,22 +296,50 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
                           evidence="below_threshold", lambda1=lam1, trace=trace)
 
-    # the coarse step N: the first 2^k whose estimate is at most eps; the
-    # runs count against the budget, the first two at once
+    # periods counts every period map against max_periods, a block of
+    # columns once; the coarse step N is the first 2^k whose estimate is at
+    # most eps, and the first estimate steps two periods
+    eps = 0.5 * tol
+    v = eps / float(np.max(phi)) * phi[:, None]
     x = np.full((op.n, 1), top)
-    coarse, spent = None, 0
-    doubling = _step_doubling(x, p, op, 1, ctl.steps_for(p.good_season_length) // 4)
-    for spent, (steps, est) in enumerate(islice(doubling, max(0, max_periods - 1)), 2):
-        if est is not None and est <= 0.5 * tol:
+    periods, coarse = 0, None
+    choice = (_step_doubling(x, p, op, 1, ctl.steps_for(p.good_season_length) // 4)
+              if max_periods >= 2 else ())
+    for periods, (steps, est) in enumerate(choice, 2):
+        if est is not None and est <= eps:
             coarse = steps
             break
-    q, residual, coarse_periods = 1.0, math.inf, 0
-    if coarse is not None:
-        x, q, residual, _, coarse_periods = _anderson(
-            x, p, op, StepControl.for_params(p, coarse), tol, max_periods - spent)
-    _, _, residual, rows, columns = _anderson(
-        x, p, op, ctl, tol, max_periods - spent - coarse_periods, phi=phi, q=q,
-        residual=residual)
+        if periods == max_periods:
+            break
+    chosen = periods
+    levels = [ctl] if coarse is None else [StepControl.for_params(p, coarse), ctl]
+    # Anderson at the coarse step only chooses the start; at ctl's step its
+    # iterates are certified, each sandwich stepped as one (n, 2) block
+    q, residual, rows, blocks = 1.0, math.inf, None, 0
+    for level in levels:
+        start = periods
+        iterates = _anderson(x, p, op, level, q)
+        while rows is None and periods < max_periods:
+            x, image, q = next(iterates)
+            periods += 1
+            residual = float(np.max(np.abs(image - x)))
+            if residual > ANDERSON_MARGIN * (1.0 - q) * eps:
+                continue
+            if level is not ctl:
+                break
+            if periods < max_periods and np.min(x - v) > 0.0:
+                block = np.hstack([x + v, x - v])
+                stepped = _one_period(block, p, op, ctl)
+                periods += 1
+                blocks += 1
+                crossed = float(np.max(stepped[:, 1] - stepped[:, 0]))
+                if crossed > 0.0:
+                    raise SolverError(f"upper/lower ordering broken by {crossed:.3e}: "
+                                      "the period map did not preserve order")
+                if (np.all(stepped[:, 0] <= block[:, 0])
+                        and np.all(stepped[:, 1] >= block[:, 1])
+                        and np.max(stepped[:, 0] - stepped[:, 1]) <= tol):
+                    rows = np.stack([block, stepped])
     if rows is None:
         slow = abs(lam1) < NEAR_THRESHOLD
         raise IterationBudgetError(
@@ -364,8 +357,8 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         raise SolverError(f"period-map residual {residual:g} exceeds tolerance {tol:g}")
     return PeriodicSolution(times=orbit.times, values=orbit.values,
                             residual=residual, lambda1=lam1, trace=trace,
-                            grid=op.grid, periods=columns,
-                            coarse_periods=coarse_periods, coarse_steps=coarse)
+                            grid=op.grid, periods=periods - start + blocks,
+                            coarse_periods=start - chosen, coarse_steps=coarse)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,28 @@
-"""The package surface that perfbench/tracing.py wraps.
+"""The package surface that the benchmark under perfbench/ uses.
 
 The benchmark instruments the package from outside, by replacing module
-attributes that callers look up at call time. A rename or a changed call
-route leaves its wrappers unset or unreached, and the benchmark then fails
-or reads zeros. These tests read the tracer's target list and change nothing
-under perfbench/.
+attributes that callers look up at call time, and reads fields of the
+results those calls return. A rename or a changed call route leaves its
+wrappers unset or unreached, and the benchmark then fails or reads zeros;
+the capture wrappers read results on every untraced solve too. These tests
+read the tracer's target list and extractors and change nothing under
+perfbench/.
 """
 
 import importlib
 import importlib.util
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from seasonal_dispersal import (BoundaryCondition, DispersalOperator, Grid,
-                                LaplaceKernel, periodic)
+import seasonal_dispersal as sd
+from seasonal_dispersal import (BoundaryCondition, DispersalOperator, Extinction,
+                                Grid, LaplaceKernel, PeriodicSolution, StepControl,
+                                critical_length, find_periodic_solution, periodic,
+                                principal_eigenpair)
 
-from helpers import P2, params
+from helpers import P1, P2, dirichlet_op, params
 
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
@@ -51,3 +57,51 @@ def test_classify_reaches_critical_length_once(monkeypatch):
                             domain=Grid.centered(8.0, 64))
     assert len(calls) == 1
     assert out.ell_star is not None and out.lambda1 < 0
+
+
+def test_extractors_read_real_results(tracing):
+    # what the wrappers keep from assemble, principal_eigenpair,
+    # critical_length and both outcomes of find_periodic_solution
+    p1, p2 = params(P1), params(P2)
+    op = dirichlet_op(LaplaceKernel(20.0), 0.4, 24, p1.d)
+    pair = principal_eigenpair(op, p1.a)
+    assert tracing._op_n(op) == 24
+    assert tracing._eigen(pair) == {"iterations": pair.iterations,
+                                    "residual": pair.residual, "n": 24}
+
+    sol = find_periodic_solution(p1, op, pair, StepControl.for_params(p1, 100))
+    assert isinstance(sol, PeriodicSolution)
+    rec = tracing._iteration(sol)
+    assert rec["periods"] == 1  # the certified pair and its image
+    assert rec["final_gap"] == sol.trace.gaps[-1] <= 1e-8
+    assert rec["trace_bytes"] == 2 * (2 * 24 * 8) + 2 * 8  # upper, lower, gaps
+
+    op2 = dirichlet_op(LaplaceKernel(20.0), 1.0, 24, p2.d)
+    ext = find_periodic_solution(p2, op2, principal_eigenpair(op2, p2.a),
+                                 StepControl.for_params(p2, 100))
+    assert isinstance(ext, Extinction)
+    rec = tracing._iteration(ext)
+    assert rec["periods"] == 1 and rec["final_gap"] == ext.final_supnorm
+
+    crit = critical_length(p2, LaplaceKernel(20.0))
+    rec = tracing._bracket(crit)
+    lo, hi = rec["bracket"]
+    assert lo <= rec["ell_star"] <= hi
+    assert rec["lambda_lo"] > 0.0 > rec["lambda_hi"]
+
+
+def test_package_calls_of_the_benchmark():
+    # perfbench/run.py times DispersalOperator.apply on a Grid.centered
+    # operator, and the simulate-figure oracle of perfbench/workloads.py
+    # evolves one period on a Grid(l1, l2, n) operator
+    p = sd.SeasonParams(**P1)
+    op = sd.assemble(sd.LaplaceKernel(scale=20.0), sd.Grid.centered(0.4, 16),
+                     sd.BoundaryCondition.DIRICHLET, p.d)
+    assert isinstance(op, sd.DispersalOperator)
+    u = np.cos(np.pi * op.grid.nodes / 0.4)
+    assert sd.DispersalOperator.apply(op, u).shape == (16,)
+    op = sd.assemble(sd.LaplaceKernel(scale=20.0), sd.Grid(-0.2, 0.2, 16),
+                     sd.BoundaryCondition.DIRICHLET, p.d)
+    ctl = sd.StepControl(dt_good=0.004)
+    end = sd.evolve(sd.StateVector(u), p, op, ctl, p.omega).final.values
+    assert end.shape == (16,) and np.all(end > 0.0)

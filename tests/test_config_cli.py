@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import stat
 
 import numpy as np
 import pytest
@@ -387,6 +388,29 @@ out.periodic = {tmp_path}/per.csv
         assert fit.dt_good > cfg.ctl.dt_good
         assert float(summary["dt_good"]) == fit.dt_good
         assert float(summary["step_error_estimate"]) == est
+
+    @pytest.mark.parametrize("command", ["simulate", "periodic"])
+    def test_summary_dt_good_is_the_step_taken(self, tmp_path, command):
+        # 0.3 rounds to one step over the 0.4 good season, and the nominal
+        # step is kept: no multiple of 100 samples fits in one step
+        path = self._sim_config(tmp_path, "time.dt_good = 0.3\n"
+                                f"out.periodic = {tmp_path}/per.csv\n")
+        assert main([command, "--config", path]) == 0
+        summary = dict(line.split(" = ", 1) for line in
+                       (tmp_path / "summary.txt").read_text().splitlines())
+        assert float(summary["dt_good"]) == 0.4
+
+    @pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)],
+                             ids=["umask022", "umask077"])
+    def test_outputs_take_the_mode_open_gives(self, tmp_path, umask, mode):
+        path = self._sim_config(tmp_path)
+        old = os.umask(umask)
+        try:
+            assert main(["simulate", "--config", path]) == 0
+        finally:
+            os.umask(old)
+        for name in ("traj.csv", "summary.txt"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
     def test_periodic_subcommand_extinction(self, tmp_path):
         # P2 on a habitat of length 1, below its critical length of about 4.29

@@ -382,18 +382,18 @@ class TestCoarsePhase:
 
     def test_perturbed_coarse_start_certifies_the_same_attractor(self, p1_attractor,
                                                                 monkeypatch):
-        # the certificate does not rest on the coarse phase: a start 1e-6 phi1
-        # off still certifies u* within tol
+        # the certificate does not rest on the coarse phase: a start at the
+        # given step 1e-6 phi1 off the coarse iterate still certifies u*
+        # within tol
         from seasonal_dispersal import periodic
 
         p, op, pair, ctl, sol = p1_attractor
         anderson = periodic._anderson
 
-        def perturbed(x, *args, phi=None, **kwargs):
-            out = anderson(x, *args, phi=phi, **kwargs)
-            if phi is None:
-                out = (out[0] + 1e-6 * pair.phi1[:, None],) + out[1:]
-            return out
+        def perturbed(x, p_, op_, level, q=1.0):
+            if level is ctl:
+                x = x + 1e-6 * pair.phi1[:, None]
+            return anderson(x, p_, op_, level, q)
 
         monkeypatch.setattr(periodic, "_anderson", perturbed)
         other = find_periodic_solution(p, op, pair, ctl)
@@ -411,15 +411,25 @@ class TestCoarsePhase:
         assert len(sol.trace) == 2 and sol.trace.gaps[-1] <= 1e-8
 
 
+#: last fixed-point residual of the P1 fixture's solve at small budgets: 1
+#: cannot pay for the step choice's first estimate (two periods) and steps
+#: one period at the given step; 2 pays for that estimate and no Anderson
+#: map; 9 for the step choice up to N = 32 (seven periods) and two coarse
+#: periods. The given step's first residual differs from the coarse one
+#: by 7e-10 relative.
+BUDGET_GAPS = {0: math.inf, 1: 1.03175660969143, 2: math.inf, 9: 0.45920675007317113}
+
+
 class TestIterationBudget:
-    def test_budget_exhaustion_reports_gap(self, p1_attractor):
+    @pytest.mark.parametrize("budget", sorted(BUDGET_GAPS))
+    def test_budget_exhaustion_reports_gap(self, p1_attractor, budget):
         from seasonal_dispersal import IterationBudgetError
 
         p, op, pair, ctl, _ = p1_attractor
-        with pytest.raises(IterationBudgetError) as err:
-            find_periodic_solution(p, op, pair, ctl, max_periods=2)
-        assert err.value.periods == 2
-        assert err.value.gap > 1e-8
+        with pytest.raises(IterationBudgetError, match=f"after {budget} periods;") as err:
+            find_periodic_solution(p, op, pair, ctl, max_periods=budget)
+        assert err.value.periods == budget
+        assert err.value.gap == pytest.approx(BUDGET_GAPS[budget], rel=1e-11)
         assert err.value.slow_near_threshold is False  # lambda1 ~ -0.12
 
 
