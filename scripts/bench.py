@@ -19,7 +19,9 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   good season;
 * ``evolution.rk4_step_us``: one RK4 step of one state, the mean over a
   50-step good-season span (the span builds its matrix once), and
-  ``evolution.rk4_step_us.block2`` the same for an (n, 2) block of states;
+  ``evolution.rk4_step_us.block2`` and ``.block3`` the same for an (n, 2)
+  and an (n, 3) block of states (the periodic solve carries its pair as
+  an (n, 3) block);
 * ``evolution.simulate_figure_ms``: the ``simulate`` run behind the figures
   (60 periods from the cosine start at n = 128 only, nominal step 1/2000 of
   the good season, a sample every 100 nominal steps): ``fit_step`` and
@@ -82,7 +84,7 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "the column-periods taken at the given step, and 'coarse_periods', those "
          "taken before on the coarse-step period map. "
          "evolution.rk4_step_us is one RK4 step, the mean over a 50-step span, "
-         "of a state (.block2: of an (n, 2) block). "
+         "of a state (.block2, .block3: of an (n, 2), (n, 3) block). "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
          "over 60 periods from the cosine start, nominal 2000 steps per good "
          "season and stride 100 ('steps_per_season': the steps evolve took).")
@@ -135,8 +137,10 @@ def measure(sd, n: int) -> dict:
         layers.append(("spectral.eigen_wide_ms", lambda: sd.principal_eigenpair(wide, p2.a),
                        1e3, {"products": sd.principal_eigenpair(wide, p2.a).iterations}))
     good = p.good_season_length
-    block = np.column_stack([u, 0.5 * u])
-    for name, state in (("evolution.rk4_step_us", u), ("evolution.rk4_step_us.block2", block)):
+    for name, state in (("evolution.rk4_step_us", u),
+                        ("evolution.rk4_step_us.block2", np.column_stack([u, 0.5 * u])),
+                        ("evolution.rk4_step_us.block3",
+                         np.column_stack([u, 0.5 * u, 0.25 * u]))):
         layers.append((name, lambda state=state: evolution._rk4_span(
             state, op, p, good * SPAN_STEPS / STEPS_PER_SEASON, SPAN_STEPS, 1e-12),
             1e6 / SPAN_STEPS, {}))

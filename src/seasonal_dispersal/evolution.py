@@ -151,12 +151,21 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     if u0.values.size != op.n:
         raise ValidationError(
             f"initial state has {u0.values.size} nodes, operator expects {op.n}")
+    times, values = _evolve(u0.values, p, op, ctl, t_end)
+    return Trajectory(times=_readonly(times), values=_readonly(values), grid=op.grid)
+
+
+def _evolve(u0: np.ndarray, p: SeasonParams, op: DispersalOperator,
+            ctl: StepControl, t_end: float) -> tuple[np.ndarray, np.ndarray]:
+    """The body of ``evolve`` on one state (n,) or a block of states (n, m),
+    one per column: returns the sample times and the states there, of shape
+    (T, n) or (T, n, m). The bound is max(a/b, sup of the whole block)."""
     om = p.omega
-    bound = max(p.a / p.b, float(np.max(u0.values, initial=0.0))) * (1.0 + 1e-6)
+    bound = max(p.a / p.b, float(np.max(u0, initial=0.0))) * (1.0 + 1e-6)
     sample_dt = ctl.dt_good * ctl.stride
 
     times = [0.0]
-    states = [u0.values.copy()]
+    states = [u0.copy()]
 
     def check(v, t):
         m = float(np.max(v, initial=0.0))
@@ -164,7 +173,7 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
             raise SolverError(
                 f"a-priori bound violated at t={t:g}: sup u = {m:g} > {bound:g}")
 
-    u = u0.values.copy()
+    u = u0.copy()
     i = 0
     t = 0.0
     while t < t_end:
@@ -201,8 +210,7 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
             t = good_end
         i += 1
 
-    return Trajectory(times=_readonly(np.array(times)),
-                      values=_readonly(np.array(states)), grid=op.grid)
+    return np.array(times), np.array(states)
 
 
 def _step_doubling(u: np.ndarray, p: SeasonParams, op: DispersalOperator,

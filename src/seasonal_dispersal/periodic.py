@@ -4,8 +4,9 @@ When the threshold eigenvalue is negative, the omega-periodic attractor of
 the habitat problem is the unique positive fixed point of the period map. An
 Anderson-accelerated fixed-point iteration (Walker & Ni, SIAM J. Numer. Anal.
 49, 2011) approximates it, on a coarse-step period map first, and one period
-of an ordered pair around the approximation certifies it at the given step,
-by comparison: the period map preserves order.
+of an ordered pair around the approximation, stepped beside it and sampled,
+certifies it at the given step, by comparison: the period map preserves
+order.
 When the threshold eigenvalue is not negative, a decaying multiple of the
 principal eigenfunction is a super-solution, which certifies extinction in
 closed form.
@@ -17,15 +18,16 @@ habitat attractor as the habitat grows.
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, Optional, Sequence, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
 from .errors import IterationBudgetError, SolverError, ValidationError
-# period_map stays importable here: perfbench/tracing.py wraps periodic.period_map
-from .evolution import StepControl, _one_period, _step_doubling, evolve, period_map
-from .model import (BoundaryCondition, Grid, KernelSpec, SeasonParams,
-                    StateVector, _readonly)
+# evolve and period_map stay importable here: perfbench/tracing.py wraps
+# periodic.evolve and periodic.period_map
+from .evolution import (StepControl, _evolve, _one_period, _step_doubling, evolve,
+                        period_map)
+from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
 from .operator import DispersalOperator, assemble
 from .spectral import (EigenPair, Regime, critical_length, principal_eigenpair,
                        sigma1_bounds)
@@ -145,12 +147,14 @@ class MonotoneIterationTrace:
 class PeriodicSolution:
     """Positive periodic attractor sampled over one period.
 
-    ``values[k]`` is the state at ``times[k]``; ``residual`` is the sup-norm
-    period-map defect of the t = 0 state. Through the bad season the samples
-    factor exactly as values(t) = e^{-delta t} values(0). ``periods`` counts
-    the column-periods find_periodic_solution stepped at the control it was
-    given: one per state carried through one period, the certificate's two
-    included. ``coarse_periods`` counts those it stepped before, at
+    ``values[k]`` is the state at ``times[k]``: the orbit of the centre u~ of
+    the certified pair, which lies between the pair's images. ``residual`` is
+    its sup-norm period-map defect |values[-1] - values[0]|, at most ``tol``
+    times max(1, sup u~). Through the bad season the samples factor exactly
+    as values(t) = e^{-delta t} values(0). ``periods`` counts the
+    column-periods find_periodic_solution stepped at the control it was
+    given: one per state carried through one period, the certified pair's
+    two included. ``coarse_periods`` counts those it stepped before, at
     ``coarse_steps`` RK4 steps per good season (None: no coarse phase).
     """
 
@@ -186,11 +190,10 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
-def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
-              ctl: StepControl, q: float = 1.0
-              ) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column at
-    ``ctl``'s step: yields (x, P(x), q), one period map each, for as long as
+def _anderson(x: np.ndarray, period: Callable[[np.ndarray], np.ndarray],
+              q: float = 1.0) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
+    """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column, with
+    P = ``period``: yields (x, P(x), q), one period map each, for as long as
     it is drawn from.
 
     Type-II Anderson acceleration of depth ANDERSON_DEPTH (Walker & Ni
@@ -198,7 +201,7 @@ def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
     The contraction q, ``q`` until measured, is the sup-norm ratio of the
     last P(x) and x steps.
     """
-    g = _one_period(x, p, op, ctl)
+    g = period(x)
     f = g - x
     dF: list[np.ndarray] = []
     dG: list[np.ndarray] = []
@@ -210,7 +213,7 @@ def _anderson(x: np.ndarray, p: SeasonParams, op: DispersalOperator,
             x_new = g - np.hstack(dG) @ gamma
             if np.min(x_new) <= 0.0:
                 x_new = g
-        g_new = _one_period(x_new, p, op, ctl)
+        g_new = period(x_new)
         f_new = g_new - x_new
         step = float(np.max(np.abs(x_new - x)))
         q = float(np.max(np.abs(g_new - g))) / step if step > 0.0 else 1.0
@@ -243,16 +246,19 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     step-doubling estimate |P_N(top) - P_2N(top)| 16/15 (that of fit_step)
     is at most eps; with none, there is no coarse phase. Its iterate and q
     start the iteration at ``ctl``'s step. The coarse phase only chooses the
-    start: every check below is made at ``ctl``'s step. With v = eps
-    phi1 / max phi1, one period of the pair (u~ + v, u~ - v) certifies it if
-    P(u~ + v) <= u~ + v, P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold
-    everywhere with zero slack, u~ - v > 0 and the image gap is at most
-    ``tol``. Since P preserves order, the unique positive fixed point
-    u* = P(u*) lies between the two images. A pair that does not certify is
-    stepped again from a later iterate; a lower image above the upper one
-    means P did not preserve order, and SolverError is raised. The attractor
-    is sampled along one period from the upper image, and its period-map
-    residual is checked against ``tol``.
+    start: every check below is made at ``ctl``'s step. Once a residual
+    (the coarse phase's last one included) is that small, the next map at
+    ``ctl``'s step carries the pair: with v = eps phi1 / max phi1, it steps
+    the iterate u~ and u~ +- v as one (n, 3) block, sampled along the
+    period, when u~ - v > 0. The pair certifies u~ if P(u~ + v) <= u~ + v,
+    P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold everywhere with zero
+    slack and the image gap is at most ``tol``. Since P preserves order, the
+    unique positive fixed point u* = P(u*) lies between the two images. A
+    pair that does not certify rides again with a later iterate; a lower
+    image above the upper one means P did not preserve order, and
+    SolverError is raised. The attractor is the sampled orbit of u~ from
+    that same run, and its period-map residual |P(u~) - u~| is checked
+    against ``tol``.
 
     With lambda1 >= 0 no period is stepped: with M = top / min phi1 and lam =
     lambda1(sigma_lo), sup u(k omega) <= M sup phi1 exp(-lam k omega), and
@@ -260,7 +266,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     EXTINCTION_THRESHOLD.
 
     ``max_periods`` bounds the period maps of the persistence branch, the
-    runs that choose N and the coarse ones included, a block of columns
+    runs that choose N and the coarse ones included, a map carrying the pair
     counting once. IterationBudgetError is raised, with the last fixed-point
     residual (inf if none was stepped), if no pair has certified after
     ``max_periods`` periods; the error flags |lambda1| < 1e-3, where the
@@ -296,8 +302,8 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
                           evidence="below_threshold", lambda1=lam1, trace=trace)
 
-    # periods counts every period map against max_periods, a block of
-    # columns once; the coarse step N is the first 2^k whose estimate is at
+    # periods counts every period map against max_periods, a map carrying
+    # the pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * tol
     v = eps / float(np.max(phi)) * phi[:, None]
@@ -312,26 +318,35 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         if periods == max_periods:
             break
     chosen = periods
-    levels = [ctl] if coarse is None else [StepControl.for_params(p, coarse), ctl]
-    # Anderson at the coarse step only chooses the start; at ctl's step its
-    # iterates are certified, each sandwich stepped as one (n, 2) block
-    q, residual, rows, blocks = 1.0, math.inf, None, 0
-    for level in levels:
+    # at ctl's step, the map after a residual within the margin carries the
+    # pair x +- v as columns 1 and 2 of one sampled (n, 3) run, kept in run
+    passed, run = False, None
+
+    def fine(x: np.ndarray) -> np.ndarray:
+        nonlocal run
+        run = None
+        if not (passed and np.min(x - v) > 0.0):
+            return _one_period(x, p, op, ctl)
+        run = _evolve(np.hstack([x, x + v, x - v]), p, op, ctl, p.omega)
+        return run[1][-1][:, :1]
+
+    maps = [fine]
+    if coarse is not None:
+        level = StepControl.for_params(p, coarse)
+        maps.insert(0, lambda x: _one_period(x, p, op, level))
+    q, residual, rows, carried = 1.0, math.inf, None, 0
+    for period in maps:
         start = periods
-        iterates = _anderson(x, p, op, level, q)
+        iterates = _anderson(x, period, q)
         while rows is None and periods < max_periods:
             x, image, q = next(iterates)
             periods += 1
             residual = float(np.max(np.abs(image - x)))
-            if residual > ANDERSON_MARGIN * (1.0 - q) * eps:
-                continue
-            if level is not ctl:
-                break
-            if periods < max_periods and np.min(x - v) > 0.0:
-                block = np.hstack([x + v, x - v])
-                stepped = _one_period(block, p, op, ctl)
-                periods += 1
-                blocks += 1
+            passed = residual <= ANDERSON_MARGIN * (1.0 - q) * eps
+            if run is not None:
+                carried += 1
+                ends = run[1][[0, -1], :, 1:]
+                block, stepped = ends
                 crossed = float(np.max(stepped[:, 1] - stepped[:, 0]))
                 if crossed > 0.0:
                     raise SolverError(f"upper/lower ordering broken by {crossed:.3e}: "
@@ -339,7 +354,9 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
                 if (np.all(stepped[:, 0] <= block[:, 0])
                         and np.all(stepped[:, 1] >= block[:, 1])
                         and np.max(stepped[:, 0] - stepped[:, 1]) <= tol):
-                    rows = np.stack([block, stepped])
+                    rows = ends
+            if passed and period is not fine:
+                break
     if rows is None:
         slow = abs(lam1) < NEAR_THRESHOLD
         raise IterationBudgetError(
@@ -350,14 +367,12 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     upper, lower = rows[:, :, 0], rows[:, :, 1]
     trace = MonotoneIterationTrace(upper=_readonly(upper), lower=_readonly(lower),
                                    gaps=_readonly(np.max(upper - lower, axis=1)))
-    ustar0 = upper[1].copy()
-    orbit = evolve(StateVector(ustar0), p, op, ctl, p.omega)
-    residual = float(np.max(np.abs(orbit.values[-1] - ustar0)))
-    if residual > tol * max(1.0, float(np.max(ustar0))):
+    times, values = run[0], run[1][:, :, 0]
+    if residual > tol * max(1.0, float(np.max(values[0]))):
         raise SolverError(f"period-map residual {residual:g} exceeds tolerance {tol:g}")
-    return PeriodicSolution(times=orbit.times, values=orbit.values,
+    return PeriodicSolution(times=_readonly(times), values=_readonly(values),
                             residual=residual, lambda1=lam1, trace=trace,
-                            grid=op.grid, periods=periods - start + blocks,
+                            grid=op.grid, periods=periods - start + 2 * carried,
                             coarse_periods=start - chosen, coarse_steps=coarse)
 
 

@@ -80,19 +80,18 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
     n = op.n
     basis = np.empty((min(n, 32) + 1, n))  # doubled when full
     basis[0] = 1.0 / math.sqrt(n)
-    alpha, beta = [], []  # the tridiagonal projection of d K
+    T = np.zeros((len(basis), len(basis)))  # the tridiagonal projection of d K
     res = math.inf
-    products = 0
+    products = k = 0
     while products < max_iter:
-        k = len(alpha)
         V = basis[:k + 1]
         w = op.d * op._matvec(V[k])
         products += 1
-        alpha.append(float(V[k] @ w))
+        T[k, k] = V[k] @ w
         for _ in range(2):
             w -= V.T @ (V @ w)
         b = float(np.linalg.norm(w))
-        ritz, vecs = np.linalg.eigh(np.diag(alpha) + np.diag(beta, 1) + np.diag(beta, -1))
+        ritz, vecs = np.linalg.eigh(T[:k + 1, :k + 1])
         theta, s = float(ritz[-1]), vecs[:, -1]
         closed = b <= CLOSURE * theta
         res = abs(b * s[-1])
@@ -113,10 +112,12 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
                                  residual=res, iterations=products, enclosure=enclosure)
         if closed:
             break
-        if k + 1 == basis.shape[0]:
+        if k + 1 == len(basis):
             basis = np.concatenate((basis, np.empty_like(basis)))
+            T = np.pad(T, (0, len(T)))
         basis[k + 1] = w / b
-        beta.append(b)
+        T[k, k + 1] = T[k + 1, k] = b
+        k += 1
     raise EigenConvergenceError(
         f"Lanczos iteration did not converge in {products} operator products "
         f"of {max_iter} (last residual {res:.3e})",

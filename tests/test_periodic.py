@@ -84,25 +84,26 @@ def p1_attractor():
 
 @pytest.fixture(scope="module")
 def p1_retried(p1_attractor):
-    # every (n, 2) block stepped is a one-period sandwich; nudging the first
-    # one's image up breaks P(u~ + eps phi1) <= u~ + eps phi1 but keeps the
-    # order
+    # every sampled run is an (n, 3) block (u~, u~ + eps phi1, u~ - eps phi1)
+    # whose columns 1 and 2 are a one-period sandwich; nudging the first
+    # one's pair images up breaks P(u~ + eps phi1) <= u~ + eps phi1 but keeps
+    # the order, and leaves P(u~) as it is
     from seasonal_dispersal import periodic
 
     p, op, pair, ctl, _ = p1_attractor
-    one_period = periodic._one_period
+    evolve = periodic._evolve
     blocks = []
 
     def nudged(block, *args):
-        out = one_period(block, *args)
-        if block.shape[1] == 2:
-            blocks.append(block)
-            if len(blocks) == 1:
-                out = out + 1e-6
-        return out
+        times, states = evolve(block, *args)
+        blocks.append(block)
+        if len(blocks) == 1:
+            states = states.copy()
+            states[-1, :, 1:] += 1e-6
+        return times, states
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(periodic, "_one_period", nudged)
+        mp.setattr(periodic, "_evolve", nudged)
         sol = find_periodic_solution(p, op, pair, ctl)
     return sol, blocks
 
@@ -235,13 +236,17 @@ class TestFindPeriodicSolution:
             find_periodic_solution(p, op, pair, ctl)
 
     def test_crossed_sequences_are_refused(self, p1_attractor, monkeypatch):
-        # a period map that swaps the upper and lower columns breaks the
-        # ordering the trace promises, which the gap alone cannot see
+        # a period map that swaps the pair's upper and lower columns breaks
+        # the ordering the trace promises, which the gap alone cannot see
         from seasonal_dispersal import periodic
 
-        one_period = periodic._one_period
-        monkeypatch.setattr(periodic, "_one_period",
-                            lambda block, *args: one_period(block, *args)[:, ::-1])
+        evolve = periodic._evolve
+
+        def swapped(block, *args):
+            times, states = evolve(block, *args)
+            return times, states[..., [0, 2, 1]]
+
+        monkeypatch.setattr(periodic, "_evolve", swapped)
         p, op, pair, ctl, _ = p1_attractor
         with pytest.raises(SolverError, match="ordering broken"):
             find_periodic_solution(p, op, pair, ctl)
@@ -259,21 +264,35 @@ class TestTwoStarts:
         assert np.all(sol.trace.lower[-1] <= u0) and np.all(u0 <= sol.trace.upper[-1])
 
     def test_failed_sandwich_is_retried(self, p1_attractor, p1_retried):
-        _, _, pair, _, sol = p1_attractor
+        _, op, pair, _, sol = p1_attractor
         retried, blocks = p1_retried
         # two sandwiches u~ +- (tol/2) phi1 (max phi1 = 1), the second from a
         # later iterate; no other block is stepped
         assert len(blocks) == 2
         assert np.max(pair.phi1) == 1.0
         for block in blocks:
-            assert np.allclose(block[:, 0] - block[:, 1], 1e-8 * pair.phi1,
+            assert block.shape == (op.n, 3)
+            assert np.allclose(block[:, 1] - block[:, 2], 1e-8 * pair.phi1,
                                rtol=0, atol=1e-15)
         assert np.any(blocks[1] != blocks[0])
         assert len(retried.trace) == 2
-        assert np.all(retried.trace.upper[0] == blocks[1][:, 0])
-        # the failed sandwich's two columns and one more accelerated period
+        assert np.all(retried.trace.upper[0] == blocks[1][:, 1])
+        assert np.all(retried.values[0] == blocks[1][:, 0])
+        # the failed pair's carried map: three more column-periods
         assert retried.periods == sol.periods + 3
         assert np.max(np.abs(retried.values[0] - sol.values[0])) <= 1e-8
+
+    def test_attractor_is_sampled_from_the_pair_centre(self, p1_attractor):
+        # the orbit is that of u~, the centre of the certified pair, which
+        # lies strictly inside the certified enclosure; the residual is its
+        # sampled period-map defect
+        _, _, pair, _, sol = p1_attractor
+        tr, u0 = sol.trace, sol.values[0]
+        v = 0.5e-8 * pair.phi1  # max phi1 = 1
+        assert np.allclose(tr.upper[0] - u0, v, rtol=0, atol=1e-15)
+        assert np.allclose(u0 - tr.lower[0], v, rtol=0, atol=1e-15)
+        assert np.min(u0 - tr.lower[-1]) > 0.0 and np.min(tr.upper[-1] - u0) > 0.0
+        assert sol.residual == np.max(np.abs(sol.values[-1] - u0))
 
     def test_p1_n32_certifies_in_few_column_periods(self):
         p = params(P1)
@@ -314,7 +333,7 @@ class TestTwoStarts:
 @pytest.fixture(scope="module")
 def p1_stepped(p1_attractor):
     # the P1 fixture's solve again, with every RK4 span recorded as (state
-    # shape, steps, sampled); period maps sample nothing, the orbit does
+    # shape, steps, sampled); only the map carrying the pair samples its run
     from seasonal_dispersal import evolution
 
     p, op, pair, ctl, _ = p1_attractor
@@ -338,10 +357,11 @@ class TestCoarsePhase:
         p, _, _, ctl, _ = p1_attractor
         sol, spans = p1_stepped
         fine = ctl.steps_for(p.good_season_length)
-        blocks = [steps for shape, steps, _ in spans if shape[1:] == (2,)]
-        assert blocks == [fine]
-        # the orbit is sampled at the given step too
-        assert [steps for _, steps, sampled in spans if sampled] == [fine]
+        # one (n, 3) run carries the pair at the given step, and it alone is
+        # sampled: the orbit is its first column
+        assert [shape[1:] for shape, _, _ in spans].count((3,)) == 1
+        assert [(shape[1:], steps) for shape, steps, sampled in spans
+                if sampled] == [((3,), fine)]
         assert sol.coarse_steps is not None and 4 * sol.coarse_steps <= fine
 
     def test_coarse_periods_and_step_choice_count_against_the_budget(self, p1_attractor,
@@ -351,9 +371,9 @@ class TestCoarsePhase:
         p, op, pair, ctl, _ = p1_attractor
         sol, spans = p1_stepped
         assert sol.coarse_periods > 0
-        maps = [steps for _, steps, sampled in spans if not sampled]
+        maps = [steps for _, steps, _ in spans]
         fine = maps.count(ctl.steps_for(p.good_season_length))
-        assert fine == sol.periods - 1  # the certificate's block maps once
+        assert fine == sol.periods - 2  # the carried map's three columns map once
         # the step choice runs once at each 2^k up to twice the chosen count
         choice = len(maps) - sol.coarse_periods - fine
         assert choice == 2 + int(math.log2(sol.coarse_steps))
@@ -363,7 +383,7 @@ class TestCoarsePhase:
         with pytest.raises(IterationBudgetError) as err:
             find_periodic_solution(p, op, pair, ctl, max_periods=len(maps) - 1)
         assert err.value.periods == len(maps) - 1
-        assert 0.0 < err.value.gap < 1e-8  # the fine phase's residual
+        assert 0.0 < err.value.gap < 1e-8  # the residual that let the pair ride
 
     def test_coarse_step_is_the_coarsest_within_eps(self, p1_attractor):
         # est(N) = |P_N(top) - P_2N(top)| 16/15 is at most eps = tol/2 at the
@@ -388,15 +408,17 @@ class TestCoarsePhase:
         from seasonal_dispersal import periodic
 
         p, op, pair, ctl, sol = p1_attractor
-        anderson = periodic._anderson
+        anderson, levels = periodic._anderson, []
 
-        def perturbed(x, p_, op_, level, q=1.0):
-            if level is ctl:
+        def perturbed(x, period, q=1.0):
+            levels.append(period)
+            if len(levels) == 2:  # the given step's level
                 x = x + 1e-6 * pair.phi1[:, None]
-            return anderson(x, p_, op_, level, q)
+            return anderson(x, period, q)
 
         monkeypatch.setattr(periodic, "_anderson", perturbed)
         other = find_periodic_solution(p, op, pair, ctl)
+        assert len(levels) == 2
         assert other.coarse_periods == sol.coarse_periods
         assert other.periods > sol.periods
         assert np.max(np.abs(other.values[0] - sol.values[0])) <= 1e-8
@@ -409,6 +431,38 @@ class TestCoarsePhase:
         sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 7))
         assert (sol.coarse_periods, sol.coarse_steps) == (0, None)
         assert len(sol.trace) == 2 and sol.trace.gaps[-1] <= 1e-8
+
+    def test_pair_rides_only_after_a_residual_within_the_margin(self, p1_attractor):
+        # at 7 steps per good season there is no coarse phase: the map after
+        # a residual |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps carries the
+        # pair as an (n, 3) block, and every other map steps one column
+        from seasonal_dispersal import evolution, periodic
+
+        p, op, pair, _, _ = p1_attractor
+        ctl = StepControl.for_params(p, 7)
+        stepper, anderson = evolution._rk4_span, periodic._anderson
+        widths, passed = [], []
+
+        def recorded(u, op_, p_, span, steps, *args, **kwargs):
+            if steps == 7:
+                widths.append(np.shape(u)[1])
+            return stepper(u, op_, p_, span, steps, *args, **kwargs)
+
+        def watched(x, period, q=1.0):
+            for x, image, q in anderson(x, period, q):
+                margin = periodic.ANDERSON_MARGIN * (1.0 - q) * 0.5e-8
+                passed.append(float(np.max(np.abs(image - x))) <= margin)
+                yield x, image, q
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(evolution, "_rk4_span", recorded)
+            mp.setattr(periodic, "_anderson", watched)
+            sol = find_periodic_solution(p, op, pair, ctl)
+        assert sol.coarse_periods == 0 and len(widths) == len(passed)
+        first = passed.index(True)
+        assert first > 0 and widths[:first + 1] == [1] * (first + 1)
+        assert widths[1:] == [3 if ok else 1 for ok in passed[:-1]]
+        assert widths[-1] == 3 and sol.periods == len(widths) + 2 * widths.count(3)
 
 
 #: last fixed-point residual of the P1 fixture's solve at small budgets: 1
