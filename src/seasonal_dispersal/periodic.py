@@ -3,7 +3,8 @@
 When the threshold eigenvalue is negative, the omega-periodic attractor of
 the habitat problem is the unique positive fixed point of the period map. An
 Anderson-accelerated fixed-point iteration (Walker & Ni, SIAM J. Numer. Anal.
-49, 2011) approximates it, on a coarse-step period map first, and one period
+49, 2011) approximates it from the closed-form orbit of its projection on the
+principal eigenfunction, on a coarse-step period map first, and one period
 of an ordered pair around the approximation, stepped beside it and sampled,
 certifies it at the given step, by comparison: the period map preserves
 order.
@@ -17,7 +18,7 @@ habitat attractor as the habitat grows.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
@@ -238,27 +239,31 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     for sigma = sigma_lo and, scaled small, a lower solution for any sigma >
     sigma_hi; over a period m changes by the factor exp(-lambda1(sigma) omega).
 
-    With lambda1 < 0, Anderson iteration of u <- P(u) on one column from the
-    constant top = a/b + UPPER_OFFSET gives u~ with |P(u~) - u~| well below
-    (1 - q) eps, eps = tol/2 and q the measured contraction. It runs first on
-    the coarse-step period map P_N, until |P_N(x) - x| is that small: N is
-    the coarsest 2^k with 4 N at most ``ctl``'s steps per good season whose
-    step-doubling estimate |P_N(top) - P_2N(top)| 16/15 (that of fit_step)
-    is at most eps; with none, there is no coarse phase. Its iterate and q
-    start the iteration at ``ctl``'s step. The coarse phase only chooses the
-    start: every check below is made at ``ctl``'s step. Once a residual
-    (the coarse phase's last one included) is that small, the next map at
-    ``ctl``'s step carries the pair: with v = eps phi1 / max phi1, it steps
-    the iterate u~ and u~ +- v as one (n, 3) block, sampled along the
-    period, when u~ - v > 0. The pair certifies u~ if P(u~ + v) <= u~ + v,
-    P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold everywhere with zero
-    slack and the image gap is at most ``tol``. Since P preserves order, the
-    unique positive fixed point u* = P(u*) lies between the two images. A
-    pair that does not certify rides again with a later iterate; a lower
-    image above the upper one means P did not preserve order, and
-    SolverError is raised. The attractor is the sampled orbit of u~ from
-    that same run, and its period-map residual |P(u~) - u~| is checked
-    against ``tol``.
+    With lambda1 < 0, Anderson iteration of u <- P(u) on one column from
+    z0 phi1 gives u~ with |P(u~) - u~| well below (1 - q) eps, eps = tol/2
+    and q the measured contraction. u* branches off zero along phi1
+    (Crandall & Rabinowitz, J. Funct. Anal. 8, 1971), and z0 is the closed
+    form of ode_periodic_solution for the projection u = s phi1: the scalar
+    model with a = -sigma1 and b c, c = sum phi1^3 / sum phi1^2, whose
+    growth margin is -lambda1 > 0. The iteration runs first on the
+    coarse-step period map P_N, until |P_N(x) - x| is that small: N is the
+    coarsest 2^k with 4 N at most ``ctl``'s steps per good season whose
+    step-doubling estimate |P_N(top) - P_2N(top)| 16/15 (that of fit_step),
+    with top = a/b + UPPER_OFFSET, is at most eps; with none, there is no
+    coarse phase. Its iterate and q start the iteration at ``ctl``'s step.
+    The coarse phase only chooses the start: every check below is made at
+    ``ctl``'s step. Once a residual (the coarse phase's last one included)
+    is that small, the next map at ``ctl``'s step carries the pair: with
+    v = eps phi1 / max phi1, it steps the iterate u~ and u~ +- v as one
+    (n, 3) block, sampled along the period, when u~ - v > 0. The pair
+    certifies u~ if P(u~ + v) <= u~ + v, P(u~ - v) >= u~ - v and
+    P(u~ - v) <= P(u~ + v) hold everywhere with zero slack and the image gap
+    is at most ``tol``. Since P preserves order, the unique positive fixed
+    point u* = P(u*) lies between the two images. A pair that does not
+    certify rides again with a later iterate; a lower image above the upper
+    one means P did not preserve order, and SolverError is raised. The
+    attractor is the sampled orbit of u~ from that same run, and its
+    period-map residual |P(u~) - u~| is checked against ``tol``.
 
     With lambda1 >= 0 no period is stepped: with M = top / min phi1 and lam =
     lambda1(sigma_lo), sup u(k omega) <= M sup phi1 exp(-lam k omega), and
@@ -318,6 +323,10 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         if periods == max_periods:
             break
     chosen = periods
+    # Anderson starts from the orbit z0 phi1 of the one-mode projection
+    c = float(np.sum(phi**3) / np.sum(phi**2))
+    z0 = ode_periodic_solution(replace(p, a=-pair.sigma1, b=p.b * c)).z0
+    x = z0 * phi[:, None]
     # at ctl's step, the map after a residual within the margin carries the
     # pair x +- v as columns 1 and 2 of one sampled (n, 3) run, kept in run
     passed, run = False, None

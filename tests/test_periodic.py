@@ -330,6 +330,56 @@ class TestTwoStarts:
         assert sol.trace.gaps[-1] <= 1e-8
 
 
+#: habitats of P2 (kernel scale 20) with lambda1 between -9.3e-6 and
+#: -1.4e-5; from the constant start a/b + 1, Anderson ran out of 400
+#: periods at 4.2911 and 4.29115 and took 69-85 periods elsewhere
+NEAR_THRESHOLD_HABITATS = (4.2910, 4.291078, 4.291078205996438, 4.2911, 4.29115,
+                           4.2912, 4.2913, 4.2915)
+
+
+class TestOneModeStart:
+    """Anderson starts from the closed-form orbit z0 phi1 of the one-mode
+    projection; the coarse step is still chosen from the constant top."""
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_start_is_the_fixed_point_where_phi1_is_constant(self, n):
+        # on one or two nodes phi1 is constant, the projection is exact, and
+        # z0 phi1 is the period map's fixed point up to RK4's error: the one
+        # period a budget of 1 pays for steps it and reports |P(x0) - x0|
+        from seasonal_dispersal import IterationBudgetError
+
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, p.d)
+        pair = principal_eigenpair(op, p.a)
+        assert np.all(pair.phi1 == pair.phi1[0])
+        with pytest.raises(IterationBudgetError) as err:
+            find_periodic_solution(p, op, pair, StepControl.for_params(p, 400),
+                                   max_periods=1)
+        assert err.value.gap <= 1e-12
+
+    def test_coarse_step_is_chosen_from_top(self, p1_attractor):
+        # from z0 phi1 the step choice would pick N = 4, whose fixed point
+        # lies 3.8e-9 from the given step's; from top it picks 32, whose
+        # fixed point lies 9.5e-12 from it
+        _, _, _, _, sol = p1_attractor
+        assert (sol.coarse_steps, sol.periods) == (32, 3)
+        assert sol.coarse_periods <= 8
+
+    @pytest.mark.parametrize("length", NEAR_THRESHOLD_HABITATS)
+    def test_near_threshold_habitats_certify(self, length):
+        from seasonal_dispersal.periodic import NEAR_THRESHOLD
+
+        p = params(P2)
+        op = dirichlet_op(LaplaceKernel(20.0), length, 64, p.d)
+        pair = principal_eigenpair(op, p.a)
+        assert -1.5e-5 < p.lambda1(pair.sigma1) < 0.0
+        assert abs(p.lambda1(pair.sigma1)) < NEAR_THRESHOLD
+        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 200),
+                                     max_periods=400)
+        assert isinstance(sol, PeriodicSolution)
+        assert len(sol.trace) == 2 and sol.trace.gaps[-1] <= 1e-8
+
+
 @pytest.fixture(scope="module")
 def p1_stepped(p1_attractor):
     # the P1 fixture's solve again, with every RK4 span recorded as (state
@@ -467,11 +517,12 @@ class TestCoarsePhase:
 
 #: last fixed-point residual of the P1 fixture's solve at small budgets: 1
 #: cannot pay for the step choice's first estimate (two periods) and steps
-#: one period at the given step; 2 pays for that estimate and no Anderson
-#: map; 9 for the step choice up to N = 32 (seven periods) and two coarse
-#: periods. The given step's first residual differs from the coarse one
-#: by 7e-10 relative.
-BUDGET_GAPS = {0: math.inf, 1: 1.03175660969143, 2: math.inf, 9: 0.45920675007317113}
+#: one period at the given step from the one-mode start z0 phi1, so its
+#: residual is |P(z0 phi1) - z0 phi1| (None: derived in the test); 2 pays
+#: for that estimate and no Anderson map; 9 for the step choice up to N = 32
+#: (seven periods) and two coarse periods. The given step's first residual
+#: differs from the coarse one by 5.5e-10 relative.
+BUDGET_GAPS = {0: math.inf, 1: None, 2: math.inf, 9: 0.0001711331979563635}
 
 
 class TestIterationBudget:
@@ -483,7 +534,13 @@ class TestIterationBudget:
         with pytest.raises(IterationBudgetError, match=f"after {budget} periods;") as err:
             find_periodic_solution(p, op, pair, ctl, max_periods=budget)
         assert err.value.periods == budget
-        assert err.value.gap == pytest.approx(BUDGET_GAPS[budget], rel=1e-11)
+        gap = BUDGET_GAPS[budget]
+        if gap is None:  # z0 phi1 from the one-mode orbit, c = <phi1^3>/<phi1^2>
+            phi = pair.phi1
+            c = float(np.sum(phi**3) / np.sum(phi**2))
+            x0 = ode_periodic_solution(replace(p, a=-pair.sigma1, b=p.b * c)).z0 * phi
+            gap = float(np.max(np.abs(period_map(StateVector(x0), p, op, ctl).values - x0)))
+        assert err.value.gap == pytest.approx(gap, rel=1e-11)
         assert err.value.slow_near_threshold is False  # lambda1 ~ -0.12
 
 
