@@ -21,7 +21,7 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   50-step good-season span (the span builds its matrix once), and
   ``evolution.rk4_step_us.block2`` and ``.block3`` the same for an (n, 2)
   and an (n, 3) block of states (the periodic solve carries its pair as
-  an (n, 3) block);
+  such a block of the even part, ceil(n/2) rows);
 * ``evolution.simulate_figure_ms``: the ``simulate`` run behind the figures
   (60 periods from the cosine start at n = 128 only, nominal step 1/2000 of
   the good season, a sample every 100 nominal steps): ``fit_step`` and
@@ -37,7 +37,11 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
 * ``periodic.find_near_ms``: one P2 solve on the habitat of length 4.319876
   at n = 64, 200 RK4 steps per good season and a budget of 400 periods,
   where lambda1 is about -2.6e-4, with the same counts beside it (or, on a
-  tree where it raises, the error's class name and the time to the raise).
+  tree where it raises, the error's class name and the time to the raise);
+* ``periodic.profile_study_ms``: one ``asymptotic_profile_study`` of
+  acceptance criterion 7 (P1, Laplace kernel of scale 1, habitats of
+  length 10, 20 and 40 at 16 nodes per scale, so n = 256, 320 and 640, and
+  400 RK4 steps per good season).
 
 Each figure is the median of repeated calls after one warm-up call. BLAS is
 pinned to one thread for this process. The results are merged into the JSON
@@ -68,6 +72,7 @@ NEAR = dict(length=4.319876, n=64, steps=200, max_periods=400)
 P2 = dict(delta=0.2, a=1.2, b=0.6, d=1.0, rho=0.6, omega=1.0)
 WIDE_N = 2048
 CRITICAL_SCALES = (1.0, 20.0)
+PROFILE = dict(lengths=(10.0, 20.0, 40.0), nodes_per_scale=16, steps_per_season=400)
 ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "thread, on the P1 operator (Laplace kernel of scale 20, habitat "
          "[-0.2, 0.2], Dirichlet). spectral.eigen_ms is one principal_eigenpair "
@@ -80,9 +85,12 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02; "
          "periodic.find_near_ms solves P2 on a habitat of length 4.319876, n = 64, "
          "200 steps per good season, at most 400 periods, lambda1 about -2.6e-4 "
-         "('error': the class raised). The periodic.find layers record 'periods', "
-         "the column-periods taken at the given step, and 'coarse_periods', those "
-         "taken before on the coarse-step period map. "
+         "('error': the class raised). periodic.profile_study_ms is criterion 7's "
+         "asymptotic_profile_study: P1, kernel scale 1, habitats 10, 20 and 40 at 16 "
+         "nodes per scale (n = 256, 320, 640), 400 steps per good season. "
+         "The periodic.find layers record 'periods', the column-periods taken at "
+         "the given step, and 'coarse_periods', those taken before on the "
+         "coarse-step period map. "
          "evolution.rk4_step_us is one RK4 step, the mean over a 50-step span, "
          "of a state (.block2, .block3: of an (n, 2), (n, 3) block). "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
@@ -191,6 +199,15 @@ def measure_near(sd) -> dict:
     return {"value": 1e3 * secs, "runs": runs, **outcome}
 
 
+def measure_profile_study(sd) -> dict:
+    """Criterion 7's profile study."""
+    p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
+    kernel = sd.LaplaceKernel(1.0)
+    secs, runs = median_seconds(
+        lambda: sd.asymptotic_profile_study(p, kernel, **PROFILE))
+    return {"value": 1e3 * secs, "runs": runs}
+
+
 def measure_critical_length(sd, scale: float) -> dict:
     """One P2 critical_length at ``scale``, with its count of eigen-solves."""
     p2 = sd.SeasonParams(**P2)
@@ -235,6 +252,7 @@ def main(argv=None) -> int:
     for n in SIZES:
         record(str(n), measure(sd, n))
     record(f"{NEAR['n']}", {"periodic.find_near_ms": measure_near(sd)})
+    record("criterion7", {"periodic.profile_study_ms": measure_profile_study(sd)})
     for scale in CRITICAL_SCALES:
         record(f"scale{scale:g}",
                {"spectral.critical_length_ms": measure_critical_length(sd, scale)})

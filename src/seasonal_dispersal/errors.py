@@ -46,12 +46,10 @@ class IterationBudgetError(SolverError):
     an ordered pair around it certified the periodic attractor.
 
     ``gap`` is the last fixed-point residual |P(u) - u| and ``periods`` the
-    budget. ``slow_near_threshold`` distinguishes the expected slowdown when
-    the persistence eigenvalue sits close to zero from a genuine failure.
+    budget.
     """
 
-    def __init__(self, message, gap, periods, slow_near_threshold):
+    def __init__(self, message, gap, periods):
         super().__init__(message)
         self.gap = gap
         self.periods = periods
-        self.slow_near_threshold = slow_near_threshold

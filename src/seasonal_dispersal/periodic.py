@@ -7,7 +7,8 @@ Anderson-accelerated fixed-point iteration (Walker & Ni, SIAM J. Numer. Anal.
 principal eigenfunction, on a coarse-step period map first, and one period
 of an ordered pair around the approximation, stepped beside it and sampled,
 certifies it at the given step, by comparison: the period map preserves
-order.
+order. Every state this stepping touches is mirror-symmetric about the
+habitat's midpoint, so it steps only the leading half of the nodes.
 When the threshold eigenvalue is not negative, a decaying multiple of the
 principal eigenfunction is a super-solution, which certifies extinction in
 closed form.
@@ -32,10 +33,6 @@ from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
 from .operator import DispersalOperator, assemble
 from .spectral import (EigenPair, Regime, critical_length, principal_eigenpair,
                        sigma1_bounds)
-
-#: below this distance from zero the threshold eigenvalue gives degenerate
-#: convergence rates; budget exhaustion is then flagged as slow, not failed
-NEAR_THRESHOLD = 1e-3
 
 #: a certified sup-norm bound below this certifies extinction
 EXTINCTION_THRESHOLD = 1e-10
@@ -157,6 +154,9 @@ class PeriodicSolution:
     given: one per state carried through one period, the certified pair's
     two included. ``coarse_periods`` counts those it stepped before, at
     ``coarse_steps`` RK4 steps per good season (None: no coarse phase).
+    The solve steps the even part, the leading ceil(n/2) nodes; ``values``
+    and the trace rows are unfolded from it, n nodes each and exactly
+    mirror-symmetric.
     """
 
     times: np.ndarray
@@ -191,9 +191,44 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
+@dataclass(frozen=True)
+class _EvenPart:
+    """What the stepper reads of a Dirichlet operator (``n``, ``d``, ``K``,
+    ``loss``), restricted to even states on their leading ``n`` nodes."""
+
+    n: int
+    d: float
+    K: np.ndarray
+    loss: float
+
+
+def _even_part(op: DispersalOperator) -> _EvenPart:
+    """The operator on mirror-symmetric states u_i = u_{n-1-i}, acting on
+    their leading ceil(n/2) nodes.
+
+    K[i, j] = c[|i - j|] is centrosymmetric, so K maps even states to even
+    states, and on their leading half it is K_e = K11 + K12 J (Cantoni &
+    Butler, Linear Algebra Appl. 13, 1976): K_e[i, j] = c[|i - j|] +
+    c[n - 1 - i - j], the reflected term for j < n // 2 only, so that the
+    middle node of an odd grid counts once. It is built from the column;
+    the dense n x n K is never formed.
+    """
+    n, c = op.n, op.column
+    half = n // 2
+    i = np.arange(n - half)
+    K = c[np.abs(i[:, None] - i)]
+    K[:, :half] += c[n - 1 - i[:, None] - i[:half]]
+    return _EvenPart(n=n - half, d=op.d, K=K, loss=op.loss)
+
+
+def _unfold(y: np.ndarray, n: int) -> np.ndarray:
+    """The even states of n nodes whose leading halves are the rows of y."""
+    return np.concatenate([y, y[:, :n // 2][:, ::-1]], axis=1)
+
+
 def _anderson(x: np.ndarray, period: Callable[[np.ndarray], np.ndarray],
               q: float = 1.0) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """Anderson-accelerated iteration of u <- P(u) on one (n, 1) column, with
+    """Anderson-accelerated iteration of u <- P(u) on one column x, with
     P = ``period``: yields (x, P(x), q), one period map each, for as long as
     it is drawn from.
 
@@ -255,15 +290,22 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     ``ctl``'s step. Once a residual (the coarse phase's last one included)
     is that small, the next map at ``ctl``'s step carries the pair: with
     v = eps phi1 / max phi1, it steps the iterate u~ and u~ +- v as one
-    (n, 3) block, sampled along the period, when u~ - v > 0. The pair
-    certifies u~ if P(u~ + v) <= u~ + v, P(u~ - v) >= u~ - v and
-    P(u~ - v) <= P(u~ + v) hold everywhere with zero slack and the image gap
-    is at most ``tol``. Since P preserves order, the unique positive fixed
+    (m, 3) block (m below), sampled along the period, when u~ - v > 0. The
+    pair certifies u~ if P(u~ + v) <= u~ + v, P(u~ - v) >= u~ - v and
+    P(u~ - v) <= P(u~ + v) hold everywhere with zero slack and the image
+    gap is at most ``tol``. Since P preserves order, the unique positive fixed
     point u* = P(u*) lies between the two images. A pair that does not
     certify rides again with a later iterate; a lower image above the upper
     one means P did not preserve order, and SolverError is raised. The
     attractor is the sampled orbit of u~ from that same run, and its
     period-map residual |P(u~) - u~| is checked against ``tol``.
+
+    Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1 and
+    the pair, built from phi1's leading half (c and the enclosure use all of
+    phi1). P maps even states to even states, so the branch steps them on
+    their leading m = ceil(n/2) nodes with the operator of _even_part. P
+    above is that folded discrete map, and the certificate is its own; only
+    the results are unfolded to n nodes.
 
     With lambda1 >= 0 no period is stepped: with M = top / min phi1 and lam =
     lambda1(sigma_lo), sup u(k omega) <= M sup phi1 exp(-lam k omega), and
@@ -274,8 +316,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     runs that choose N and the coarse ones included, a map carrying the pair
     counting once. IterationBudgetError is raised, with the last fixed-point
     residual (inf if none was stepped), if no pair has certified after
-    ``max_periods`` periods; the error flags |lambda1| < 1e-3, where the
-    contraction rate degenerates and slowness is expected.
+    ``max_periods`` periods.
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("find_periodic_solution expects a Dirichlet operator")
@@ -311,10 +352,12 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     # the pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * tol
-    v = eps / float(np.max(phi)) * phi[:, None]
-    x = np.full((op.n, 1), top)
+    even = _even_part(op)
+    phi_e = phi[:even.n, None]
+    v = eps / float(np.max(phi)) * phi_e
+    x = np.full((even.n, 1), top)
     periods, coarse = 0, None
-    choice = (_step_doubling(x, p, op, 1, ctl.steps_for(p.good_season_length) // 4)
+    choice = (_step_doubling(x, p, even, 1, ctl.steps_for(p.good_season_length) // 4)
               if max_periods >= 2 else ())
     for periods, (steps, est) in enumerate(choice, 2):
         if est is not None and est <= eps:
@@ -326,23 +369,23 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     # Anderson starts from the orbit z0 phi1 of the one-mode projection
     c = float(np.sum(phi**3) / np.sum(phi**2))
     z0 = ode_periodic_solution(replace(p, a=-pair.sigma1, b=p.b * c)).z0
-    x = z0 * phi[:, None]
+    x = z0 * phi_e
     # at ctl's step, the map after a residual within the margin carries the
-    # pair x +- v as columns 1 and 2 of one sampled (n, 3) run, kept in run
+    # pair x +- v as columns 1 and 2 of one sampled (m, 3) run, kept in run
     passed, run = False, None
 
     def fine(x: np.ndarray) -> np.ndarray:
         nonlocal run
         run = None
         if not (passed and np.min(x - v) > 0.0):
-            return _one_period(x, p, op, ctl)
-        run = _evolve(np.hstack([x, x + v, x - v]), p, op, ctl, p.omega)
+            return _one_period(x, p, even, ctl)
+        run = _evolve(np.hstack([x, x + v, x - v]), p, even, ctl, p.omega)
         return run[1][-1][:, :1]
 
     maps = [fine]
     if coarse is not None:
         level = StepControl.for_params(p, coarse)
-        maps.insert(0, lambda x: _one_period(x, p, op, level))
+        maps.insert(0, lambda x: _one_period(x, p, even, level))
     q, residual, rows, carried = 1.0, math.inf, None, 0
     for period in maps:
         start = periods
@@ -367,16 +410,14 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
             if passed and period is not fine:
                 break
     if rows is None:
-        slow = abs(lam1) < NEAR_THRESHOLD
         raise IterationBudgetError(
             f"no pair {tol:g} apart certified after {max_periods} periods; "
-            f"last fixed-point residual {residual:.3e}"
-            + (" (lambda1 near zero, convergence is slow)" if slow else ""),
-            gap=residual, periods=max_periods, slow_near_threshold=slow)
-    upper, lower = rows[:, :, 0], rows[:, :, 1]
+            f"last fixed-point residual {residual:.3e}",
+            gap=residual, periods=max_periods)
+    upper, lower = (_unfold(rows[:, :, k], op.n) for k in (0, 1))
     trace = MonotoneIterationTrace(upper=_readonly(upper), lower=_readonly(lower),
                                    gaps=_readonly(np.max(upper - lower, axis=1)))
-    times, values = run[0], run[1][:, :, 0]
+    times, values = run[0], _unfold(run[1][:, :, 0], op.n)
     if residual > tol * max(1.0, float(np.max(values[0]))):
         raise SolverError(f"period-map residual {residual:g} exceeds tolerance {tol:g}")
     return PeriodicSolution(times=_readonly(times), values=_readonly(values),

@@ -84,10 +84,11 @@ def p1_attractor():
 
 @pytest.fixture(scope="module")
 def p1_retried(p1_attractor):
-    # every sampled run is an (n, 3) block (u~, u~ + eps phi1, u~ - eps phi1)
-    # whose columns 1 and 2 are a one-period sandwich; nudging the first
-    # one's pair images up breaks P(u~ + eps phi1) <= u~ + eps phi1 but keeps
-    # the order, and leaves P(u~) as it is
+    # every sampled run is an (m, 3) block (u~, u~ + eps phi1, u~ - eps phi1)
+    # of the even part, m = ceil(n/2), whose columns 1 and 2 are a one-period
+    # sandwich; nudging the first one's pair images up breaks
+    # P(u~ + eps phi1) <= u~ + eps phi1 but keeps the order, and leaves P(u~)
+    # as it is
     from seasonal_dispersal import periodic
 
     p, op, pair, ctl, _ = p1_attractor
@@ -267,17 +268,19 @@ class TestTwoStarts:
         _, op, pair, _, sol = p1_attractor
         retried, blocks = p1_retried
         # two sandwiches u~ +- (tol/2) phi1 (max phi1 = 1), the second from a
-        # later iterate; no other block is stepped
+        # later iterate, stepped on the even part's m = ceil(n/2) nodes; no
+        # other block is stepped
+        m = (op.n + 1) // 2
         assert len(blocks) == 2
         assert np.max(pair.phi1) == 1.0
         for block in blocks:
-            assert block.shape == (op.n, 3)
-            assert np.allclose(block[:, 1] - block[:, 2], 1e-8 * pair.phi1,
+            assert block.shape == (m, 3)
+            assert np.allclose(block[:, 1] - block[:, 2], 1e-8 * pair.phi1[:m],
                                rtol=0, atol=1e-15)
         assert np.any(blocks[1] != blocks[0])
         assert len(retried.trace) == 2
-        assert np.all(retried.trace.upper[0] == blocks[1][:, 1])
-        assert np.all(retried.values[0] == blocks[1][:, 0])
+        assert np.all(retried.trace.upper[0][:m] == blocks[1][:, 1])
+        assert np.all(retried.values[0][:m] == blocks[1][:, 0])
         # the failed pair's carried map: three more column-periods
         assert retried.periods == sol.periods + 3
         assert np.max(np.abs(retried.values[0] - sol.values[0])) <= 1e-8
@@ -367,13 +370,10 @@ class TestOneModeStart:
 
     @pytest.mark.parametrize("length", NEAR_THRESHOLD_HABITATS)
     def test_near_threshold_habitats_certify(self, length):
-        from seasonal_dispersal.periodic import NEAR_THRESHOLD
-
         p = params(P2)
         op = dirichlet_op(LaplaceKernel(20.0), length, 64, p.d)
         pair = principal_eigenpair(op, p.a)
         assert -1.5e-5 < p.lambda1(pair.sigma1) < 0.0
-        assert abs(p.lambda1(pair.sigma1)) < NEAR_THRESHOLD
         sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 200),
                                      max_periods=400)
         assert isinstance(sol, PeriodicSolution)
@@ -407,7 +407,7 @@ class TestCoarsePhase:
         p, _, _, ctl, _ = p1_attractor
         sol, spans = p1_stepped
         fine = ctl.steps_for(p.good_season_length)
-        # one (n, 3) run carries the pair at the given step, and it alone is
+        # one (m, 3) run carries the pair at the given step, and it alone is
         # sampled: the orbit is its first column
         assert [shape[1:] for shape, _, _ in spans].count((3,)) == 1
         assert [(shape[1:], steps) for shape, steps, sampled in spans
@@ -462,8 +462,8 @@ class TestCoarsePhase:
 
         def perturbed(x, period, q=1.0):
             levels.append(period)
-            if len(levels) == 2:  # the given step's level
-                x = x + 1e-6 * pair.phi1[:, None]
+            if len(levels) == 2:  # the given step's level, on the even part
+                x = x + 1e-6 * pair.phi1[:len(x), None]
             return anderson(x, period, q)
 
         monkeypatch.setattr(periodic, "_anderson", perturbed)
@@ -485,7 +485,7 @@ class TestCoarsePhase:
     def test_pair_rides_only_after_a_residual_within_the_margin(self, p1_attractor):
         # at 7 steps per good season there is no coarse phase: the map after
         # a residual |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps carries the
-        # pair as an (n, 3) block, and every other map steps one column
+        # pair as an (m, 3) block, and every other map steps one column
         from seasonal_dispersal import evolution, periodic
 
         p, op, pair, _, _ = p1_attractor
@@ -515,6 +515,59 @@ class TestCoarsePhase:
         assert widths[-1] == 3 and sol.periods == len(widths) + 2 * widths.count(3)
 
 
+@pytest.fixture(scope="module")
+def p1_odd():
+    # the P1 fixture's solve on an odd grid, whose middle node is its own mirror
+    p = params(P1)
+    op = dirichlet_op(LaplaceKernel(20.0), 0.4, 47, p.d)
+    ctl = StepControl.for_params(p, 500)
+    return p, op, ctl, find_periodic_solution(p, op, principal_eigenpair(op, p.a), ctl)
+
+
+class TestEvenPart:
+    """The persistence branch steps even states on their leading ceil(n/2)
+    nodes and unfolds only its results."""
+
+    @pytest.mark.parametrize("n", [47, 48])
+    def test_folded_period_map_is_the_leading_half_of_the_full_one(self, n):
+        from seasonal_dispersal.evolution import _one_period
+        from seasonal_dispersal.periodic import _even_part, _unfold
+
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, p.d)
+        even = _even_part(op)
+        m = (n + 1) // 2
+        assert even.n == m
+        # K_e is K on the unfolded unit vectors, read on the leading half
+        assert np.allclose(even.K, (op.K @ _unfold(np.eye(m), n).T)[:m],
+                           rtol=1e-15, atol=0)
+        y = np.cos(np.pi * op.grid.nodes[:m] / 0.4)
+        full = _unfold(y[None], n)[0]
+        assert np.array_equal(full, full[::-1])
+        ctl = StepControl.for_params(p, 400)
+        ref = _one_period(full, p, op, ctl)
+        folded = _one_period(y, p, even, ctl)
+        assert np.max(np.abs(folded - ref[:m])) <= 1e-14 * np.max(ref)
+
+    def test_results_are_mirror_symmetric(self, p1_attractor, p1_odd):
+        for sol in (p1_attractor[-1], p1_odd[-1]):
+            assert sol.values.shape[1] == sol.grid.n
+            assert np.array_equal(sol.values, sol.values[:, ::-1])
+            for rows in (sol.trace.upper, sol.trace.lower):
+                assert rows.shape == (2, sol.grid.n)
+                assert np.array_equal(rows, rows[:, ::-1])
+
+    def test_odd_grid_attractor_is_a_full_size_fixed_point(self, p1_odd):
+        p, op, ctl, sol = p1_odd
+        u0 = StateVector(sol.values[0])
+        assert np.max(np.abs(period_map(u0, p, op, ctl).values - u0.values)) <= 1e-8
+
+    def test_every_span_steps_the_even_part(self, p1_attractor, p1_stepped):
+        _, op, _, _, _ = p1_attractor
+        _, spans = p1_stepped
+        assert spans and all(shape[0] == (op.n + 1) // 2 for shape, _, _ in spans)
+
+
 #: last fixed-point residual of the P1 fixture's solve at small budgets: 1
 #: cannot pay for the step choice's first estimate (two periods) and steps
 #: one period at the given step from the one-mode start z0 phi1, so its
@@ -541,7 +594,6 @@ class TestIterationBudget:
             x0 = ode_periodic_solution(replace(p, a=-pair.sigma1, b=p.b * c)).z0 * phi
             gap = float(np.max(np.abs(period_map(StateVector(x0), p, op, ctl).values - x0)))
         assert err.value.gap == pytest.approx(gap, rel=1e-11)
-        assert err.value.slow_near_threshold is False  # lambda1 ~ -0.12
 
 
 class TestClassify:
