@@ -18,7 +18,9 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
 * ``evolution.period_map_ms``: one ``period_map`` at 400 RK4 steps per
   good season;
 * ``evolution.rk4_step_us``: one RK4 step of one state, the mean over a
-  50-step good-season span (the span builds its matrix once), and
+  50-step good-season span, with the linear part A built before the timing
+  (``BENCH_17.json`` and earlier files count the build of A in the span, so
+  at n = 2048 their rows do not compare with these), and
   ``evolution.rk4_step_us.block2`` and ``.block3`` the same for an (n, 2)
   and an (n, 3) block of states (the periodic solve carries its pair as
   such a block of the even part, ceil(n/2) rows);
@@ -92,7 +94,9 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "the given step, and 'coarse_periods', those taken before on the "
          "coarse-step period map. "
          "evolution.rk4_step_us is one RK4 step, the mean over a 50-step span, "
-         "of a state (.block2, .block3: of an (n, 2), (n, 3) block). "
+         "of a state (.block2, .block3: of an (n, 2), (n, 3) block), the linear "
+         "part A built outside the timing (BENCH_17.json and earlier count its "
+         "build in the span; at n = 2048 those rows do not compare). "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
          "over 60 periods from the cosine start, nominal 2000 steps per good "
          "season and stride 100 ('steps_per_season': the steps evolve took).")
@@ -145,12 +149,13 @@ def measure(sd, n: int) -> dict:
         layers.append(("spectral.eigen_wide_ms", lambda: sd.principal_eigenpair(wide, p2.a),
                        1e3, {"products": sd.principal_eigenpair(wide, p2.a).iterations}))
     good = p.good_season_length
+    A = evolution._linear_part(op, op.K, p.a)
     for name, state in (("evolution.rk4_step_us", u),
                         ("evolution.rk4_step_us.block2", np.column_stack([u, 0.5 * u])),
                         ("evolution.rk4_step_us.block3",
                          np.column_stack([u, 0.5 * u, 0.25 * u]))):
         layers.append((name, lambda state=state: evolution._rk4_span(
-            state, op, p, good * SPAN_STEPS / STEPS_PER_SEASON, SPAN_STEPS, 1e-12),
+            state, A, p.b, good * SPAN_STEPS / STEPS_PER_SEASON, SPAN_STEPS),
             1e6 / SPAN_STEPS, {}))
     if n == FIND_N:
         nominal = sd.StepControl.for_params(p, 2000, stride=100)

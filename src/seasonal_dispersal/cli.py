@@ -255,11 +255,9 @@ def main(argv: Optional[list[str]] = None) -> int:
     parser = argparse.ArgumentParser(
         prog="seasonal-dispersal",
         description="Seasonal nonlocal dispersal logistic model toolkit")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        sp = sub.add_parser(name)
-        sp.add_argument("--config", required=True, help="path to key = value config")
-        sp.add_argument("--override", action="append", default=[],
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--config", required=True, help="path to key = value config")
+    parser.add_argument("--override", action="append", default=[],
                         metavar="KEY=VALUE", help="override a config key")
     args = parser.parse_args(argv)
 

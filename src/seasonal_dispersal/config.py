@@ -133,6 +133,8 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Scena
     for key, value in (overrides or {}).items():
         if key not in KNOWN_KEYS:
             raise ConfigError(f"unknown override key {key!r}")
+        if not value:
+            raise ConfigError(f"key {key!r} has an empty value (override)")
         raw[key] = value
 
     values: dict = {}

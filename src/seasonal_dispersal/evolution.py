@@ -74,28 +74,31 @@ class Trajectory:
         return StateVector(self.values[-1], time=float(self.times[-1]))
 
 
-def _rk4_span(u: np.ndarray, op: DispersalOperator, p: SeasonParams,
-              span: float, steps: int, tol_pos: float,
+def _linear_part(op: DispersalOperator, K: np.ndarray, a: float) -> np.ndarray:
+    """A = d K + diag(a - d loss), the linear part of u' = A u - b u^2, for
+    the dense kernel matrix ``K`` of ``op`` or of its even part; a new array."""
+    A = op.d * K
+    A.flat[::len(K) + 1] += a - op.d * op.loss
+    return A
+
+
+def _rk4_span(u: np.ndarray, A: np.ndarray, b: float, span: float, steps: int,
               record_every: int = 0) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """March ``steps`` RK4 steps over ``span``; optionally record intermediates.
+    """March ``steps`` RK4 steps of u' = A u - b u^2 over ``span``.
 
     ``u`` is one state of shape (n,) or a block of states of shape (n, m),
-    one per column; the block advances as m independent states. The input
-    is not modified. The right-hand side A x - b x^2, with the linear part
-    A = d K + diag(a - d loss) built once per call, fills four preallocated
+    one per column, for an n x n ``A``; the block advances as m independent
+    states. The input is not modified. Each step fills four preallocated
     stage buffers that are combined in one product. Undershoots in
-    (-tol_pos, 0) are clamped to +0.0 after each full step; anything lower
+    (-_TOL_POS, 0) are clamped to +0.0 after each full step; anything lower
     aborts with a halved-step suggestion. Recorded samples are copies.
     """
     u = np.array(u, dtype=float)
-    n = op.n
+    n = len(A)
     if u.ndim not in (1, 2) or u.shape[0] != n:
         raise ValidationError(
             f"state has shape {u.shape}, operator expects ({n},) or ({n}, m)")
     dt = span / steps
-    A = op.d * op.K
-    A.flat[::n + 1] += p.a - op.d * op.loss
-    b = p.b
     coef = dt * np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
     S = np.empty((4,) + u.shape)
     stage = list(S)
@@ -122,10 +125,10 @@ def _rk4_span(u: np.ndarray, op: DispersalOperator, p: SeasonParams,
         if u.min() < 0.0:
             flat = int(np.argmin(u))
             low = float(u.flat[flat])
-            if low < -tol_pos:
+            if low < -_TOL_POS:
                 node = flat // (u.size // n)
                 raise PositivityError(
-                    f"node {node} reached {low:.3e} < -{tol_pos:g}; "
+                    f"node {node} reached {low:.3e} < -{_TOL_POS:g}; "
                     f"retry with dt <= {dt / 2:g}",
                     node=node, value=low, suggested_dt=dt / 2)
             u[u < 0.0] = 0.0
@@ -151,11 +154,11 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     if u0.values.size != op.n:
         raise ValidationError(
             f"initial state has {u0.values.size} nodes, operator expects {op.n}")
-    times, values = _evolve(u0.values, p, op, ctl, t_end)
+    times, values = _evolve(u0.values, p, _linear_part(op, op.K, p.a), ctl, t_end)
     return Trajectory(times=_readonly(times), values=_readonly(values), grid=op.grid)
 
 
-def _evolve(u0: np.ndarray, p: SeasonParams, op: DispersalOperator,
+def _evolve(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
             ctl: StepControl, t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """The body of ``evolve`` on one state (n,) or a block of states (n, m),
     one per column: returns the sample times and the states there, of shape
@@ -198,8 +201,7 @@ def _evolve(u0: np.ndarray, p: SeasonParams, op: DispersalOperator,
             span = good_end - t
             steps = ctl.steps_for(span)
             dt = span / steps
-            u, recorded = _rk4_span(u, op, p, span, steps, _TOL_POS,
-                                    record_every=ctl.stride)
+            u, recorded = _rk4_span(u, A, p.b, span, steps, record_every=ctl.stride)
             for k, v in recorded:
                 times.append(t + k * dt)
                 states.append(v)
@@ -213,16 +215,16 @@ def _evolve(u0: np.ndarray, p: SeasonParams, op: DispersalOperator,
     return np.array(times), np.array(states)
 
 
-def _step_doubling(u: np.ndarray, p: SeasonParams, op: DispersalOperator,
+def _step_doubling(u: np.ndarray, p: SeasonParams, A: np.ndarray,
                    steps: int, last: int):
     """Yield (N, est(N)) for N = steps, 2 steps, 4 steps, ... up to ``last``:
     est(N) = |P_N(u) - P_2N(u)| 16/15 in the sup norm, with P_N the period map
-    at N RK4 steps per good season, or None when either run raises
+    of ``A`` at N RK4 steps per good season, or None when either run raises
     PositivityError. Each yield costs one period map, the first two.
     """
     def end(steps):
         try:
-            return _one_period(u, p, op, StepControl.for_params(p, steps))
+            return _one_period(u, p, A, StepControl.for_params(p, steps))
         except PositivityError:
             return None
 
@@ -260,8 +262,9 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     samples, rest = divmod(nominal, ctl.stride)
     if rest or 4 * samples > nominal:
         return ctl, None
+    A = _linear_part(op, op.K, p.a)
     prev = None  # est(steps / 2)
-    for steps, est in _step_doubling(u0.values, p, op, samples, nominal // 2):
+    for steps, est in _step_doubling(u0.values, p, A, samples, nominal // 2):
         if prev is not None and est is not None and (prev == 0.0 or prev < 8.0 * est):
             ratio = steps // samples
             return StepControl(dt_good=ctl.dt_good * ctl.stride / ratio, stride=ratio), est
@@ -269,7 +272,7 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     return ctl, None
 
 
-def _one_period(u: np.ndarray, p: SeasonParams, op: DispersalOperator,
+def _one_period(u: np.ndarray, p: SeasonParams, A: np.ndarray,
                 ctl: StepControl) -> np.ndarray:
     """Exact bad-season decay, then the good season: one state (n,) or a
     block of states (n, m) advanced over one period.
@@ -280,7 +283,7 @@ def _one_period(u: np.ndarray, p: SeasonParams, op: DispersalOperator,
     bad = p.rho * p.omega
     u = math.exp(-p.delta * bad) * u
     span = p.omega - bad
-    return _rk4_span(u, op, p, span, ctl.steps_for(span), _TOL_POS)[0]
+    return _rk4_span(u, A, p.b, span, ctl.steps_for(span))[0]
 
 
 def period_map(u0: StateVector, p: SeasonParams, op: DispersalOperator,
@@ -288,4 +291,5 @@ def period_map(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     """Solution operator over exactly one period: u0 at time t maps to t + omega."""
     if np.any(u0.values < 0):
         raise ValidationError("period_map requires nonnegative initial data")
-    return StateVector(_one_period(u0.values, p, op, ctl), time=u0.time + p.omega)
+    return StateVector(_one_period(u0.values, p, _linear_part(op, op.K, p.a), ctl),
+                       time=u0.time + p.omega)

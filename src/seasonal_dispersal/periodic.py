@@ -27,8 +27,8 @@ import numpy as np
 from .errors import IterationBudgetError, SolverError, ValidationError
 # evolve and period_map stay importable here: perfbench/tracing.py wraps
 # periodic.evolve and periodic.period_map
-from .evolution import (StepControl, _evolve, _one_period, _step_doubling, evolve,
-                        period_map)
+from .evolution import (StepControl, _evolve, _linear_part, _one_period, _step_doubling,
+                        evolve, period_map)
 from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
 from .operator import DispersalOperator, assemble
 from .spectral import (EigenPair, Regime, critical_length, principal_eigenpair,
@@ -191,20 +191,9 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
-@dataclass(frozen=True)
-class _EvenPart:
-    """What the stepper reads of a Dirichlet operator (``n``, ``d``, ``K``,
-    ``loss``), restricted to even states on their leading ``n`` nodes."""
-
-    n: int
-    d: float
-    K: np.ndarray
-    loss: float
-
-
-def _even_part(op: DispersalOperator) -> _EvenPart:
-    """The operator on mirror-symmetric states u_i = u_{n-1-i}, acting on
-    their leading ceil(n/2) nodes.
+def _even_part(op: DispersalOperator, a: float) -> np.ndarray:
+    """The linear part A on mirror-symmetric states u_i = u_{n-1-i}, acting
+    on their leading ceil(n/2) nodes.
 
     K[i, j] = c[|i - j|] is centrosymmetric, so K maps even states to even
     states, and on their leading half it is K_e = K11 + K12 J (Cantoni &
@@ -218,7 +207,7 @@ def _even_part(op: DispersalOperator) -> _EvenPart:
     i = np.arange(n - half)
     K = c[np.abs(i[:, None] - i)]
     K[:, :half] += c[n - 1 - i[:, None] - i[:half]]
-    return _EvenPart(n=n - half, d=op.d, K=K, loss=op.loss)
+    return _linear_part(op, K, a)
 
 
 def _unfold(y: np.ndarray, n: int) -> np.ndarray:
@@ -303,7 +292,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1 and
     the pair, built from phi1's leading half (c and the enclosure use all of
     phi1). P maps even states to even states, so the branch steps them on
-    their leading m = ceil(n/2) nodes with the operator of _even_part. P
+    their leading m = ceil(n/2) nodes with _even_part's linear part. P
     above is that folded discrete map, and the certificate is its own; only
     the results are unfolded to n nodes.
 
@@ -316,8 +305,11 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     runs that choose N and the coarse ones included, a map carrying the pair
     counting once. IterationBudgetError is raised, with the last fixed-point
     residual (inf if none was stepped), if no pair has certified after
-    ``max_periods`` periods.
+    ``max_periods`` periods. A ``tol`` that is not finite and positive
+    raises ValidationError before any work.
     """
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValidationError(f"tol must be positive, got {tol!r}")
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("find_periodic_solution expects a Dirichlet operator")
     if op.d != p.d:
@@ -352,12 +344,12 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     # the pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * tol
-    even = _even_part(op)
-    phi_e = phi[:even.n, None]
+    A = _even_part(op, p.a)
+    phi_e = phi[:len(A), None]
     v = eps / float(np.max(phi)) * phi_e
-    x = np.full((even.n, 1), top)
+    x = np.full((len(A), 1), top)
     periods, coarse = 0, None
-    choice = (_step_doubling(x, p, even, 1, ctl.steps_for(p.good_season_length) // 4)
+    choice = (_step_doubling(x, p, A, 1, ctl.steps_for(p.good_season_length) // 4)
               if max_periods >= 2 else ())
     for periods, (steps, est) in enumerate(choice, 2):
         if est is not None and est <= eps:
@@ -378,14 +370,14 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         nonlocal run
         run = None
         if not (passed and np.min(x - v) > 0.0):
-            return _one_period(x, p, even, ctl)
-        run = _evolve(np.hstack([x, x + v, x - v]), p, even, ctl, p.omega)
+            return _one_period(x, p, A, ctl)
+        run = _evolve(np.hstack([x, x + v, x - v]), p, A, ctl, p.omega)
         return run[1][-1][:, :1]
 
     maps = [fine]
     if coarse is not None:
         level = StepControl.for_params(p, coarse)
-        maps.insert(0, lambda x: _one_period(x, p, even, level))
+        maps.insert(0, lambda x: _one_period(x, p, A, level))
     q, residual, rows, carried = 1.0, math.inf, None, 0
     for period in maps:
         start = periods

@@ -514,6 +514,25 @@ out.summary = {tmp_path}/s.txt
         rc = main(["simulate", "--config", path, "--override", "run.n_periods=1"])
         assert rc == 0
 
+    def test_empty_override_value_is_a_config_error(self, tmp_path, capsys):
+        # an empty out.summary once passed the directory check and died
+        # writing to ''
+        path = self._sim_config(tmp_path)
+        with pytest.raises(ConfigError, match="'out.summary' has an empty value"):
+            parse_config(open(path).read(), overrides={"out.summary": ""})
+        assert main(["simulate", "--config", path, "--override", "out.summary="]) == 2
+        assert "has an empty value" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [
+        ["nope", "--config", "x.cfg"],  # not a command
+        ["simulate"],  # no --config
+        ["--config", "x.cfg"],  # no command
+    ], ids=["unknown_command", "no_config", "no_command"])
+    def test_bad_invocation_exits_2(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
     def test_simulate_with_kernel_table(self, tmp_path):
         w = 1.0
         table = tent_kernel_table(w, m=41)

@@ -20,6 +20,11 @@ NEU = BoundaryCondition.NEUMANN
 DIR = BoundaryCondition.DIRICHLET
 
 
+def linear(op, p):
+    """The full-size linear part that evolve and period_map step."""
+    return evolution._linear_part(op, op.K, p.a)
+
+
 def scalar_logistic(c, a, b, tau):
     return a * c * math.exp(a * tau) / (a + b * c * (math.exp(a * tau) - 1.0))
 
@@ -71,14 +76,14 @@ class TestGoodSeason:
     def test_zero_fixed_point(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, p.d)
-        out, _ = _rk4_span(np.zeros(16), op, p, 0.4, 100, 1e-12)
+        out, _ = _rk4_span(np.zeros(16), linear(op, p), p.b, 0.4, 100)
         assert np.all(out == 0.0)
 
     def test_neumann_constant_matches_scalar_logistic(self):
         p = params(P1)
         op = assemble(LaplaceKernel(5.0), Grid.centered(2.0, 24), NEU, p.d)
         c = 0.37
-        out, _ = _rk4_span(np.full(24, c), op, p, 0.4, 2000, 1e-12)
+        out, _ = _rk4_span(np.full(24, c), linear(op, p), p.b, 0.4, 2000)
         expect = scalar_logistic(c, p.a, p.b, 0.4)
         assert np.max(np.abs(out - expect)) <= 1e-8
 
@@ -89,7 +94,7 @@ class TestGoodSeason:
         op = dirichlet_op(LaplaceKernel(1.0), 2.0, 32, p.d)
         rng = np.random.default_rng(21)
         u0 = rng.uniform(0.2, 1.0, 32)
-        out, _ = _rk4_span(u0, op, p, 0.4, 64, 1e-12)
+        out, _ = _rk4_span(u0, linear(op, p), p.b, 0.4, 64)
         gen = op.d * (op.K - np.eye(32)) + p.a * np.eye(32)
         exact = expm(gen * 0.4) @ u0
         assert np.max(np.abs(out - exact)) <= 1e-6
@@ -103,7 +108,7 @@ class TestGoodSeason:
         exact = expm(gen * 0.4) @ u0
         errs, dts = [], []
         for steps in (4, 8, 16, 32):
-            out, _ = _rk4_span(u0, op, p, 0.4, steps, 1e-12)
+            out, _ = _rk4_span(u0, linear(op, p), p.b, 0.4, steps)
             errs.append(np.max(np.abs(out - exact)))
             dts.append(0.4 / steps)
         slope = np.polyfit(np.log(dts), np.log(errs), 1)[0]
@@ -115,9 +120,9 @@ class TestGoodSeason:
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(2.0), 1.0, 16, p.d)
         u0 = np.full(16, 0.4)
-        whole, _ = _rk4_span(u0, op, p, 0.4, 200, 1e-12)
-        half, _ = _rk4_span(u0, op, p, 0.2, 100, 1e-12)
-        both, _ = _rk4_span(half, op, p, 0.2, 100, 1e-12)
+        whole, _ = _rk4_span(u0, linear(op, p), p.b, 0.4, 200)
+        half, _ = _rk4_span(u0, linear(op, p), p.b, 0.2, 100)
+        both, _ = _rk4_span(half, linear(op, p), p.b, 0.2, 100)
         assert np.max(np.abs(both - whole)) <= 1e-12
 
     def test_positivity_violation_reports_node_and_dt(self):
@@ -125,7 +130,7 @@ class TestGoodSeason:
         p = params(a=0.1, b=1.0)
         op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
         with pytest.raises(PositivityError) as err:
-            _rk4_span(np.full(8, 30.0), op, p, p.good_season_length, 1, 1e-12)
+            _rk4_span(np.full(8, 30.0), linear(op, p), p.b, p.good_season_length, 1)
         assert err.value.suggested_dt < p.good_season_length
         assert 0 <= err.value.node < 8
 
@@ -138,12 +143,12 @@ class TestFusedStepper:
         block = np.random.default_rng(51).uniform(0.1, 2.0, (20, 3))
         before = block.copy()
         span, steps = p.good_season_length, 80
-        out, _ = _rk4_span(block, op, p, span, steps, 1e-12)
+        out, _ = _rk4_span(block, linear(op, p), p.b, span, steps)
         assert out.shape == (20, 3)
         assert np.array_equal(block, before)  # the input is not stepped in place
         for j in range(3):
             ref = rk4_span_reference(op, p, block[:, j], span, steps, 1e-12)
-            single, _ = _rk4_span(block[:, j], op, p, span, steps, 1e-12)
+            single, _ = _rk4_span(block[:, j], linear(op, p), p.b, span, steps)
             scale = np.max(np.abs(ref))
             assert np.max(np.abs(single - ref)) <= 1e-13 * scale
             assert np.max(np.abs(out[:, j] - ref)) <= 1e-13 * scale
@@ -153,7 +158,7 @@ class TestFusedStepper:
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(2.0), 1.0, 12, p.d)
         u0 = np.full(12, 0.3)
-        out, recorded = _rk4_span(u0, op, p, 0.4, 40, 1e-12, record_every=10)
+        out, recorded = _rk4_span(u0, linear(op, p), p.b, 0.4, 40, record_every=10)
         assert [k for k, _ in recorded] == [10, 20, 30]
         first = rk4_span_reference(op, p, u0, 0.1, 10, 1e-12)
         assert np.max(np.abs(recorded[0][1] - first)) <= 1e-13 * np.max(first)
@@ -163,17 +168,18 @@ class TestFusedStepper:
         p = params(a=0.1, b=1.0)
         op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
         with pytest.raises(PositivityError) as single:
-            _rk4_span(np.full(8, 30.0), op, p, 0.4, 1, 1e-12)
+            _rk4_span(np.full(8, 30.0), linear(op, p), p.b, 0.4, 1)
         block = np.column_stack([np.full(8, 0.5), np.full(8, 30.0), np.full(8, 0.2)])
         with pytest.raises(PositivityError) as err:
-            _rk4_span(block, op, p, 0.4, 1, 1e-12)
+            _rk4_span(block, linear(op, p), p.b, 0.4, 1)
         assert 0 <= err.value.node < 8
         assert err.value.node == single.value.node
         assert err.value.suggested_dt == 0.2
 
-    def test_clamped_undershoot_is_positive_zero(self):
+    def test_clamped_undershoot_is_positive_zero(self, monkeypatch):
         # one RK4 step of 0.4 from this constant undershoots zero by less
-        # than tol_pos at two nodes; the clamp must give +0.0, never -0.0
+        # than _TOL_POS, raised here, at two nodes; the clamp must give
+        # +0.0, never -0.0
         p = params(a=0.1, b=1.0)
         op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
         u0 = np.full(8, 4.12365298718214)
@@ -181,7 +187,8 @@ class TestFusedStepper:
         clamped = raw < 0.0
         assert np.count_nonzero(clamped) == 2
         assert -9e-7 < raw.min() < -3e-7
-        out, _ = _rk4_span(u0, op, p, 0.4, 1, 9e-7)
+        monkeypatch.setattr(evolution, "_TOL_POS", 9e-7)
+        out, _ = _rk4_span(u0, linear(op, p), p.b, 0.4, 1)
         assert np.all(out[clamped] == 0.0)
         assert not np.any(np.signbit(out))
         assert np.max(np.abs(out[~clamped] - raw[~clamped])) <= 1e-13 * np.max(raw)
@@ -190,9 +197,9 @@ class TestFusedStepper:
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(2.0), 1.0, 8, p.d)
         with pytest.raises(ValidationError, match="shape"):
-            _rk4_span(np.ones(9), op, p, 0.4, 4, 1e-12)
+            _rk4_span(np.ones(9), linear(op, p), p.b, 0.4, 4)
         with pytest.raises(ValidationError, match="shape"):
-            _rk4_span(np.ones((8, 2, 2)), op, p, 0.4, 4, 1e-12)
+            _rk4_span(np.ones((8, 2, 2)), linear(op, p), p.b, 0.4, 4)
 
 
 class TestEvolve:
@@ -342,6 +349,28 @@ class TestPeriodMap:
         assert np.all(out.values <= M)
 
 
+def test_linear_part_is_built_once_per_call(monkeypatch):
+    # evolve, period_map and fit_step each build A once, however many spans
+    # and period maps they step with it
+    p = params(P1)
+    op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, p.d)
+    u0 = StateVector(np.cos(np.pi * op.grid.nodes / 0.4))
+    ctl = StepControl.for_params(p, 400, stride=20)
+    built, linear_part = [], evolution._linear_part
+
+    def counted(op_, K, a):
+        built.append(K.shape)
+        return linear_part(op_, K, a)
+
+    monkeypatch.setattr(evolution, "_linear_part", counted)
+    for call in (lambda: evolve(u0, p, op, ctl, 3 * p.omega),
+                 lambda: period_map(u0, p, op, ctl),
+                 lambda: evolution.fit_step(u0, p, op, ctl)):
+        built.clear()
+        call()
+        assert built == [(16, 16)]
+
+
 class TestFitStep:
     """``fit_step``: the coarsest RK4 step at the rounding floor, with the
     sample instants of the nominal control (the ``simulate`` default of
@@ -377,7 +406,8 @@ class TestFitStep:
         # helper it shares with the periodic solve changes no number
         p, op, u0, ctl = self._case()
         counts = [20 * 2 ** k for k in range(7)]
-        ends = {k: evolution._one_period(u0.values, p, op, StepControl.for_params(p, k))
+        ends = {k: evolution._one_period(u0.values, p, linear(op, p),
+                                         StepControl.for_params(p, k))
                 for k in counts}
         est = {k: float(np.max(np.abs(ends[k] - ends[2 * k]))) * 16.0 / 15.0
                for k in counts[:-1]}
@@ -419,12 +449,12 @@ class TestFitStep:
         unpatched = evolution.fit_step(u0, p, op, ctl)
         stepper, failed = evolution._rk4_span, []
 
-        def coarse_fails(u, op_, p_, span, steps, *args, **kwargs):
+        def coarse_fails(u, A, b, span, steps, *args, **kwargs):
             if steps < 80:
                 failed.append(steps)
                 raise PositivityError("negative", node=0, value=-1.0,
                                       suggested_dt=span / steps / 2)
-            return stepper(u, op_, p_, span, steps, *args, **kwargs)
+            return stepper(u, A, b, span, steps, *args, **kwargs)
 
         monkeypatch.setattr(evolution, "_rk4_span", coarse_fails)
         assert evolution.fit_step(u0, p, op, ctl) == unpatched
@@ -433,7 +463,7 @@ class TestFitStep:
     def test_every_candidate_failing_keeps_nominal_step(self, monkeypatch):
         p, op, u0, ctl = self._case()
 
-        def fails(u, op_, p_, span, steps, *args, **kwargs):
+        def fails(u, A, b, span, steps, *args, **kwargs):
             raise PositivityError("negative", node=0, value=-1.0,
                                   suggested_dt=span / steps / 2)
 

@@ -230,6 +230,19 @@ class TestFindPeriodicSolution:
         with pytest.raises(ValidationError, match="positive"):
             find_periodic_solution(p, op, replace(pair, phi1=phi), ctl)
 
+    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
+    def test_bad_tol_refused_before_stepping(self, p1_attractor, monkeypatch, tol):
+        # 0 and nan would step the whole budget, and -1e-8 blamed the order
+        from seasonal_dispersal import evolution
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused solve stepped the model")
+
+        p, op, pair, ctl, _ = p1_attractor
+        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
+        with pytest.raises(ValidationError, match="tol must be positive"):
+            find_periodic_solution(p, op, pair, ctl, tol=tol)
+
     def test_neumann_rejected(self, p1_attractor):
         p, _, pair, ctl, _ = p1_attractor
         op = assemble(LaplaceKernel(20.0), Grid.centered(0.4, 16), NEU, p.d)
@@ -389,9 +402,9 @@ def p1_stepped(p1_attractor):
     p, op, pair, ctl, _ = p1_attractor
     stepper, spans = evolution._rk4_span, []
 
-    def recorded(u, op_, p_, span, steps, tol_pos, record_every=0):
+    def recorded(u, A, b, span, steps, record_every=0):
         spans.append((np.shape(u), steps, record_every > 0))
-        return stepper(u, op_, p_, span, steps, tol_pos, record_every)
+        return stepper(u, A, b, span, steps, record_every)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_rk4_span", recorded)
@@ -438,13 +451,14 @@ class TestCoarsePhase:
     def test_coarse_step_is_the_coarsest_within_eps(self, p1_attractor):
         # est(N) = |P_N(top) - P_2N(top)| 16/15 is at most eps = tol/2 at the
         # chosen N and above it at N/2
-        from seasonal_dispersal.evolution import _one_period
+        from seasonal_dispersal.evolution import _linear_part, _one_period
 
         p, op, _, _, sol = p1_attractor
         top = np.full(op.n, p.a / p.b + 1.0)
+        A = _linear_part(op, op.K, p.a)
 
         def est(steps):
-            ends = [_one_period(top, p, op, StepControl.for_params(p, k))
+            ends = [_one_period(top, p, A, StepControl.for_params(p, k))
                     for k in (steps, 2 * steps)]
             return float(np.max(np.abs(ends[0] - ends[1]))) * 16.0 / 15.0
 
@@ -493,10 +507,10 @@ class TestCoarsePhase:
         stepper, anderson = evolution._rk4_span, periodic._anderson
         widths, passed = [], []
 
-        def recorded(u, op_, p_, span, steps, *args, **kwargs):
+        def recorded(u, A, b, span, steps, *args, **kwargs):
             if steps == 7:
                 widths.append(np.shape(u)[1])
-            return stepper(u, op_, p_, span, steps, *args, **kwargs)
+            return stepper(u, A, b, span, steps, *args, **kwargs)
 
         def watched(x, period, q=1.0):
             for x, image, q in anderson(x, period, q):
@@ -530,23 +544,23 @@ class TestEvenPart:
 
     @pytest.mark.parametrize("n", [47, 48])
     def test_folded_period_map_is_the_leading_half_of_the_full_one(self, n):
-        from seasonal_dispersal.evolution import _one_period
+        from seasonal_dispersal.evolution import _linear_part, _one_period
         from seasonal_dispersal.periodic import _even_part, _unfold
 
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, p.d)
-        even = _even_part(op)
+        A_e, A = _even_part(op, p.a), _linear_part(op, op.K, p.a)
         m = (n + 1) // 2
-        assert even.n == m
-        # K_e is K on the unfolded unit vectors, read on the leading half
-        assert np.allclose(even.K, (op.K @ _unfold(np.eye(m), n).T)[:m],
+        assert A_e.shape == (m, m)
+        # A_e is A on the unfolded unit vectors, read on the leading half
+        assert np.allclose(A_e, (A @ _unfold(np.eye(m), n).T)[:m],
                            rtol=1e-15, atol=0)
         y = np.cos(np.pi * op.grid.nodes[:m] / 0.4)
         full = _unfold(y[None], n)[0]
         assert np.array_equal(full, full[::-1])
         ctl = StepControl.for_params(p, 400)
-        ref = _one_period(full, p, op, ctl)
-        folded = _one_period(y, p, even, ctl)
+        ref = _one_period(full, p, A, ctl)
+        folded = _one_period(y, p, A_e, ctl)
         assert np.max(np.abs(folded - ref[:m])) <= 1e-14 * np.max(ref)
 
     def test_results_are_mirror_symmetric(self, p1_attractor, p1_odd):
@@ -566,6 +580,30 @@ class TestEvenPart:
         _, op, _, _, _ = p1_attractor
         _, spans = p1_stepped
         assert spans and all(shape[0] == (op.n + 1) // 2 for shape, _, _ in spans)
+
+    def test_solve_builds_one_folded_linear_part_and_no_dense_kernel(self, p1_attractor,
+                                                                       monkeypatch):
+        # A_e is built once per solve from the column, so a solve that read
+        # the n x n K would raise here
+        from seasonal_dispersal import DispersalOperator, periodic
+
+        def dense(self):
+            raise AssertionError("the periodic solve formed the n x n K")
+
+        built, linear_part = [], periodic._linear_part
+
+        def counted(op, K, a):
+            built.append(K.shape)
+            return linear_part(op, K, a)
+
+        p, op, pair, ctl, sol = p1_attractor
+        monkeypatch.setattr(DispersalOperator, "K", property(dense))
+        monkeypatch.setattr(periodic, "_linear_part", counted)
+        again = find_periodic_solution(p, op, pair, ctl)
+        assert isinstance(again, PeriodicSolution)
+        assert np.array_equal(again.values, sol.values)
+        m = (op.n + 1) // 2
+        assert built == [(m, m)]
 
 
 #: last fixed-point residual of the P1 fixture's solve at small budgets: 1
