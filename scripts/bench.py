@@ -46,11 +46,17 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   400 RK4 steps per good season).
 
 Each figure is the median of repeated calls after one warm-up call. BLAS is
-pinned to one thread for this process. The results are merged into the JSON
-file under ``--label``, so two source trees can be recorded side by side:
+pinned to one thread. The results are merged into the JSON file, one run per
+``--label``. Given ``--src`` and ``--label`` once per source tree, in the same
+order, the script measures the trees alternately, each layer group (one size,
+the near-threshold solve, the profile study, one kernel scale of
+critical_length) in a fresh subprocess per tree, the tree that goes first
+alternating from group to group, so that the medians of a pair share the
+machine's drift:
 
-    python scripts/bench.py --label change --out BENCH.json
-    python scripts/bench.py --src ../other-checkout/src --label parent --out BENCH.json
+    python scripts/bench.py --label mine --out BENCH.json
+    python scripts/bench.py --src ../parent/src --label parent \
+        --src src --label change --out BENCH.json
 """
 
 import os
@@ -58,9 +64,11 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
 
 import argparse
+import inspect
 import json
 import platform
 import statistics
+import subprocess
 import sys
 import time
 from pathlib import Path
@@ -97,6 +105,9 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "of a state (.block2, .block3: of an (n, 2), (n, 3) block), the linear "
          "part A built outside the timing (BENCH_17.json and earlier count its "
          "build in the span; at n = 2048 those rows do not compare). "
+         "From BENCH_19.json on, each layer group (a size, the n = 64 near "
+         "solve, criterion7, a kernel scale) runs in a fresh subprocess per "
+         "source tree, the trees alternating group by group. "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
          "over 60 periods from the cosine start, nominal 2000 steps per good "
          "season and stride 100 ('steps_per_season': the steps evolve took).")
@@ -125,6 +136,17 @@ def periods(sol) -> dict:
     return {"periods": sol.periods, "coarse_periods": sol.coarse_periods}
 
 
+def linear_part(evolution, op, p):
+    """The linear part that the tree's ``_rk4_span`` steps: built by
+    ``_linear_part(op, K, a, b)`` as (d K + diag(a - d loss)) / b, or, in a
+    tree from before the stepper took b out of its stages, by
+    ``_linear_part(op, K, a)`` as d K + diag(a - d loss)."""
+    args = (op, op.K, p.a, p.b)
+    if "b" not in inspect.signature(evolution._linear_part).parameters:
+        args = args[:3]
+    return evolution._linear_part(*args)
+
+
 def measure(sd, n: int) -> dict:
     evolution = sd.evolution
     p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
@@ -149,7 +171,7 @@ def measure(sd, n: int) -> dict:
         layers.append(("spectral.eigen_wide_ms", lambda: sd.principal_eigenpair(wide, p2.a),
                        1e3, {"products": sd.principal_eigenpair(wide, p2.a).iterations}))
     good = p.good_season_length
-    A = evolution._linear_part(op, op.K, p.a)
+    A = linear_part(evolution, op, p)
     for name, state in (("evolution.rk4_step_us", u),
                         ("evolution.rk4_step_us.block2", np.column_stack([u, 0.5 * u])),
                         ("evolution.rk4_step_us.block3",
@@ -234,44 +256,76 @@ def measure_critical_length(sd, scale: float) -> dict:
     return {"value": 1e3 * secs, "runs": runs, "eigen_solves": solves}
 
 
+#: the layer groups, each keyed as it is stored in the JSON file
+GROUPS = (*(str(n) for n in SIZES), str(NEAR["n"]), "criterion7",
+          *(f"scale{scale:g}" for scale in CRITICAL_SCALES))
+
+
+def measure_group(sd, key: str) -> dict:
+    """The layers of the group ``key`` of GROUPS: {layer name: record}."""
+    if key == str(NEAR["n"]):
+        return {"periodic.find_near_ms": measure_near(sd)}
+    if key == "criterion7":
+        return {"periodic.profile_study_ms": measure_profile_study(sd)}
+    if key.startswith("scale"):
+        return {"spectral.critical_length_ms":
+                measure_critical_length(sd, float(key[len("scale"):]))}
+    return measure(sd, int(key))
+
+
+def run_group(src: Path, key: str) -> dict:
+    """``measure_group`` on the tree ``src`` in a fresh Python process."""
+    out = subprocess.run([sys.executable, __file__, "--group", key, "--src", str(src)],
+                         check=True, capture_output=True, text=True).stdout
+    return json.loads(out.splitlines()[-1])
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--src", type=Path, default=Path(__file__).resolve().parent.parent / "src",
-                    help="source tree holding the seasonal_dispersal package")
-    ap.add_argument("--label", required=True, help="key the results are stored under")
-    ap.add_argument("--out", type=Path, required=True, help="JSON file to create or update")
+    ap.add_argument("--src", type=Path, action="append",
+                    help="source tree holding the seasonal_dispersal package, once "
+                         "per --label (default: this checkout's src)")
+    ap.add_argument("--label", action="append",
+                    help="key the results of the tree are stored under")
+    ap.add_argument("--out", type=Path, help="JSON file to create or update")
+    ap.add_argument("--group", choices=GROUPS,
+                    help="measure this one layer group of the one --src and print "
+                         "it as JSON (the subprocess of a recording run)")
     args = ap.parse_args(argv)
+    srcs = [src.resolve() for src in args.src or
+            [Path(__file__).resolve().parent.parent / "src"]]
 
-    sys.path.insert(0, str(args.src.resolve()))
-    import seasonal_dispersal as sd
+    if args.group:
+        if len(srcs) != 1:
+            ap.error("--group measures one --src")
+        sys.path.insert(0, str(srcs[0]))
+        import seasonal_dispersal as sd
+        print(json.dumps(measure_group(sd, args.group)))
+        return 0
+    if args.out is None or not args.label or len(args.label) != len(srcs):
+        ap.error("give --out, and --label once per --src")
 
-    layers = {}
-
-    def record(key, recs):
-        for name, rec in recs.items():
-            layers.setdefault(name, {})[key] = rec
-            extra = "".join(f", {k} {v}" for k, v in rec.items() if k not in ("value", "runs"))
-            print(f"{key:8s}  {name:28s} {rec['value']:12.3f}  ({rec['runs']} runs{extra})",
-                  flush=True)
-
-    for n in SIZES:
-        record(str(n), measure(sd, n))
-    record(f"{NEAR['n']}", {"periodic.find_near_ms": measure_near(sd)})
-    record("criterion7", {"periodic.profile_study_ms": measure_profile_study(sd)})
-    for scale in CRITICAL_SCALES:
-        record(f"scale{scale:g}",
-               {"spectral.critical_length_ms": measure_critical_length(sd, scale)})
+    trees = list(zip(args.label, srcs))
+    layers = {label: {} for label in args.label}
+    for i, key in enumerate(GROUPS):
+        for label, src in (trees if i % 2 == 0 else trees[::-1]):
+            for name, rec in run_group(src, key).items():
+                layers[label].setdefault(name, {})[key] = rec
+                extra = "".join(f", {k} {v}" for k, v in rec.items()
+                                if k not in ("value", "runs"))
+                print(f"{label:8s} {key:10s} {name:28s} {rec['value']:12.3f}  "
+                      f"({rec['runs']} runs{extra})", flush=True)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = ABOUT
-    doc.setdefault("runs", {})[args.label] = {
-        "date": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
-        "machine": {"system": platform.system(), "machine": platform.machine(),
-                    "cpus": os.cpu_count(), "python": platform.python_version(),
-                    "numpy": np.__version__,
-                    "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]},
-        "layers": layers,
-    }
+    date = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+    machine = {"system": platform.system(), "machine": platform.machine(),
+               "cpus": os.cpu_count(), "python": platform.python_version(),
+               "numpy": np.__version__,
+               "OPENBLAS_NUM_THREADS": os.environ["OPENBLAS_NUM_THREADS"]}
+    for label in args.label:
+        doc.setdefault("runs", {})[label] = {"date": date, "machine": machine,
+                                             "layers": layers[label]}
     args.out.write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
     return 0
 

@@ -74,24 +74,28 @@ class Trajectory:
         return StateVector(self.values[-1], time=float(self.times[-1]))
 
 
-def _linear_part(op: DispersalOperator, K: np.ndarray, a: float) -> np.ndarray:
-    """A = d K + diag(a - d loss), the linear part of u' = A u - b u^2, for
-    the dense kernel matrix ``K`` of ``op`` or of its even part; a new array."""
-    A = op.d * K
-    A.flat[::len(K) + 1] += a - op.d * op.loss
+def _linear_part(op: DispersalOperator, K: np.ndarray, a: float, b: float) -> np.ndarray:
+    """A = (d K + diag(a - d loss)) / b, the linear part of the good season
+    written as u' = b (A u - u^2), for the dense kernel matrix ``K`` of
+    ``op`` or of its even part; a new array. SeasonParams keeps b > 0."""
+    A = (op.d / b) * K
+    A.flat[::len(K) + 1] += (a - op.d * op.loss) / b
     return A
 
 
 def _rk4_span(u: np.ndarray, A: np.ndarray, b: float, span: float, steps: int,
               record_every: int = 0) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
-    """March ``steps`` RK4 steps of u' = A u - b u^2 over ``span``.
+    """March ``steps`` RK4 steps of u' = b (A u - u^2) over ``span``, with
+    ``A`` from ``_linear_part``.
 
     ``u`` is one state of shape (n,) or a block of states of shape (n, m),
     one per column, for an n x n ``A``; the block advances as m independent
     states. The input is not modified. Each step fills four preallocated
-    stage buffers that are combined in one product. Undershoots in
-    (-_TOL_POS, 0) are clamped to +0.0 after each full step; anything lower
-    aborts with a halved-step suggestion. Recorded samples are copies.
+    stage buffers with A x - x^2; b enters only through the stage offsets
+    (b dt/2, b dt/2, b dt) and the weights b dt (1, 2, 2, 1)/6, which
+    combine the stages in one product. Undershoots of u in (-_TOL_POS, 0)
+    are clamped to +0.0 after each full step; anything lower aborts with a
+    halved-step suggestion. Recorded samples are copies.
     """
     u = np.array(u, dtype=float)
     n = len(A)
@@ -99,30 +103,34 @@ def _rk4_span(u: np.ndarray, A: np.ndarray, b: float, span: float, steps: int,
         raise ValidationError(
             f"state has shape {u.shape}, operator expects ({n},) or ({n}, m)")
     dt = span / steps
-    coef = dt * np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
+    bdt = b * dt
+    coef = bdt * np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
     S = np.empty((4,) + u.shape)
     stage = list(S)
     # stage i + 1 is evaluated at u + offset[i] * stage[i]
-    offset = (0.5 * dt, 0.5 * dt, dt)
+    offset = (0.5 * bdt, 0.5 * bdt, bdt)
     x = np.empty_like(u)
     sq = np.empty_like(u)
     incr = np.empty_like(u)
     S_flat, incr_flat = S.reshape(4, -1), incr.reshape(-1)
+    # a step is ~20 calls on small arrays: bind them once, write into buffers
+    dot, multiply, subtract, add = np.dot, np.multiply, np.subtract, np.add
+    lowest = np.minimum.reduce
     recorded = []
     for k in range(1, steps + 1):
         xi = u
         for i in range(4):
-            np.matmul(A, xi, out=stage[i])
-            np.multiply(xi, xi, out=sq)
-            sq *= b
-            stage[i] -= sq
+            s = stage[i]
+            dot(A, xi, out=s)
+            multiply(xi, xi, out=sq)
+            subtract(s, sq, out=s)
             if i < 3:
-                np.multiply(stage[i], offset[i], out=x)
-                x += u
+                multiply(s, offset[i], out=x)
+                add(x, u, out=x)
                 xi = x
-        np.matmul(coef, S_flat, out=incr_flat)
-        u += incr
-        if u.min() < 0.0:
+        dot(coef, S_flat, out=incr_flat)
+        add(u, incr, out=u)
+        if lowest(u, axis=None) < 0.0:
             flat = int(np.argmin(u))
             low = float(u.flat[flat])
             if low < -_TOL_POS:
@@ -154,7 +162,7 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     if u0.values.size != op.n:
         raise ValidationError(
             f"initial state has {u0.values.size} nodes, operator expects {op.n}")
-    times, values = _evolve(u0.values, p, _linear_part(op, op.K, p.a), ctl, t_end)
+    times, values = _evolve(u0.values, p, _linear_part(op, op.K, p.a, p.b), ctl, t_end)
     return Trajectory(times=_readonly(times), values=_readonly(values), grid=op.grid)
 
 
@@ -262,7 +270,7 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     samples, rest = divmod(nominal, ctl.stride)
     if rest or 4 * samples > nominal:
         return ctl, None
-    A = _linear_part(op, op.K, p.a)
+    A = _linear_part(op, op.K, p.a, p.b)
     prev = None  # est(steps / 2)
     for steps, est in _step_doubling(u0.values, p, A, samples, nominal // 2):
         if prev is not None and est is not None and (prev == 0.0 or prev < 8.0 * est):
@@ -291,5 +299,5 @@ def period_map(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     """Solution operator over exactly one period: u0 at time t maps to t + omega."""
     if np.any(u0.values < 0):
         raise ValidationError("period_map requires nonnegative initial data")
-    return StateVector(_one_period(u0.values, p, _linear_part(op, op.K, p.a), ctl),
+    return StateVector(_one_period(u0.values, p, _linear_part(op, op.K, p.a, p.b), ctl),
                        time=u0.time + p.omega)

@@ -191,9 +191,9 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
-def _even_part(op: DispersalOperator, a: float) -> np.ndarray:
-    """The linear part A on mirror-symmetric states u_i = u_{n-1-i}, acting
-    on their leading ceil(n/2) nodes.
+def _even_part(op: DispersalOperator, a: float, b: float) -> np.ndarray:
+    """The linear part A of _linear_part on mirror-symmetric states
+    u_i = u_{n-1-i}, acting on their leading ceil(n/2) nodes.
 
     K[i, j] = c[|i - j|] is centrosymmetric, so K maps even states to even
     states, and on their leading half it is K_e = K11 + K12 J (Cantoni &
@@ -207,7 +207,7 @@ def _even_part(op: DispersalOperator, a: float) -> np.ndarray:
     i = np.arange(n - half)
     K = c[np.abs(i[:, None] - i)]
     K[:, :half] += c[n - 1 - i[:, None] - i[:half]]
-    return _linear_part(op, K, a)
+    return _linear_part(op, K, a, b)
 
 
 def _unfold(y: np.ndarray, n: int) -> np.ndarray:
@@ -305,11 +305,15 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     runs that choose N and the coarse ones included, a map carrying the pair
     counting once. IterationBudgetError is raised, with the last fixed-point
     residual (inf if none was stepped), if no pair has certified after
-    ``max_periods`` periods. A ``tol`` that is not finite and positive
-    raises ValidationError before any work.
+    ``max_periods`` periods; 0 is an empty budget. A ``tol`` that is not
+    finite and positive, or a ``max_periods`` that is not a nonnegative
+    integer, raises ValidationError before any work.
     """
     if not (math.isfinite(tol) and tol > 0):
         raise ValidationError(f"tol must be positive, got {tol!r}")
+    if not (isinstance(max_periods, (int, np.integer)) and max_periods >= 0):
+        raise ValidationError(
+            f"max_periods must be a nonnegative integer, got {max_periods!r}")
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("find_periodic_solution expects a Dirichlet operator")
     if op.d != p.d:
@@ -344,7 +348,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     # the pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * tol
-    A = _even_part(op, p.a)
+    A = _even_part(op, p.a, p.b)
     phi_e = phi[:len(A), None]
     v = eps / float(np.max(phi)) * phi_e
     x = np.full((len(A), 1), top)

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,7 @@ DIR = BoundaryCondition.DIRICHLET
 
 def linear(op, p):
     """The full-size linear part that evolve and period_map step."""
-    return evolution._linear_part(op, op.K, p.a)
+    return evolution._linear_part(op, op.K, p.a, p.b)
 
 
 def scalar_logistic(c, a, b, tau):
@@ -153,6 +154,61 @@ class TestFusedStepper:
             assert np.max(np.abs(single - ref)) <= 1e-13 * scale
             assert np.max(np.abs(out[:, j] - ref)) <= 1e-13 * scale
             assert np.max(np.abs(out[:, j] - single)) <= 1e-14 * scale
+
+    @pytest.mark.parametrize("b", [1e-3, 1e3])
+    def test_matches_reference_far_from_unit_competition(self, b):
+        # A carries 1/b and the stage offsets and weights carry b: at a/b = 2
+        # and b three decades either side of 1, the state, a column and a
+        # block still meet the reference, over the good season or 2/a,
+        # whichever is shorter
+        p = params(P1, a=2.0 * b, b=b)
+        op = dirichlet_op(LaplaceKernel(2.0), 1.5, 20, p.d)
+        block = np.random.default_rng(51).uniform(0.1, 2.0, (20, 3))
+        span, steps = min(p.good_season_length, 2.0 / p.a), 80
+        A = linear(op, p)
+        out, _ = _rk4_span(block, A, p.b, span, steps)
+        column, _ = _rk4_span(block[:, :1], A, p.b, span, steps)
+        assert column.shape == (20, 1)
+        for j in range(3):
+            ref = rk4_span_reference(op, p, block[:, j], span, steps, 1e-12)
+            assert np.max(np.abs(ref - block[:, j])) > 0.3  # the span moves it
+            single, _ = _rk4_span(block[:, j], A, p.b, span, steps)
+            scale = np.max(np.abs(ref))
+            assert np.max(np.abs(single - ref)) <= 1e-13 * scale
+            assert np.max(np.abs(out[:, j] - ref)) <= 1e-13 * scale
+            if j == 0:
+                assert np.max(np.abs(column[:, 0] - ref)) <= 1e-13 * scale
+
+    @pytest.mark.parametrize("b", [1e-3, 1e3])
+    def test_positivity_error_in_state_units_far_from_unit_competition(self, b):
+        # u0 = 30 / b is the b = 1 overshoot of test_positivity_violation_*
+        # rescaled: the error reports the undershoot of u itself
+        p = params(a=0.1, b=b)
+        op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
+        u0 = np.full(8, 30.0 / b)
+        raw = rk4_step_reference(op, p, u0, p.good_season_length)
+        with pytest.raises(PositivityError) as err:
+            _rk4_span(u0, linear(op, p), p.b, p.good_season_length, 1)
+        assert err.value.node == int(np.argmin(raw))
+        assert err.value.value == pytest.approx(float(raw.min()), rel=1e-12)
+
+    @pytest.mark.parametrize("b", [1e-3, 1e3])
+    def test_clamped_undershoot_far_from_unit_competition(self, b, monkeypatch):
+        # test_clamped_undershoot_is_positive_zero rescaled by 1/b: two
+        # undershoots of about -3.9e-7 / b, inside a _TOL_POS of 1.5 times
+        # that, clamp to +0.0; compared as b u, they would fall outside it
+        # at b = 1e3
+        p = params(a=0.1, b=b)
+        op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
+        u0 = np.full(8, 4.12365298718214 / b)
+        raw = rk4_step_reference(op, p, u0, 0.4)
+        clamped = raw < 0.0
+        assert np.count_nonzero(clamped) == 2
+        monkeypatch.setattr(evolution, "_TOL_POS", -1.5 * float(raw.min()))
+        out, _ = _rk4_span(u0, linear(op, p), p.b, 0.4, 1)
+        assert np.all(out[clamped] == 0.0)
+        assert not np.any(np.signbit(out))
+        assert np.max(np.abs(out[~clamped] - raw[~clamped])) <= 1e-13 * np.max(raw)
 
     def test_recorded_samples_are_copies(self):
         p = params(P1)
@@ -358,9 +414,9 @@ def test_linear_part_is_built_once_per_call(monkeypatch):
     ctl = StepControl.for_params(p, 400, stride=20)
     built, linear_part = [], evolution._linear_part
 
-    def counted(op_, K, a):
+    def counted(op_, K, a, b):
         built.append(K.shape)
-        return linear_part(op_, K, a)
+        return linear_part(op_, K, a, b)
 
     monkeypatch.setattr(evolution, "_linear_part", counted)
     for call in (lambda: evolve(u0, p, op, ctl, 3 * p.omega),
@@ -369,6 +425,37 @@ def test_linear_part_is_built_once_per_call(monkeypatch):
         built.clear()
         call()
         assert built == [(16, 16)]
+
+
+def test_no_span_allocates_a_square_array(monkeypatch):
+    # the stepper keeps O(n m) buffers and takes its n x n linear part ready
+    # made, once per call: no span of evolve over three periods may hold a
+    # quarter of an n x n float array more than it was given
+    p = params(P1)
+    n = 256
+    op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, p.d)
+    u0 = StateVector(np.cos(np.pi * op.grid.nodes / 0.4))
+    stepper, peaks = evolution._rk4_span, []
+
+    def traced(*args, **kwargs):
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        try:
+            return stepper(*args, **kwargs)
+        finally:
+            peaks.append(tracemalloc.get_traced_memory()[1] - before)
+
+    monkeypatch.setattr(evolution, "_rk4_span", traced)
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        evolve(u0, p, op, StepControl.for_params(p, 40, stride=10), 3 * p.omega)
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert len(peaks) == 3
+    assert 0 < max(peaks) < 8 * n * n / 4
 
 
 class TestFitStep:

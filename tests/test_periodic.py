@@ -243,6 +243,21 @@ class TestFindPeriodicSolution:
         with pytest.raises(ValidationError, match="tol must be positive"):
             find_periodic_solution(p, op, pair, ctl, tol=tol)
 
+    @pytest.mark.parametrize("budget", [-3, 2.5, math.nan, 4.0])
+    def test_bad_max_periods_refused_before_stepping(self, p1_attractor, monkeypatch,
+                                                     budget):
+        # these stepped nothing and blamed the budget ("after 2.5 periods");
+        # max_periods = 0, an empty budget, is TestIterationBudget's
+        from seasonal_dispersal import evolution
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused solve stepped the model")
+
+        p, op, pair, ctl, _ = p1_attractor
+        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
+        with pytest.raises(ValidationError, match="max_periods must be a nonnegative"):
+            find_periodic_solution(p, op, pair, ctl, max_periods=budget)
+
     def test_neumann_rejected(self, p1_attractor):
         p, _, pair, ctl, _ = p1_attractor
         op = assemble(LaplaceKernel(20.0), Grid.centered(0.4, 16), NEU, p.d)
@@ -455,7 +470,7 @@ class TestCoarsePhase:
 
         p, op, _, _, sol = p1_attractor
         top = np.full(op.n, p.a / p.b + 1.0)
-        A = _linear_part(op, op.K, p.a)
+        A = _linear_part(op, op.K, p.a, p.b)
 
         def est(steps):
             ends = [_one_period(top, p, A, StepControl.for_params(p, k))
@@ -549,7 +564,7 @@ class TestEvenPart:
 
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, p.d)
-        A_e, A = _even_part(op, p.a), _linear_part(op, op.K, p.a)
+        A_e, A = _even_part(op, p.a, p.b), _linear_part(op, op.K, p.a, p.b)
         m = (n + 1) // 2
         assert A_e.shape == (m, m)
         # A_e is A on the unfolded unit vectors, read on the leading half
@@ -592,9 +607,9 @@ class TestEvenPart:
 
         built, linear_part = [], periodic._linear_part
 
-        def counted(op, K, a):
+        def counted(op, K, a, b):
             built.append(K.shape)
-            return linear_part(op, K, a)
+            return linear_part(op, K, a, b)
 
         p, op, pair, ctl, sol = p1_attractor
         monkeypatch.setattr(DispersalOperator, "K", property(dense))
