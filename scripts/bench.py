@@ -52,7 +52,10 @@ order, the script measures the trees alternately, each layer group (one size,
 the near-threshold solve, the profile study, one kernel scale of
 critical_length) in a fresh subprocess per tree, the tree that goes first
 alternating from group to group, so that the medians of a pair share the
-machine's drift:
+machine's drift. The rk4 rows call ``evolution._linear_part(op, a, b, n)``,
+so every ``--src`` tree must build its linear part from the column, with
+that signature; a tree from before it, whose ``_linear_part`` takes the
+dense K, does not run:
 
     python scripts/bench.py --label mine --out BENCH.json
     python scripts/bench.py --src ../parent/src --label parent \
@@ -64,7 +67,6 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
 
 import argparse
-import inspect
 import json
 import platform
 import statistics
@@ -108,6 +110,9 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "From BENCH_19.json on, each layer group (a size, the n = 64 near "
          "solve, criterion7, a kernel scale) runs in a fresh subprocess per "
          "source tree, the trees alternating group by group. "
+         "Every source tree builds the linear part A from the column, by "
+         "_linear_part(op, a, b, m); a tree whose _linear_part takes the dense K "
+         "does not run. "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
          "over 60 periods from the cosine start, nominal 2000 steps per good "
          "season and stride 100 ('steps_per_season': the steps evolve took).")
@@ -136,17 +141,6 @@ def periods(sol) -> dict:
     return {"periods": sol.periods, "coarse_periods": sol.coarse_periods}
 
 
-def linear_part(evolution, op, p):
-    """The linear part that the tree's ``_rk4_span`` steps: built by
-    ``_linear_part(op, K, a, b)`` as (d K + diag(a - d loss)) / b, or, in a
-    tree from before the stepper took b out of its stages, by
-    ``_linear_part(op, K, a)`` as d K + diag(a - d loss)."""
-    args = (op, op.K, p.a, p.b)
-    if "b" not in inspect.signature(evolution._linear_part).parameters:
-        args = args[:3]
-    return evolution._linear_part(*args)
-
-
 def measure(sd, n: int) -> dict:
     evolution = sd.evolution
     p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
@@ -171,7 +165,7 @@ def measure(sd, n: int) -> dict:
         layers.append(("spectral.eigen_wide_ms", lambda: sd.principal_eigenpair(wide, p2.a),
                        1e3, {"products": sd.principal_eigenpair(wide, p2.a).iterations}))
     good = p.good_season_length
-    A = linear_part(evolution, op, p)
+    A = evolution._linear_part(op, p.a, p.b, op.n)
     for name, state in (("evolution.rk4_step_us", u),
                         ("evolution.rk4_step_us.block2", np.column_stack([u, 0.5 * u])),
                         ("evolution.rk4_step_us.block3",

@@ -120,6 +120,8 @@ def load_kernel_table(path: str) -> TabulatedKernel:
 
 
 def _check_writable(key: str, path: str) -> None:
+    if os.path.isdir(path):
+        raise ConfigError(f"key {key!r}: {path!r} is a directory")
     parent = os.path.dirname(os.path.abspath(path))
     if not os.path.isdir(parent):
         raise ConfigError(f"key {key!r}: directory {parent!r} does not exist")

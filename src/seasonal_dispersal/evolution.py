@@ -74,12 +74,12 @@ class Trajectory:
         return StateVector(self.values[-1], time=float(self.times[-1]))
 
 
-def _linear_part(op: DispersalOperator, K: np.ndarray, a: float, b: float) -> np.ndarray:
+def _linear_part(op: DispersalOperator, a: float, b: float, m: int) -> np.ndarray:
     """A = (d K + diag(a - d loss)) / b, the linear part of the good season
-    written as u' = b (A u - u^2), for the dense kernel matrix ``K`` of
-    ``op`` or of its even part; a new array. SeasonParams keeps b > 0."""
-    A = (op.d / b) * K
-    A.flat[::len(K) + 1] += (a - op.d * op.loss) / b
+    written as u' = b (A u - u^2), with ``op._block(m)`` for K: m = n, or
+    m = ceil(n/2) for even states; a new array. SeasonParams keeps b > 0."""
+    A = (op.d / b) * op._block(m)
+    A.flat[::m + 1] += (a - op.d * op.loss) / b
     return A
 
 
@@ -162,7 +162,7 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     if u0.values.size != op.n:
         raise ValidationError(
             f"initial state has {u0.values.size} nodes, operator expects {op.n}")
-    times, values = _evolve(u0.values, p, _linear_part(op, op.K, p.a, p.b), ctl, t_end)
+    times, values = _evolve(u0.values, p, _linear_part(op, p.a, p.b, op.n), ctl, t_end)
     return Trajectory(times=_readonly(times), values=_readonly(values), grid=op.grid)
 
 
@@ -270,7 +270,7 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     samples, rest = divmod(nominal, ctl.stride)
     if rest or 4 * samples > nominal:
         return ctl, None
-    A = _linear_part(op, op.K, p.a, p.b)
+    A = _linear_part(op, p.a, p.b, op.n)
     prev = None  # est(steps / 2)
     for steps, est in _step_doubling(u0.values, p, A, samples, nominal // 2):
         if prev is not None and est is not None and (prev == 0.0 or prev < 8.0 * est):
@@ -299,5 +299,5 @@ def period_map(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     """Solution operator over exactly one period: u0 at time t maps to t + omega."""
     if np.any(u0.values < 0):
         raise ValidationError("period_map requires nonnegative initial data")
-    return StateVector(_one_period(u0.values, p, _linear_part(op, op.K, p.a, p.b), ctl),
+    return StateVector(_one_period(u0.values, p, _linear_part(op, p.a, p.b, op.n), ctl),
                        time=u0.time + p.omega)

@@ -3,8 +3,8 @@
 On a uniform grid the midpoint convolution matrix ``K[i, j] = J(x_i - x_j) dx``
 depends on ``i - j`` only and J is even, so K is symmetric Toeplitz: its
 first column determines it. The operator stores that column, applies K by a
-zero-padded real FFT in O(n log n) time and O(n) memory, and materialises
-the dense matrix only when a caller asks for it.
+zero-padded real FFT in O(n log n) time and O(n) memory, and builds dense
+blocks of K from it (``DispersalOperator._block``) for the RK4 stepper.
 """
 
 import math
@@ -34,9 +34,9 @@ class DispersalOperator:
     Neumann dispersal merely redistributes and constants are in the kernel
     of L. ``loss`` is the factor multiplying u_i in either case.
 
-    ``K u`` is computed by FFT from the column. The dense, read-only ``K`` is
-    materialised on first access only (n^2 floats) and then kept; the
-    spectral path never reads it.
+    ``K u`` is computed by FFT from the column. ``_block(m)`` builds the
+    dense K, or its fold on mirror-symmetric states, from the column as a
+    new array; the spectral path never forms one.
     """
 
     bc: BoundaryCondition
@@ -56,11 +56,24 @@ class DispersalOperator:
 
     @cached_property
     def K(self) -> np.ndarray:
-        """Dense kernel matrix, built from the column on first access."""
-        c = self.column
-        # row i of K is the window of [c_{n-1} .. c_1, c_0, c_1 .. c_{n-1}]
-        # starting at n - 1 - i
-        return _readonly(sliding_window_view(np.concatenate((c[:0:-1], c)), self.n)[::-1])
+        """Dense, read-only ``_block(n)``, built on first access. The package
+        never reads it; the benchmark's tracer (``K.shape``) and tests do."""
+        return _readonly(self._block(self.n))
+
+    def _block(self, m: int) -> np.ndarray:
+        """K on the leading m nodes of states whose trailing n - m nodes
+        mirror them, ceil(n/2) <= m <= n: a new m x m array of entries
+        c[|i - j|] + c[n - 1 - i - j], the reflected term for j < n - m only.
+        So ``_block(n)`` is K, and ``_block(ceil(n/2))`` is K on even states,
+        K11 + K12 J (Cantoni & Butler, Linear Algebra Appl. 13, 1976), the
+        middle node of an odd grid counted once. ``_unfold`` builds the states.
+        """
+        n, c = self.n, self.column
+        # Toeplitz row i: the window of [c_{m-1} .. c_0 .. c_{m-1}] at m - 1 - i;
+        # reflected (Hankel) row i: the window of [c_{n-1} .. c_0] at i
+        B = sliding_window_view(np.concatenate((c[m - 1:0:-1], c[:m])), m)[::-1].copy()
+        B[:, :n - m] += sliding_window_view(c[::-1], n - m)[:m]
+        return B
 
     @cached_property
     def _spectrum(self) -> np.ndarray:
@@ -82,6 +95,12 @@ class DispersalOperator:
             raise ValidationError(
                 f"state has shape {v.shape}, operator expects ({self.n},)")
         return self.d * (self._matvec(v) - self.loss * v)
+
+
+def _unfold(y: np.ndarray, n: int) -> np.ndarray:
+    """The n-node states whose leading m = y.shape[1] nodes are the rows of
+    y and whose trailing n - m nodes mirror them: the states _block(m) acts on."""
+    return np.concatenate([y, y[:, :n - y.shape[1]][:, ::-1]], axis=1)
 
 
 def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition,

@@ -8,7 +8,8 @@ principal eigenfunction, on a coarse-step period map first, and one period
 of an ordered pair around the approximation, stepped beside it and sampled,
 certifies it at the given step, by comparison: the period map preserves
 order. Every state this stepping touches is mirror-symmetric about the
-habitat's midpoint, so it steps only the leading half of the nodes.
+habitat's midpoint, so it steps only the leading half of the nodes, with
+``_linear_part`` of the folded kernel matrix ``DispersalOperator._block``.
 When the threshold eigenvalue is not negative, a decaying multiple of the
 principal eigenfunction is a super-solution, which certifies extinction in
 closed form.
@@ -30,7 +31,7 @@ from .errors import IterationBudgetError, SolverError, ValidationError
 from .evolution import (StepControl, _evolve, _linear_part, _one_period, _step_doubling,
                         evolve, period_map)
 from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
-from .operator import DispersalOperator, assemble
+from .operator import DispersalOperator, _unfold, assemble
 from .spectral import (EigenPair, Regime, critical_length, principal_eigenpair,
                        sigma1_bounds)
 
@@ -191,30 +192,6 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
-def _even_part(op: DispersalOperator, a: float, b: float) -> np.ndarray:
-    """The linear part A of _linear_part on mirror-symmetric states
-    u_i = u_{n-1-i}, acting on their leading ceil(n/2) nodes.
-
-    K[i, j] = c[|i - j|] is centrosymmetric, so K maps even states to even
-    states, and on their leading half it is K_e = K11 + K12 J (Cantoni &
-    Butler, Linear Algebra Appl. 13, 1976): K_e[i, j] = c[|i - j|] +
-    c[n - 1 - i - j], the reflected term for j < n // 2 only, so that the
-    middle node of an odd grid counts once. It is built from the column;
-    the dense n x n K is never formed.
-    """
-    n, c = op.n, op.column
-    half = n // 2
-    i = np.arange(n - half)
-    K = c[np.abs(i[:, None] - i)]
-    K[:, :half] += c[n - 1 - i[:, None] - i[:half]]
-    return _linear_part(op, K, a, b)
-
-
-def _unfold(y: np.ndarray, n: int) -> np.ndarray:
-    """The even states of n nodes whose leading halves are the rows of y."""
-    return np.concatenate([y, y[:, :n // 2][:, ::-1]], axis=1)
-
-
 def _anderson(x: np.ndarray, period: Callable[[np.ndarray], np.ndarray],
               q: float = 1.0) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
     """Anderson-accelerated iteration of u <- P(u) on one column x, with
@@ -292,7 +269,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1 and
     the pair, built from phi1's leading half (c and the enclosure use all of
     phi1). P maps even states to even states, so the branch steps them on
-    their leading m = ceil(n/2) nodes with _even_part's linear part. P
+    their leading m = ceil(n/2) nodes, with _linear_part of op._block(m). P
     above is that folded discrete map, and the certificate is its own; only
     the results are unfolded to n nodes.
 
@@ -348,7 +325,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     # the pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * tol
-    A = _even_part(op, p.a, p.b)
+    A = _linear_part(op, p.a, p.b, (op.n + 1) // 2)
     phi_e = phi[:len(A), None]
     v = eps / float(np.max(phi)) * phi_e
     x = np.full((len(A), 1), top)

@@ -490,6 +490,21 @@ ic.c = 1
         path = make_config(tmp_path, BASE_P1 + "run.n_periods = 1\n")
         assert main(["simulate", "--config", path]) == 2
 
+    @pytest.mark.parametrize("command, key", [("ode-reference", "out.summary"),
+                                              ("periodic", "out.periodic")])
+    def test_output_path_naming_a_directory_exits_2(self, tmp_path, capsys,
+                                                     command, key):
+        # rejected while the config is read, before any solve: the write at
+        # the end would raise IsADirectoryError
+        (tmp_path / "taken").mkdir()
+        outs = {"out.summary": f"{tmp_path}/s.txt", key: f"{tmp_path}/taken"}
+        path = make_config(tmp_path, BASE_P1 + "".join(
+            f"{k} = {v}\n" for k, v in outs.items()))
+        assert main([command, "--config", path]) == 2
+        assert f"key {key!r}" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["scenario.cfg", "taken"]
+        assert os.listdir(tmp_path / "taken") == []
+
     def test_missing_config_file(self):
         assert main(["classify", "--config", "/nonexistent/path.cfg"]) == 2
 

@@ -23,7 +23,7 @@ DIR = BoundaryCondition.DIRICHLET
 
 def linear(op, p):
     """The full-size linear part that evolve and period_map step."""
-    return evolution._linear_part(op, op.K, p.a, p.b)
+    return evolution._linear_part(op, p.a, p.b, op.n)
 
 
 def scalar_logistic(c, a, b, tau):
@@ -406,25 +406,36 @@ class TestPeriodMap:
 
 
 def test_linear_part_is_built_once_per_call(monkeypatch):
-    # evolve, period_map and fit_step each build A once, however many spans
-    # and period maps they step with it
+    # evolve, period_map and fit_step each build A once from the column,
+    # however many spans and period maps they step with it, and none reads
+    # the dense K: with K raising, their results stay the same bit for bit
+    from seasonal_dispersal import DispersalOperator
+
     p = params(P1)
     op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, p.d)
     u0 = StateVector(np.cos(np.pi * op.grid.nodes / 0.4))
     ctl = StepControl.for_params(p, 400, stride=20)
+    calls = (lambda: evolve(u0, p, op, ctl, 3 * p.omega).values.tobytes(),
+             lambda: period_map(u0, p, op, ctl).values.tobytes(),
+             lambda: evolution.fit_step(u0, p, op, ctl))
+    expected = [call() for call in calls]
     built, linear_part = [], evolution._linear_part
 
-    def counted(op_, K, a, b):
-        built.append(K.shape)
-        return linear_part(op_, K, a, b)
+    def counted(op_, a, b, m):
+        A = linear_part(op_, a, b, m)
+        built.append(A.shape)
+        return A
+
+    def dense(self):
+        raise AssertionError("the dense n x n K was read")
 
     monkeypatch.setattr(evolution, "_linear_part", counted)
-    for call in (lambda: evolve(u0, p, op, ctl, 3 * p.omega),
-                 lambda: period_map(u0, p, op, ctl),
-                 lambda: evolution.fit_step(u0, p, op, ctl)):
+    monkeypatch.setattr(DispersalOperator, "K", property(dense))
+    for call, want in zip(calls, expected):
         built.clear()
-        call()
+        got = call()
         assert built == [(16, 16)]
+        assert got == want
 
 
 def test_no_span_allocates_a_square_array(monkeypatch):

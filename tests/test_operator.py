@@ -28,6 +28,21 @@ def test_single_node_hand_value():
     assert op.rowmass[0] == pytest.approx(0.5, abs=1e-15)
 
 
+@pytest.mark.parametrize("n", [1, 2, 3, 8, 47])
+def test_block_is_K_on_mirrored_states(n):
+    # K[i, j] = c[|i - j|]; _block(m) is K applied to the states that _unfold
+    # mirrors from m leading nodes, read on those nodes, for every m from
+    # ceil(n/2) (the even fold) to n (K itself)
+    from seasonal_dispersal.operator import _unfold
+
+    op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, d=0.6)
+    i = np.arange(n)
+    assert np.array_equal(op.K, op.column[np.abs(i[:, None] - i)])
+    for m in range((n + 1) // 2, n + 1):
+        assert np.allclose(op._block(m), (op.K @ _unfold(np.eye(m), n).T)[:m],
+                           rtol=1e-15, atol=0)
+
+
 def test_symmetric_for_tabulated_kernel():
     k = TabulatedKernel(values=tent_kernel_table(1.2, m=41), half_width=1.2)
     op = assemble(k, Grid(-0.7, 1.9, 37), D, d=0.3)

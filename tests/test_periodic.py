@@ -470,7 +470,7 @@ class TestCoarsePhase:
 
         p, op, _, _, sol = p1_attractor
         top = np.full(op.n, p.a / p.b + 1.0)
-        A = _linear_part(op, op.K, p.a, p.b)
+        A = _linear_part(op, p.a, p.b, op.n)
 
         def est(steps):
             ends = [_one_period(top, p, A, StepControl.for_params(p, k))
@@ -560,12 +560,12 @@ class TestEvenPart:
     @pytest.mark.parametrize("n", [47, 48])
     def test_folded_period_map_is_the_leading_half_of_the_full_one(self, n):
         from seasonal_dispersal.evolution import _linear_part, _one_period
-        from seasonal_dispersal.periodic import _even_part, _unfold
+        from seasonal_dispersal.operator import _unfold
 
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, p.d)
-        A_e, A = _even_part(op, p.a, p.b), _linear_part(op, op.K, p.a, p.b)
         m = (n + 1) // 2
+        A_e, A = _linear_part(op, p.a, p.b, m), _linear_part(op, p.a, p.b, n)
         assert A_e.shape == (m, m)
         # A_e is A on the unfolded unit vectors, read on the leading half
         assert np.allclose(A_e, (A @ _unfold(np.eye(m), n).T)[:m],
@@ -607,9 +607,10 @@ class TestEvenPart:
 
         built, linear_part = [], periodic._linear_part
 
-        def counted(op, K, a, b):
-            built.append(K.shape)
-            return linear_part(op, K, a, b)
+        def counted(op, a, b, m):
+            A = linear_part(op, a, b, m)
+            built.append(A.shape)
+            return A
 
         p, op, pair, ctl, sol = p1_attractor
         monkeypatch.setattr(DispersalOperator, "K", property(dense))
