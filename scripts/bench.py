@@ -16,7 +16,8 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   tolerance 1e-4, keyed by the kernel scale (1 and 20), with the number of
   eigen-solves it made beside it;
 * ``evolution.period_map_ms``: one ``period_map`` at 400 RK4 steps per
-  good season;
+  good season, which is one period of ``evolve``, its samples included
+  (``BENCH_19.json`` and earlier time the bare period, without samples);
 * ``evolution.rk4_step_us``: one RK4 step of one state, the mean over a
   50-step good-season span, with the linear part A built before the timing
   (``BENCH_17.json`` and earlier files count the build of A in the span, so
@@ -93,7 +94,9 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "spectral.critical_length_ms one critical_length for P2 at tol 1e-4, "
          "keyed by kernel scale ('eigen_solves': principal_eigenpair calls); "
          "evolution.period_map_ms, periodic.find_ms and periodic.find_p2_ms "
-         "(n = 128 only) use 400 RK4 steps per good season; periodic.find_p2_ms "
+         "(n = 128 only) use 400 RK4 steps per good season; period_map is one "
+         "period of evolve, samples included (BENCH_19.json and earlier: the "
+         "bare period); periodic.find_p2_ms "
          "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02; "
          "periodic.find_near_ms solves P2 on a habitat of length 4.319876, n = 64, "
          "200 steps per good season, at most 400 periods, lambda1 about -2.6e-4 "

@@ -208,7 +208,7 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         summary.lambda1 = sol.lambda1
         if isinstance(sol, Extinction):
             summary.classification = "extinction"
-            summary.evidence = sol.evidence
+            summary.evidence = "below_threshold"
             summary.final_supnorm = sol.final_supnorm
             summary.extra["periods"] = sol.periods
         else:

@@ -74,6 +74,19 @@ class Trajectory:
         return StateVector(self.values[-1], time=float(self.times[-1]))
 
 
+def _checked_linear_part(u0: StateVector, p: SeasonParams, op: DispersalOperator) -> np.ndarray:
+    """Check ``u0`` (>= 0, op.n nodes) and op.d = p.d; return the full-size A."""
+    if np.any(u0.values < 0):
+        raise ValidationError("initial data must be nonnegative")
+    if u0.values.size != op.n:
+        raise ValidationError(
+            f"initial state has {u0.values.size} nodes, operator expects {op.n}")
+    if op.d != p.d:
+        raise ValidationError(
+            f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
+    return _linear_part(op, p.a, p.b, op.n)
+
+
 def _linear_part(op: DispersalOperator, a: float, b: float, m: int) -> np.ndarray:
     """A = (d K + diag(a - d loss)) / b, the linear part of the good season
     written as u' = b (A u - u^2), with ``op._block(m)`` for K: m = n, or
@@ -157,12 +170,7 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValidationError(f"t_end must be positive, got {t_end!r}")
-    if np.any(u0.values < 0):
-        raise ValidationError("evolve requires nonnegative initial data")
-    if u0.values.size != op.n:
-        raise ValidationError(
-            f"initial state has {u0.values.size} nodes, operator expects {op.n}")
-    times, values = _evolve(u0.values, p, _linear_part(op, p.a, p.b, op.n), ctl, t_end)
+    times, values = _evolve(u0.values, p, _checked_linear_part(u0, p, op), ctl, t_end)
     return Trajectory(times=_readonly(times), values=_readonly(values), grid=op.grid)
 
 
@@ -266,11 +274,11 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     ``ctl`` itself and None when S is not an integer or no candidate passes,
     so no more steps are taken than ``ctl`` takes.
     """
+    A = _checked_linear_part(u0, p, op)
     nominal = ctl.steps_for(p.good_season_length)
     samples, rest = divmod(nominal, ctl.stride)
     if rest or 4 * samples > nominal:
         return ctl, None
-    A = _linear_part(op, p.a, p.b, op.n)
     prev = None  # est(steps / 2)
     for steps, est in _step_doubling(u0.values, p, A, samples, nominal // 2):
         if prev is not None and est is not None and (prev == 0.0 or prev < 8.0 * est):
@@ -296,8 +304,6 @@ def _one_period(u: np.ndarray, p: SeasonParams, A: np.ndarray,
 
 def period_map(u0: StateVector, p: SeasonParams, op: DispersalOperator,
                ctl: StepControl) -> StateVector:
-    """Solution operator over exactly one period: u0 at time t maps to t + omega."""
-    if np.any(u0.values < 0):
-        raise ValidationError("period_map requires nonnegative initial data")
-    return StateVector(_one_period(u0.values, p, _linear_part(op, p.a, p.b, op.n), ctl),
+    """One period of ``evolve``, samples included: u0 at t maps to t + omega."""
+    return StateVector(evolve(u0, p, op, ctl, p.omega).final.values,
                        time=u0.time + p.omega)

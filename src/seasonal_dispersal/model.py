@@ -81,10 +81,6 @@ class LaplaceKernel:
         x = np.asarray(x, dtype=float)
         return np.exp(-np.abs(x) / self.scale) / (2.0 * self.scale)
 
-    @property
-    def at_zero(self) -> float:
-        return 1.0 / (2.0 * self.scale)
-
     def mass(self, half_width: float) -> float:
         """Exact integral over [-half_width, half_width]."""
         return 1.0 - math.exp(-half_width / self.scale)
@@ -92,18 +88,17 @@ class LaplaceKernel:
 
 @dataclass(frozen=True)
 class TabulatedKernel:
-    """Even kernel given by uniform samples on [-half_width, half_width].
+    """Even kernel given by uniform samples ``values`` on [-half_width, half_width].
 
-    Values are interpolated linearly between samples and clipped to zero
-    outside the half-width. The table must be mirror symmetric, nonnegative,
+    The table is interpolated linearly at |x| (exactly even) and clipped to
+    zero outside the half-width. It must be mirror symmetric, nonnegative,
     positive at the origin, and of numerical mass within 1e-6 of one; it is
     then rescaled so the interpolant integrates to exactly one.
     """
 
     values: np.ndarray
     half_width: float
-    _half_xs: np.ndarray = field(init=False, repr=False, compare=False)
-    _half_vals: np.ndarray = field(init=False, repr=False, compare=False)
+    xs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (math.isfinite(self.half_width) and self.half_width > 0):
@@ -126,20 +121,11 @@ class TabulatedKernel:
         if not (np.interp(0.0, xs, v) > 0):
             raise ValidationError("kernel table vanishes at the origin")
         object.__setattr__(self, "values", _readonly(v))
-        mid = v.size // 2
-        # evaluation uses |x| on the right half; exact mirror symmetry follows
-        object.__setattr__(self, "_half_xs", _readonly(xs[mid:] if v.size % 2 else
-                                                       np.concatenate(([0.0], xs[mid:]))))
-        object.__setattr__(self, "_half_vals", _readonly(v[mid:] if v.size % 2 else
-                                                         np.concatenate(([np.interp(0.0, xs, v)], v[mid:]))))
+        object.__setattr__(self, "xs", _readonly(xs))
 
     def evaluate(self, x):
         x = np.asarray(x, dtype=float)
-        return np.interp(np.abs(x), self._half_xs, self._half_vals, right=0.0)
-
-    @property
-    def at_zero(self) -> float:
-        return float(self._half_vals[0])
+        return np.interp(np.abs(x), self.xs, self.values, right=0.0)
 
     @property
     def scale(self) -> float:
@@ -148,14 +134,8 @@ class TabulatedKernel:
     def mass(self, half_width: float) -> float:
         """Exact integral of the interpolant over [-half_width, half_width]."""
         w = min(half_width, self.half_width)
-        xs, vs = self._half_xs, self._half_vals
-        k = int(np.searchsorted(xs, w, side="right")) - 1
-        full = float(np.trapezoid(vs[:k + 1], xs[:k + 1])) if k >= 1 else 0.0
-        partial = 0.0
-        if k < xs.size - 1 and w > xs[k]:
-            vw = float(np.interp(w, xs, vs))
-            partial = 0.5 * (vs[k] + vw) * (w - xs[k])
-        return 2.0 * (full + partial)
+        pts = np.concatenate(([-w], self.xs[np.abs(self.xs) < w], [w]))
+        return float(np.trapezoid(self.evaluate(pts), pts))
 
 
 KernelSpec = Union[LaplaceKernel, TabulatedKernel]
@@ -182,10 +162,6 @@ class Grid:
     @classmethod
     def centered(cls, length: float, n: int) -> "Grid":
         return cls(-0.5 * length, 0.5 * length, n)
-
-    @property
-    def length(self) -> float:
-        return self.l2 - self.l1
 
     @property
     def dx(self) -> float:

@@ -83,10 +83,9 @@ class DispersalOperator:
         return np.fft.rfft(np.concatenate((c, [0.0], c[:0:-1])))
 
     def _matvec(self, x: np.ndarray) -> np.ndarray:
-        """K x for a state of shape (n,) or a block of shape (n, m), by FFT."""
+        """K x for one state of shape (n,), by FFT."""
         m = 2 * self.n
-        spec = self._spectrum if x.ndim == 1 else self._spectrum[:, None]
-        return np.fft.irfft(np.fft.rfft(x, m, axis=0) * spec, m, axis=0)[:self.n]
+        return np.fft.irfft(np.fft.rfft(x, m) * self._spectrum, m)[:self.n]
 
     def apply(self, u) -> np.ndarray:
         """Evaluate L u for a StateVector or plain array of length n."""
@@ -110,11 +109,11 @@ def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition,
     The kernel is evaluated at the n distances k dx only. K is symmetric by
     construction, since every entry is read from the one column.
 
-    A row mass may exceed 1 by at most 1e-9 + (dx * J(0))^2. The midpoint
-    rule overshoots the exact kernel mass by up to about (dx * J(0))^2 / 3
-    once the habitat is much wider than the kernel (the quadrature bias of
-    the kernel's peak); on grids that resolve the kernel the allowance
-    reduces to the strict 1e-9.
+    A row mass may exceed 1 by at most 1e-9 + column[0]^2 = 1e-9 + (J(0) dx)^2:
+    the midpoint rule overshoots the exact kernel mass by up to about a third
+    of that square once the habitat is much wider than the kernel (the
+    quadrature bias of the kernel's peak); on grids that resolve the kernel
+    the allowance reduces to the strict 1e-9.
     """
     if not (math.isfinite(d) and d > 0):
         raise ValidationError(f"dispersal rate must be positive, got {d!r}")
@@ -130,7 +129,7 @@ def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition,
     # precision keeps the prefix sums as accurate as a direct row sum
     prefix = np.cumsum(column, dtype=np.longdouble)
     rowmass = (prefix + prefix[::-1] - column[0]).astype(float)
-    allowance = 1e-9 + (dx * kernel.at_zero) ** 2
+    allowance = 1e-9 + column[0] ** 2
     excess = float(np.max(rowmass)) - 1.0
     if excess > allowance:
         raise ValidationError(

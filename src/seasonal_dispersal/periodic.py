@@ -182,12 +182,11 @@ class Extinction:
 
     ``final_supnorm`` is the super-solution bound of find_periodic_solution,
     not a simulated sup-norm, and ``periods`` is the first period at which it
-    is below EXTINCTION_THRESHOLD.
+    is below EXTINCTION_THRESHOLD, the CLI's ``evidence = below_threshold``.
     """
 
     final_supnorm: float
     periods: int
-    evidence: str  # "below_threshold": the bound is below EXTINCTION_THRESHOLD
     lambda1: float
     trace: MonotoneIterationTrace
 
@@ -319,7 +318,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
                                        lower=_readonly(np.zeros_like(upper)),
                                        gaps=_readonly(np.max(upper, axis=1)))
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
-                          evidence="below_threshold", lambda1=lam1, trace=trace)
+                          lambda1=lam1, trace=trace)
 
     # periods counts every period map against max_periods, a map carrying
     # the pair once; the coarse step N is the first 2^k whose estimate is at
@@ -460,15 +459,14 @@ class ProfileEntry:
 def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
                              lengths: Sequence[float], *,
                              nodes_per_scale: int = 16,
-                             steps_per_season: int = 400,
-                             tol: float = 1e-8,
-                             max_periods: int = 5000) -> list[ProfileEntry]:
+                             steps_per_season: int = 400) -> list[ProfileEntry]:
     """Deviation of the habitat attractor from the scalar periodic orbit.
 
     For each centered habitat length L the periodic attractor is computed
     and compared to z*(t) on the core |x| <= L/4, maximized over the
-    attractor's sample instants. Growing habitats must not increase the
-    deviation (10 percent slack), or SolverError is raised.
+    attractor's sample instants, at find_periodic_solution's default tol and
+    budget. Growing habitats must not increase the deviation (10 percent
+    slack), or SolverError is raised.
     """
     if p.growth_margin <= 0:
         raise ValidationError("profile study requires growth_margin > 0")
@@ -488,8 +486,7 @@ def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
         pair = principal_eigenpair(op, p.a)
         ctl = StepControl.for_params(p, steps_per_season,
                                      stride=max(1, steps_per_season // 20))
-        sol = find_periodic_solution(p, op, pair, ctl, tol=tol,
-                                     max_periods=max_periods)
+        sol = find_periodic_solution(p, op, pair, ctl)
         if isinstance(sol, Extinction):
             raise SolverError(
                 f"habitat of length {L:g} has lambda1 = {sol.lambda1:g} >= 0; "

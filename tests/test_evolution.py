@@ -438,6 +438,29 @@ def test_linear_part_is_built_once_per_call(monkeypatch):
         assert got == want
 
 
+@pytest.mark.parametrize("fault, message", [("negative", "nonnegative"),
+                                            ("nodes", "nodes, operator expects"),
+                                            ("rate", "differs from params d=0.6")],
+                         ids=["negative", "nodes", "rate"])
+@pytest.mark.parametrize("entry", ["evolve", "period_map", "fit_step"])
+def test_entry_points_check_initial_state_and_rate(entry, fault, message):
+    # one check of the initial data and of the operator's dispersal rate,
+    # before any step: p.d = 0.6 on an operator assembled with d = 1
+    p = params(P1)
+    op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, 0.6 if fault != "rate" else 1.0)
+    u0 = np.full(16, 0.5)
+    if fault == "negative":
+        u0[3] = -0.1
+    elif fault == "nodes":
+        u0 = u0[:15]
+    u0, ctl = StateVector(u0), StepControl.for_params(p, 400, stride=20)
+    calls = {"evolve": lambda: evolve(u0, p, op, ctl, p.omega),
+             "period_map": lambda: period_map(u0, p, op, ctl),
+             "fit_step": lambda: evolution.fit_step(u0, p, op, ctl)}
+    with pytest.raises(ValidationError, match=message):
+        calls[entry]()
+
+
 def test_no_span_allocates_a_square_array(monkeypatch):
     # the stepper keeps O(n m) buffers and takes its n x n linear part ready
     # made, once per call: no span of evolve over three periods may hold a

@@ -41,7 +41,7 @@ class TestSeasonParams:
 
 class TestLaplaceKernel:
     def test_value_at_zero(self):
-        assert LaplaceKernel(scale=20.0).at_zero == pytest.approx(1.0 / 40.0)
+        assert LaplaceKernel(scale=20.0).evaluate(0.0) == pytest.approx(1.0 / 40.0)
 
     def test_even_exactly(self):
         k = LaplaceKernel(scale=2.5)
@@ -82,7 +82,7 @@ class TestLaplaceKernel:
 class TestTabulatedKernel:
     def test_tent_round_trip(self):
         k = TabulatedKernel(values=tent_kernel_table(2.0), half_width=2.0)
-        assert k.at_zero == pytest.approx(0.5)
+        assert k.evaluate(0.0) == pytest.approx(0.5)
         assert k.mass(2.0) == pytest.approx(1.0, abs=1e-12)
         assert k.mass(1.0) == pytest.approx(0.75, abs=1e-12)  # by hand
         assert k.mass(50.0) == pytest.approx(1.0, abs=1e-12)
@@ -92,10 +92,16 @@ class TestTabulatedKernel:
         assert np.all(k.evaluate(np.array([1.6, -2.0, 100.0])) == 0.0)
 
     def test_symmetry_within_interpolation_tolerance(self):
-        k = TabulatedKernel(values=tent_kernel_table(1.0, m=33), half_width=1.0)
+        # an odd- and an even-sized table; evaluation at |x| is even bit for bit
+        half = np.linspace(1.0, 0.1, 17)
+        even = np.concatenate([half[::-1], half])
+        even /= np.trapezoid(even, np.linspace(-1.0, 1.0, even.size))
         rng = np.random.default_rng(3)
         x = rng.uniform(-1.5, 1.5, 1000)
-        assert np.max(np.abs(k.evaluate(x) - k.evaluate(-x))) <= 1e-12
+        for values in (tent_kernel_table(1.0, m=33), even):
+            k = TabulatedKernel(values=values, half_width=1.0)
+            assert np.max(np.abs(k.evaluate(x) - k.evaluate(-x))) <= 1e-12
+            assert np.array_equal(k.evaluate(x), k.evaluate(-x))
 
     def test_asymmetric_table_rejected(self):
         v = tent_kernel_table(1.0)
@@ -125,7 +131,7 @@ class TestTabulatedKernel:
         # the gap between the two middle samples
         w = 2.0
         k = TabulatedKernel(values=np.full(4, 1.0 / (2.0 * w)), half_width=w)
-        assert k.at_zero == pytest.approx(0.25)
+        assert k.evaluate(0.0) == pytest.approx(0.25)
         assert k.mass(w) == pytest.approx(1.0, abs=1e-12)
         assert k.mass(0.5) == pytest.approx(0.25, abs=1e-12)
 
@@ -148,7 +154,7 @@ class TestGrid:
     def test_weights_sum_to_length(self):
         for n in (2, 7, 64, 128):
             g = Grid(l1=-1.3, l2=2.9, n=n)
-            assert n * g.dx == pytest.approx(g.length, rel=1e-12)
+            assert n * g.dx == pytest.approx(g.l2 - g.l1, rel=1e-12)
 
     def test_refinement_preserves_total_weight(self):
         g1 = Grid(l1=0.0, l2=3.7, n=100)

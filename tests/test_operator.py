@@ -92,16 +92,6 @@ def test_fft_apply_matches_dense_and_brute_force(n):
                 assert np.max(np.abs(out - brute_apply(op, u))) <= tol
 
 
-def test_block_product_equals_column_products():
-    rng = np.random.default_rng(15)
-    op = dirichlet_op(LaplaceKernel(2.0), 9.0, 200, d=0.7)
-    X = rng.normal(size=(200, 3))
-    block = op._matvec(X)
-    assert block.shape == (200, 3)
-    for j in range(3):
-        assert np.max(np.abs(block[:, j] - op._matvec(X[:, j]))) <= 1e-15 * np.max(np.abs(X))
-
-
 def test_prefix_sum_rowmass_matches_dense_row_sums():
     for kernel, length, n in [(LaplaceKernel(1.0), 7.0, 2048),
                               (LaplaceKernel(1.0), 100.0, 2048),

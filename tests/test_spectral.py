@@ -282,7 +282,7 @@ class TestCriticalLength:
 
         def spy(op, a, **kw):
             pair = principal_eigenpair(op, a, **kw)
-            solves.append((op.grid.length, op.n, pair))
+            solves.append((op.grid.l2 - op.grid.l1, op.n, pair))
             return pair
 
         monkeypatch.setattr(spectral, "principal_eigenpair", spy)
