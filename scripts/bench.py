@@ -29,6 +29,8 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   (60 periods from the cosine start at n = 128 only, nominal step 1/2000 of
   the good season, a sample every 100 nominal steps): ``fit_step`` and
   ``evolve`` at the step it chose, with the steps per good season beside it;
+* ``cli.export_ms``: one ``export_trajectory`` of that run's trajectory (n =
+  128 only) into a temporary directory, with its CSV data rows beside it;
 * ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
   per good season (the ``attractor`` benchmark config), at n = 128 only:
   the monotone loop it replaced took minutes at n = 2048; with the
@@ -73,6 +75,7 @@ import platform
 import statistics
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
@@ -118,7 +121,9 @@ ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
          "does not run. "
          "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
          "over 60 periods from the cosine start, nominal 2000 steps per good "
-         "season and stride 100 ('steps_per_season': the steps evolve took).")
+         "season and stride 100 ('steps_per_season': the steps evolve took). "
+         "cli.export_ms (n = 128 only, from BENCH_22.json on) is export_trajectory "
+         "of that run's trajectory into a temporary directory ('rows': CSV data rows).")
 STEPS_PER_SEASON = 400
 SPAN_STEPS = 50
 FIGURE_PERIODS = 60
@@ -185,8 +190,9 @@ def measure(sd, n: int) -> dict:
             sd.evolve(u0, p, op, ctl, FIGURE_PERIODS * p.omega)
             return ctl
 
+        fitted = simulate()
         layers.append(("evolution.simulate_figure_ms", simulate, 1e3,
-                       {"steps_per_season": simulate().steps_for(good)}))
+                       {"steps_per_season": fitted.steps_for(good)}))
         layers.append(("periodic.find_ms",
                        lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3,
                        periods(sd.find_periodic_solution(p, op, pair, ctl))))
@@ -200,7 +206,19 @@ def measure(sd, n: int) -> dict:
     for name, fn, scale, extra in layers:
         secs, runs = median_seconds(fn)
         out[name] = {"value": scale * secs, "runs": runs, **extra}
+    if n == FIND_N:
+        out["cli.export_ms"] = measure_export(
+            sd.evolve(u0, p, op, fitted, FIGURE_PERIODS * p.omega))
     return out
+
+
+def measure_export(tr) -> dict:
+    """One export_trajectory of ``tr``, into a temporary directory."""
+    from seasonal_dispersal import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "trajectory.csv")
+        secs, runs = median_seconds(lambda: cli.export_trajectory(tr, path))
+    return {"value": 1e3 * secs, "runs": runs, "rows": tr.values.size}
 
 
 def measure_near(sd) -> dict:

@@ -29,7 +29,7 @@ from .config import ScenarioConfig, parse_config
 from .errors import ConfigError, SolverError, ValidationError
 from .evolution import Trajectory, evolve, fit_step
 from .model import BoundaryCondition
-from .operator import assemble
+from .operator import _fold_width, assemble
 from .periodic import (Extinction, PeriodicSolution, ProfileEntry,
                        asymptotic_profile_study, classify,
                        find_periodic_solution, ode_periodic_solution)
@@ -101,17 +101,27 @@ def _write_csv(path: str, header: str, times, values, nodes=None) -> None:
     """CSV of ``header``, then one row ``t,x,value`` per time and node, times
     and nodes in the given order; without ``nodes``, one row ``t,value`` per
     time. Each node is formatted once per file, into a template that the
-    time joins and one ``%`` fills per time; ``%.17g`` is ``_fmt``. The rows
-    stream into the temp file of the atomic write.
+    time joins and one ``%`` fills per time; ``%.17g`` is ``_fmt``. A row
+    that equals its mirror bit for bit (``_fold_width`` m < n) formats only
+    its leading m values and repeats those strings for the mirror nodes, into
+    a ``%s`` template. The rows stream into the temp file of the atomic write.
     """
     cols = [""] if nodes is None else [_fmt(x) + "," for x in nodes]
+    n = len(cols)
+    values = np.asarray(values, dtype=float).reshape(-1, n)  # an empty profile too
     # "t,".join(parts) puts the time before every node column
     parts = [""] + [c + "%.17g\n" for c in cols]
+    mirrored = [""] + [c + "%s\n" for c in cols]
+    half = ",".join(["%.17g"] * ((n + 1) // 2))
 
     def lines():
         yield header + "\n"
-        for t, row in zip(times, np.asarray(values, dtype=float)):
-            yield (_fmt(t) + ",").join(parts) % tuple(row.tolist())
+        for t, row, m in zip(times, values, _fold_width(values).tolist()):
+            if m < n:
+                s = (half % tuple(row[:m].tolist())).split(",")
+                yield (_fmt(t) + ",").join(mirrored) % tuple(s + s[:n - m][::-1])
+            else:
+                yield (_fmt(t) + ",").join(parts) % tuple(row.tolist())
 
     _atomic_write(path, lines())
 

@@ -12,6 +12,12 @@ as i*omega and (i+rho)*omega so trajectories and tests agree bit for bit.
 already below rounding, by step doubling over the first good season, with
 the sample instants kept; the ``simulate`` subcommand steps at it. The
 periodic solve chooses its coarse step by the same estimate.
+
+All three follow the operator's one fold rule: an initial state equal to
+its mirror bit for bit (``operator._fold_width``), such as every cosine or
+constant start on a centred grid, is stepped on its leading ceil(n/2)
+nodes with the folded linear part, and ``evolve`` unfolds its samples to n
+nodes, exactly mirror-symmetric. Any other state is stepped at full size.
 """
 
 import math
@@ -22,7 +28,7 @@ import numpy as np
 
 from .errors import PositivityError, SolverError, ValidationError
 from .model import Grid, SeasonParams, StateVector, _readonly
-from .operator import DispersalOperator
+from .operator import DispersalOperator, _fold_width, _unfold
 
 #: entries in (-_TOL_POS, 0) are clamped to zero; anything below is an error
 _TOL_POS = 1e-12
@@ -66,16 +72,15 @@ class Trajectory:
     values: np.ndarray
     grid: Grid
 
-    def __len__(self) -> int:
-        return self.times.size
-
     @property
     def final(self) -> StateVector:
         return StateVector(self.values[-1], time=float(self.times[-1]))
 
 
 def _checked_linear_part(u0: StateVector, p: SeasonParams, op: DispersalOperator) -> np.ndarray:
-    """Check ``u0`` (>= 0, op.n nodes) and op.d = p.d; return the full-size A."""
+    """Check ``u0`` (>= 0, op.n nodes) and op.d = p.d; return A at the width
+    ``_fold_width`` gives ``u0``: m = ceil(n/2) for a mirror-symmetric u0,
+    which is stepped as ``u0[:m]``, n for any other."""
     if np.any(u0.values < 0):
         raise ValidationError("initial data must be nonnegative")
     if u0.values.size != op.n:
@@ -84,15 +89,17 @@ def _checked_linear_part(u0: StateVector, p: SeasonParams, op: DispersalOperator
     if op.d != p.d:
         raise ValidationError(
             f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
-    return _linear_part(op, p.a, p.b, op.n)
+    return _linear_part(op, p.a, p.b, int(_fold_width(u0.values)))
 
 
 def _linear_part(op: DispersalOperator, a: float, b: float, m: int) -> np.ndarray:
     """A = (d K + diag(a - d loss)) / b, the linear part of the good season
     written as u' = b (A u - u^2), with ``op._block(m)`` for K: m = n, or
-    m = ceil(n/2) for even states; a new array. SeasonParams keeps b > 0."""
+    m = ceil(n/2) for even states, with the leading m entries of a Neumann
+    loss (rowmass is mirror-symmetric bit for bit); a new array.
+    SeasonParams keeps b > 0."""
     A = (op.d / b) * op._block(m)
-    A.flat[::m + 1] += (a - op.d * op.loss) / b
+    A.flat[::m + 1] += (a - op.d * np.broadcast_to(op.loss, op.n)[:m]) / b
     return A
 
 
@@ -170,8 +177,10 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     """
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValidationError(f"t_end must be positive, got {t_end!r}")
-    times, values = _evolve(u0.values, p, _checked_linear_part(u0, p, op), ctl, t_end)
-    return Trajectory(times=_readonly(times), values=_readonly(values), grid=op.grid)
+    A = _checked_linear_part(u0, p, op)
+    times, values = _evolve(u0.values[:len(A)], p, A, ctl, t_end)
+    return Trajectory(times=_readonly(times), values=_readonly(_unfold(values, op.n)),
+                      grid=op.grid)
 
 
 def _evolve(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
@@ -280,7 +289,7 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     if rest or 4 * samples > nominal:
         return ctl, None
     prev = None  # est(steps / 2)
-    for steps, est in _step_doubling(u0.values, p, A, samples, nominal // 2):
+    for steps, est in _step_doubling(u0.values[:len(A)], p, A, samples, nominal // 2):
         if prev is not None and est is not None and (prev == 0.0 or prev < 8.0 * est):
             ratio = steps // samples
             return StepControl(dt_good=ctl.dt_good * ctl.stride / ratio, stride=ratio), est

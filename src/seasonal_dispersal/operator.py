@@ -5,6 +5,12 @@ depends on ``i - j`` only and J is even, so K is symmetric Toeplitz: its
 first column determines it. The operator stores that column, applies K by a
 zero-padded real FFT in O(n log n) time and O(n) memory, and builds dense
 blocks of K from it (``DispersalOperator._block``) for the RK4 stepper.
+
+One fold rule holds from the stepper to the CSV writer: a state that equals
+its mirror about the habitat's midpoint bit for bit (``_fold_width``) is
+stepped and written on its leading m = ceil(n/2) nodes only. K maps such a
+state to another one, and ``_block(m)`` is K on them; ``_unfold`` restores
+the trailing nodes. Any other state is stepped and written at full size.
 """
 
 import math
@@ -66,7 +72,8 @@ class DispersalOperator:
         c[|i - j|] + c[n - 1 - i - j], the reflected term for j < n - m only.
         So ``_block(n)`` is K, and ``_block(ceil(n/2))`` is K on even states,
         K11 + K12 J (Cantoni & Butler, Linear Algebra Appl. 13, 1976), the
-        middle node of an odd grid counted once. ``_unfold`` builds the states.
+        middle node of an odd grid counted once. ``_unfold`` builds the states,
+        and ``_fold_width`` tells which width a state is stepped at.
         """
         n, c = self.n, self.column
         # Toeplitz row i: the window of [c_{m-1} .. c_0 .. c_{m-1}] at m - 1 - i;
@@ -94,6 +101,16 @@ class DispersalOperator:
             raise ValidationError(
                 f"state has shape {v.shape}, operator expects ({self.n},)")
         return self.d * (self._matvec(v) - self.loss * v)
+
+
+def _fold_width(v: np.ndarray) -> np.ndarray:
+    """The nodes a row of ``v`` (along its last axis, of n entries) is
+    stepped or written on: m = ceil(n/2) where the row equals its mirror bit
+    for bit, so its trailing n - m nodes repeat its leading ones, and n
+    elsewhere. One width per row; a 0-d array for one state."""
+    bits = np.asarray(v, dtype=float).view(np.uint64)
+    n = bits.shape[-1]
+    return np.where(np.all(bits == bits[..., ::-1], axis=-1), (n + 1) // 2, n)
 
 
 def _unfold(y: np.ndarray, n: int) -> np.ndarray:

@@ -9,7 +9,9 @@ of an ordered pair around the approximation, stepped beside it and sampled,
 certifies it at the given step, by comparison: the period map preserves
 order. Every state this stepping touches is mirror-symmetric about the
 habitat's midpoint, so it steps only the leading half of the nodes, with
-``_linear_part`` of the folded kernel matrix ``DispersalOperator._block``.
+``_linear_part`` of the folded kernel matrix ``DispersalOperator._block``,
+as ``evolve``, ``period_map`` and ``fit_step`` do with every exactly even
+start: the fold is the operator's one rule, not special to this solve.
 When the threshold eigenvalue is not negative, a decaying multiple of the
 principal eigenfunction is a super-solution, which certifies extinction in
 closed form.

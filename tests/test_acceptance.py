@@ -361,7 +361,7 @@ def test_criterion_8_neumann_consistency():
         return logistic_flow(zi * A, p.a, p.b, s - p.bad_season_length)
 
     worst = max(float(np.max(np.abs(tr.values[kk] - z_exact(float(tr.times[kk])))))
-                for kk in range(len(tr)))
+                for kk in range(tr.times.size))
 
     rng = np.random.default_rng(88)
     sign_ok = True

@@ -105,3 +105,23 @@ def test_package_calls_of_the_benchmark():
     ctl = sd.StepControl(dt_good=0.004)
     end = sd.evolve(sd.StateVector(u), p, op, ctl, p.omega).final.values
     assert end.shape == (16,) and np.all(end > 0.0)
+
+
+@pytest.mark.parametrize("seed", [1, 901, 902, 911])
+def test_benchmark_cosine_starts_are_stepped_on_their_half(tmp_path, seed):
+    # each workload's seeded habitat Grid(-hw, hw, n) has exactly mirrored
+    # nodes, so its cosine start is even bit for bit and folded
+    from seasonal_dispersal.config import parse_config
+    from seasonal_dispersal.operator import _fold_width
+
+    spec = importlib.util.spec_from_file_location("perfbench_workloads",
+                                                  TRACING.with_name("workloads.py"))
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for w in workloads.WORKLOADS.values():
+        inputs = workloads.make_inputs(w, seed, tmp_path)
+        cfg = parse_config((tmp_path / f"{w.name}.cfg").read_text())
+        x = cfg.grid.nodes
+        assert cfg.grid.l2 == inputs.half_width
+        assert np.array_equal(x, -x[::-1])
+        assert _fold_width(cfg.u0.values) == (cfg.grid.n + 1) // 2

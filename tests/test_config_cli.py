@@ -116,6 +116,16 @@ class TestParseConfig:
                            + f"kernel.table_path = {path}\n")
         assert cfg.kernel.half_width == w
 
+    def test_kernel_table_from_formula_at_linspace_nodes_runs(self, tmp_path):
+        # the tent written at linspace nodes is symmetric to rounding only
+        xs = np.linspace(-0.1, 0.1, 41)
+        path = tmp_path / "kern.csv"
+        path.write_text("x,J\n" + "\n".join(f"{x!r},{(1.0 - abs(x) / 0.1) / 0.1!r}"
+                                             for x in xs.tolist()))
+        cfg = make_config(tmp_path, BASE_P1 + f"kernel.type = table\nkernel.table_path = {path}\n"
+                          f"run.n_periods = 1\nout.trajectory = {tmp_path}/t.csv\n")
+        assert main(["simulate", "--config", cfg]) == 0
+
     def test_ic_table_interpolated(self, tmp_path):
         path = tmp_path / "ic.csv"
         path.write_text("x,u\n-0.2,0.0\n0.0,1.0\n0.2,0.0\n")
@@ -204,6 +214,43 @@ class TestExportTrajectory:
             export_trajectory(tr, str(tmp_path / "t.csv"))
         assert len(tmp_at_failure) == 1
         assert list(tmp_path.iterdir()) == []
+
+    @staticmethod
+    def _reference(header, times, values, nodes):
+        """The CSV text with every value formatted on its own."""
+        f = lambda v: format(float(v), ".17g")
+        out = [header + "\n"]
+        for t, row in zip(times, values):
+            cols = [""] * len(row) if nodes is None else [f(x) + "," for x in nodes]
+            out += [f"{f(t)},{c}{f(v)}\n" for c, v in zip(cols, row)]
+        return "".join(out)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 128])
+    def test_mirrored_and_other_rows_match_reference(self, tmp_path, n):
+        # mirrored rows (m < n) reuse the strings of their leading half; a row
+        # one ulp off its mirror, or with a -0.0 mirroring +0.0, takes the
+        # one-% path; both give the same bytes as formatting every value
+        grid = Grid.centered(0.4, n)
+        half = np.random.default_rng(n).uniform(0.0, 2.0, (n + 1) // 2)
+        even = np.concatenate([half, half[:n // 2][::-1]])
+        off = even.copy()
+        off[-1] = np.nextafter(off[-1], 3.0)
+        signed = even.copy()
+        signed[0], signed[-1] = 0.0, -0.0
+        values = np.array([even, off, 1 / 3 * even, signed, np.zeros(n)])
+        times = [0.0, 0.1, 1 / 3, 5e-324, 60.0]
+        path = tmp_path / "t.csv"
+        cli._write_csv(str(path), "t,x,u", times, values, grid.nodes)
+        assert path.read_text() == self._reference("t,x,u", times, values, grid.nodes)
+
+    def test_profile_csv_matches_reference(self, tmp_path):
+        values = [[0.1], [1 / 3], [-0.0], [5e-324]]
+        lengths = [10.0, 20.0, 40.0, 80.0]
+        path = tmp_path / "p.csv"
+        cli._write_csv(str(path), "L,deviation", lengths, values)
+        assert path.read_text() == self._reference("L,deviation", lengths, values, None)
+        cli._write_csv(str(path), "L,deviation", [], [])
+        assert path.read_text() == "L,deviation\n"
 
     @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e22])
     def test_row_template_formats_as_fmt(self, v):

@@ -22,7 +22,8 @@ DIR = BoundaryCondition.DIRICHLET
 
 
 def linear(op, p):
-    """The full-size linear part that evolve and period_map step."""
+    """The full-size linear part, which evolve and period_map step for a
+    start that does not equal its mirror."""
     return evolution._linear_part(op, p.a, p.b, op.n)
 
 
@@ -408,7 +409,8 @@ class TestPeriodMap:
 def test_linear_part_is_built_once_per_call(monkeypatch):
     # evolve, period_map and fit_step each build A once from the column,
     # however many spans and period maps they step with it, and none reads
-    # the dense K: with K raising, their results stay the same bit for bit
+    # the dense K: with K raising, their results stay the same bit for bit.
+    # The cosine start is even, so A is the (8, 8) fold
     from seasonal_dispersal import DispersalOperator
 
     p = params(P1)
@@ -434,7 +436,7 @@ def test_linear_part_is_built_once_per_call(monkeypatch):
     for call, want in zip(calls, expected):
         built.clear()
         got = call()
-        assert built == [(16, 16)]
+        assert built == [(8, 8)]
         assert got == want
 
 
@@ -511,7 +513,7 @@ class TestFitStep:
         assert fit.dt_good * fit.stride == ctl.dt_good * ctl.stride
         coarse = evolve(u0, p, op, fit, 3 * p.omega)
         nominal = evolve(u0, p, op, ctl, 3 * p.omega)
-        assert len(coarse) == len(nominal)
+        assert coarse.times.size == nominal.times.size
         assert np.max(np.abs(coarse.values - nominal.values)) <= 1e-12
         # season boundaries exact; interior labels within an ulp
         boundaries = [i * p.omega for i in range(4)] + [(i + p.rho) * p.omega
@@ -524,10 +526,13 @@ class TestFitStep:
     def test_choice_is_the_rule_on_one_period_estimates(self):
         # est(N) = |P_N(u0) - P_2N(u0)| 16/15 over 20 2^k steps, and the first
         # N with est(N) < 8 est(2N) gives 2N, bit for bit: the step-doubling
-        # helper it shares with the periodic solve changes no number
+        # helper it shares with the periodic solve changes no number. The
+        # cosine start is even, so the periods are stepped on its half
         p, op, u0, ctl = self._case()
+        m = (op.n + 1) // 2
         counts = [20 * 2 ** k for k in range(7)]
-        ends = {k: evolution._one_period(u0.values, p, linear(op, p),
+        ends = {k: evolution._one_period(u0.values[:m], p,
+                                         evolution._linear_part(op, p.a, p.b, m),
                                          StepControl.for_params(p, k))
                 for k in counts}
         est = {k: float(np.max(np.abs(ends[k] - ends[2 * k]))) * 16.0 / 15.0
@@ -590,3 +595,84 @@ class TestFitStep:
 
         monkeypatch.setattr(evolution, "_rk4_span", fails)
         assert evolution.fit_step(u0, p, op, ctl) == (ctl, None)
+
+
+class TestFold:
+    """A start that equals its mirror bit for bit is stepped on its leading
+    m = ceil(n/2) nodes by ``evolve``, ``period_map`` and ``fit_step``; any
+    other start at full size. The full-size references step ``_rk4_span``
+    with ``_linear_part(op, a, b, n)``."""
+
+    @staticmethod
+    def _case(bc, n):
+        p = params(P1)
+        op = assemble(LaplaceKernel(20.0), Grid.centered(0.4, n), bc, p.d)
+        u0 = StateVector(np.cos(np.pi * op.grid.nodes / 0.4))
+        return p, op, u0, StepControl.for_params(p, 40, stride=10)
+
+    @staticmethod
+    def _widths(monkeypatch):
+        """The row counts of every A built and every state stepped."""
+        seen = {"A": [], "u": []}
+        build, stepper = evolution._linear_part, evolution._rk4_span
+
+        def built(op, a, b, m):
+            seen["A"].append(m)
+            return build(op, a, b, m)
+
+        def stepped(u, *args, **kwargs):
+            seen["u"].append(u.shape[0])
+            return stepper(u, *args, **kwargs)
+
+        monkeypatch.setattr(evolution, "_linear_part", built)
+        monkeypatch.setattr(evolution, "_rk4_span", stepped)
+        return seen
+
+    @pytest.mark.parametrize("bc", [DIR, NEU], ids=["dirichlet", "neumann"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 47, 128])
+    def test_even_start_steps_half_and_stays_mirrored(self, monkeypatch, bc, n):
+        p, op, u0, ctl = self._case(bc, n)
+        A = linear(op, p)
+        m = (n + 1) // 2
+        full_times, full = evolution._evolve(u0.values, p, A, ctl, 2 * p.omega)
+        seen = self._widths(monkeypatch)
+        tr = evolve(u0, p, op, ctl, 2 * p.omega)
+        end = period_map(u0, p, op, ctl).values
+        assert set(seen["A"]) == {m} and set(seen["u"]) == {m}
+        assert np.array_equal(tr.values, tr.values[:, ::-1])
+        assert np.array_equal(end, end[::-1])
+        assert np.array_equal(tr.times, full_times)
+        ulps = 8 * np.finfo(float).eps * np.max(full)
+        assert np.max(np.abs(tr.values - full)) <= ulps
+        assert np.max(np.abs(end - evolution._one_period(u0.values, p, A, ctl))) <= ulps
+
+    @pytest.mark.parametrize("bc", [DIR, NEU], ids=["dirichlet", "neumann"])
+    @pytest.mark.parametrize("n", [1, 2, 3, 47, 128])
+    def test_fit_step_on_even_start_matches_full_size(self, monkeypatch, bc, n):
+        # with the fold width forced to n, fit_step steps at full size
+        p, op, u0, _ = self._case(bc, n)
+        ctl = StepControl.for_params(p, 2000, stride=100)
+        monkeypatch.setattr(evolution, "_fold_width", lambda v: np.asarray(v).shape[-1])
+        full, full_est = evolution.fit_step(u0, p, op, ctl)
+        monkeypatch.undo()
+        seen = self._widths(monkeypatch)
+        fit, est = evolution.fit_step(u0, p, op, ctl)
+        assert set(seen["A"]) == {(n + 1) // 2} and set(seen["u"]) == {(n + 1) // 2}
+        assert fit == full
+        assert abs(est - full_est) <= 8 * np.finfo(float).eps
+
+    @pytest.mark.parametrize("n", [2, 3, 47, 128])
+    def test_start_one_ulp_off_mirror_steps_full_size(self, monkeypatch, n):
+        p, op, u0, ctl = self._case(DIR, n)
+        values = u0.values.copy()
+        values[0] = np.nextafter(values[0], 1.0)
+        u0 = StateVector(values)
+        A = linear(op, p)
+        full = evolution._evolve(values, p, A, ctl, 2 * p.omega)[1]
+        seen = self._widths(monkeypatch)
+        tr = evolve(u0, p, op, ctl, 2 * p.omega)
+        end = period_map(u0, p, op, ctl).values
+        evolution.fit_step(u0, p, op, StepControl.for_params(p, 2000, stride=100))
+        assert set(seen["A"]) == {n} and set(seen["u"]) == {n}
+        assert np.array_equal(tr.values, full)
+        assert np.array_equal(end, evolution._one_period(values, p, A, ctl))

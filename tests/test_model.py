@@ -110,6 +110,23 @@ class TestTabulatedKernel:
         with pytest.raises(ValidationError, match="symmetric"):
             TabulatedKernel(values=v, half_width=1.0)
 
+    @pytest.mark.parametrize("m", [41, 1001])
+    def test_formula_at_linspace_nodes_accepted_and_symmetrised(self, m):
+        # linspace nodes are not exact mirrors, so the tent written at them
+        # is symmetric to rounding only; the stored table is exact
+        v = (1.0 - np.abs(np.linspace(-0.1, 0.1, m)) / 0.1) / 0.1
+        assert not np.array_equal(v, v[::-1])
+        k = TabulatedKernel(values=v, half_width=0.1)
+        assert np.array_equal(k.values, k.values[::-1])
+        assert np.max(np.abs(k.values - v)) <= 1e-13
+        assert k.mass(0.1) == pytest.approx(1.0, abs=1e-12)
+
+    def test_relative_asymmetry_of_1e_6_rejected(self):
+        v = (1.0 - np.abs(np.linspace(-0.1, 0.1, 41)) / 0.1) / 0.1
+        v[15] *= 1.0 + 1e-6
+        with pytest.raises(ValidationError, match="symmetric"):
+            TabulatedKernel(values=v, half_width=0.1)
+
     def test_negative_sample_rejected(self):
         v = tent_kernel_table(1.0).copy()
         v[0] = -1e-3
@@ -176,11 +193,34 @@ class TestGrid:
         g = Grid.centered(8.0, 16)
         assert (g.l1, g.l2) == (-4.0, 4.0)
 
+    @pytest.mark.parametrize("grid", [Grid.centered(0.4, 128), Grid.centered(0.4, 47),
+                                      Grid(-0.2 * 1.0137, 0.2 * 1.0137, 128),
+                                      Grid(-0.5 * 0.9871, 0.5 * 0.9871, 64),
+                                      Grid(-50.3, 50.3, 2048), Grid.centered(8.0, 1)],
+                             ids=["0.4x128", "0.4x47", "skewed_hw", "extinction_hw",
+                                  "wide", "single"])
+    def test_centred_nodes_are_exact_mirrors(self, grid):
+        # laid out from the midpoint, so an even function of them is even
+        # bit for bit: the cosine start is stepped on its half
+        x = grid.nodes
+        assert np.array_equal(x, -x[::-1])
+        u = np.cos(np.pi * x / (grid.l2 - grid.l1))
+        assert np.array_equal(u, u[::-1])
+
+    @pytest.mark.parametrize("l1, l2", [(-1.3, 2.9), (0.0, 3.7), (-0.3, 0.5), (1.0, 2.0)])
+    @pytest.mark.parametrize("n", [1, 2, 3, 7, 100, 128])
+    def test_off_centre_nodes_within_rounding_of_the_left_end_layout(self, l1, l2, n):
+        # 0.5 (l1 + l2) + (i - (n-1)/2) dx and l1 + (i + 1/2) dx each round
+        # twice, so they can differ by two ulps of the larger endpoint
+        g = Grid(l1, l2, n)
+        ref = l1 + (np.arange(n) + 0.5) * g.dx
+        assert np.max(np.abs(g.nodes - ref)) <= 2 * np.spacing(max(abs(l1), abs(l2)))
+
 
 class TestStateVector:
     def test_basic(self):
         s = StateVector(np.array([1.0, 2.0, 0.5]), time=0.25)
-        assert len(s) == 3
+        assert s.values.size == 3
         assert s.sup_norm == pytest.approx(2.0)
 
     def test_nonfinite_rejected(self):
