@@ -48,7 +48,9 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   length 10, 20 and 40 at 16 nodes per scale, so n = 256, 320 and 640, and
   400 RK4 steps per good season).
 
-Each figure is the median of repeated calls after one warm-up call. BLAS is
+Each figure is the median of at least MIN_RUNS = 10 calls, and of as many
+as fill one second, after one warm-up call (``BENCH_22.json`` and earlier
+took at least 3, so their slowest layers rest on 4-6 calls). BLAS is
 pinned to one thread. The results are merged into the JSON file, one run per
 ``--label``. Given ``--src`` and ``--label`` once per source tree, in the same
 order, the script measures the trees alternately, each layer group (one size,
@@ -88,8 +90,9 @@ NEAR = dict(length=4.319876, n=64, steps=200, max_periods=400)
 P2 = dict(delta=0.2, a=1.2, b=0.6, d=1.0, rho=0.6, omega=1.0)
 WIDE_N = 2048
 CRITICAL_SCALES = (1.0, 20.0)
-PROFILE = dict(lengths=(10.0, 20.0, 40.0), nodes_per_scale=16, steps_per_season=400)
-ABOUT = ("Median wall time per call after one warm-up call, BLAS pinned to one "
+PROFILE_LENGTHS = (10.0, 20.0, 40.0)
+ABOUT = ("Median wall time per call over at least 10 calls and 1 s, after one "
+         "warm-up call (BENCH_22.json and earlier: at least 3 calls), BLAS pinned to one "
          "thread, on the P1 operator (Laplace kernel of scale 20, habitat "
          "[-0.2, 0.2], Dirichlet). spectral.eigen_ms is one principal_eigenpair "
          "('products': operator products taken); spectral.eigen_wide_ms the same "
@@ -128,7 +131,7 @@ STEPS_PER_SEASON = 400
 SPAN_STEPS = 50
 FIGURE_PERIODS = 60
 BUDGET_S = 1.0
-MIN_RUNS = 3
+MIN_RUNS = 10
 
 
 def median_seconds(fn) -> tuple[float, int]:
@@ -246,7 +249,7 @@ def measure_profile_study(sd) -> dict:
     p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
     kernel = sd.LaplaceKernel(1.0)
     secs, runs = median_seconds(
-        lambda: sd.asymptotic_profile_study(p, kernel, **PROFILE))
+        lambda: sd.asymptotic_profile_study(p, kernel, PROFILE_LENGTHS))
     return {"value": 1e3 * secs, "runs": runs}
 
 

@@ -1,20 +1,20 @@
 """Periodic attractors, regime classification, and the ODE reference model.
 
-When the threshold eigenvalue is negative, the omega-periodic attractor of
-the habitat problem is the unique positive fixed point of the period map. An
-Anderson-accelerated fixed-point iteration (Walker & Ni, SIAM J. Numer. Anal.
-49, 2011) approximates it from the closed-form orbit of its projection on the
-principal eigenfunction, on a coarse-step period map first, and one period
-of an ordered pair around the approximation, stepped beside it and sampled,
-certifies it at the given step, by comparison: the period map preserves
-order. Every state this stepping touches is mirror-symmetric about the
-habitat's midpoint, so it steps only the leading half of the nodes, with
-``_linear_part`` of the folded kernel matrix ``DispersalOperator._block``,
-as ``evolve``, ``period_map`` and ``fit_step`` do with every exactly even
-start: the fold is the operator's one rule, not special to this solve.
-When the threshold eigenvalue is not negative, a decaying multiple of the
-principal eigenfunction is a super-solution, which certifies extinction in
-closed form.
+When the threshold eigenvalue is negative, the omega-periodic attractor of the
+habitat problem is the unique positive fixed point of the period map. One
+loop, one period map per pass, finds and certifies it: an Anderson-accelerated
+fixed-point iteration (Walker & Ni, SIAM J. Numer. Anal. 49, 2011)
+approximates it from the closed-form orbit of its projection on the principal
+eigenfunction, on a coarse-step period map first, and one period of an ordered
+pair around the approximation, stepped beside it and sampled, certifies it at
+the given step, by comparison: the period map preserves order. Every state
+this stepping touches is mirror-symmetric about the habitat's midpoint, so it
+steps only the leading half of the nodes, with ``_linear_part`` of the folded
+kernel matrix ``DispersalOperator._block``, as ``evolve``, ``period_map`` and
+``fit_step`` do with every exactly even start: the fold is the operator's one
+rule, not special to this solve. When the threshold eigenvalue is not
+negative, a decaying multiple of the principal eigenfunction is a
+super-solution, which certifies extinction in closed form.
 
 The spatially homogeneous reference is the scalar seasonal logistic ODE,
 whose periodic orbit has a closed form; it is also the profile limit of the
@@ -23,7 +23,7 @@ habitat attractor as the habitat grows.
 
 import math
 from dataclasses import dataclass, replace
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -49,6 +49,11 @@ ANDERSON_DEPTH = 3
 #: a pair is stepped once |P(u) - u| is below this fraction of (1 - q) eps,
 #: the room the one-period sandwich leaves at contraction q
 ANDERSON_MARGIN = 0.1
+
+#: asymptotic_profile_study's grid nodes per kernel scale (256 at least) and
+#: RK4 steps per good season on each habitat
+PROFILE_NODES_PER_SCALE = 16
+PROFILE_STEPS_PER_SEASON = 400
 
 
 # ---------------------------------------------------------------------------
@@ -193,36 +198,22 @@ class Extinction:
     trace: MonotoneIterationTrace
 
 
-def _anderson(x: np.ndarray, period: Callable[[np.ndarray], np.ndarray],
-              q: float = 1.0) -> Iterator[tuple[np.ndarray, np.ndarray, float]]:
-    """Anderson-accelerated iteration of u <- P(u) on one column x, with
-    P = ``period``: yields (x, P(x), q), one period map each, for as long as
-    it is drawn from.
+def _extrapolate(history: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """Next iterate of u <- P(u) from its pairs (x, P(x)), oldest first.
 
     Type-II Anderson acceleration of depth ANDERSON_DEPTH (Walker & Ni
-    2011); an extrapolated iterate with an entry <= 0 is replaced by P(x).
-    The contraction q, ``q`` until measured, is the sup-norm ratio of the
-    last P(x) and x steps.
+    2011) over the last ANDERSON_DEPTH + 1 pairs: the least-squares
+    combination of their residual differences, applied to their image
+    differences. One pair, or an extrapolated iterate with an entry <= 0,
+    gives the last P(x).
     """
-    g = period(x)
-    f = g - x
-    dF: list[np.ndarray] = []
-    dG: list[np.ndarray] = []
-    while True:
-        yield x, g, q
-        x_new = g
-        if dF:
-            gamma = np.linalg.lstsq(np.hstack(dF), f, rcond=None)[0]
-            x_new = g - np.hstack(dG) @ gamma
-            if np.min(x_new) <= 0.0:
-                x_new = g
-        g_new = period(x_new)
-        f_new = g_new - x_new
-        step = float(np.max(np.abs(x_new - x)))
-        q = float(np.max(np.abs(g_new - g))) / step if step > 0.0 else 1.0
-        dF = (dF + [f_new - f])[-ANDERSON_DEPTH:]
-        dG = (dG + [g_new - g])[-ANDERSON_DEPTH:]
-        x, g, f = x_new, g_new, f_new
+    xs, gs = (np.hstack(columns) for columns in zip(*history[-ANDERSON_DEPTH - 1:]))
+    fs, g = gs - xs, gs[:, -1:]
+    if fs.shape[1] == 1:
+        return g
+    gamma = np.linalg.lstsq(np.diff(fs), fs[:, -1:], rcond=None)[0]
+    x = g - np.diff(gs) @ gamma
+    return g if np.min(x) <= 0.0 else x
 
 
 def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPair,
@@ -241,31 +232,33 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     for sigma = sigma_lo and, scaled small, a lower solution for any sigma >
     sigma_hi; over a period m changes by the factor exp(-lambda1(sigma) omega).
 
-    With lambda1 < 0, Anderson iteration of u <- P(u) on one column from
-    z0 phi1 gives u~ with |P(u~) - u~| well below (1 - q) eps, eps = tol/2
-    and q the measured contraction. u* branches off zero along phi1
-    (Crandall & Rabinowitz, J. Funct. Anal. 8, 1971), and z0 is the closed
-    form of ode_periodic_solution for the projection u = s phi1: the scalar
-    model with a = -sigma1 and b c, c = sum phi1^3 / sum phi1^2, whose
-    growth margin is -lambda1 > 0. The iteration runs first on the
-    coarse-step period map P_N, until |P_N(x) - x| is that small: N is the
-    coarsest 2^k with 4 N at most ``ctl``'s steps per good season whose
-    step-doubling estimate |P_N(top) - P_2N(top)| 16/15 (that of fit_step),
-    with top = a/b + UPPER_OFFSET, is at most eps; with none, there is no
-    coarse phase. Its iterate and q start the iteration at ``ctl``'s step.
-    The coarse phase only chooses the start: every check below is made at
-    ``ctl``'s step. Once a residual (the coarse phase's last one included)
-    is that small, the next map at ``ctl``'s step carries the pair: with
-    v = eps phi1 / max phi1, it steps the iterate u~ and u~ +- v as one
-    (m, 3) block (m below), sampled along the period, when u~ - v > 0. The
-    pair certifies u~ if P(u~ + v) <= u~ + v, P(u~ - v) >= u~ - v and
-    P(u~ - v) <= P(u~ + v) hold everywhere with zero slack and the image
-    gap is at most ``tol``. Since P preserves order, the unique positive fixed
-    point u* = P(u*) lies between the two images. A pair that does not
-    certify rides again with a later iterate; a lower image above the upper
-    one means P did not preserve order, and SolverError is raised. The
-    attractor is the sampled orbit of u~ from that same run, and its
-    period-map residual |P(u~) - u~| is checked against ``tol``.
+    With lambda1 < 0, one loop makes every period map, one per pass: Anderson
+    iteration of u <- P(u) on one column from z0 phi1, each next iterate
+    extrapolated from the last ANDERSON_DEPTH + 1 pairs (x, P(x)), gives u~
+    with |P(u~) - u~| well below (1 - q) eps, eps = tol/2 and q the measured
+    contraction, the sup-norm ratio of the last P(x) and x steps. u* branches
+    off zero along phi1 (Crandall & Rabinowitz, J. Funct. Anal. 8, 1971), and
+    z0 is the closed form of ode_periodic_solution for the projection
+    u = s phi1: the scalar model with a = -sigma1 and b c, c =
+    sum phi1^3 / sum phi1^2, whose growth margin is -lambda1 > 0. The
+    iteration runs first on the coarse-step period map P_N, until |P_N(x) - x|
+    is that small: N is the coarsest 2^k with 4 N at most ``ctl``'s steps per
+    good season whose step-doubling estimate |P_N(top) - P_2N(top)| 16/15
+    (that of fit_step), with top = a/b + UPPER_OFFSET, is at most eps; with
+    none, there is no coarse phase. The loop then drops its pairs and goes on
+    from that iterate and q at ``ctl``'s step. The coarse phase only chooses
+    the start: every check below is made at ``ctl``'s step. Once a residual
+    (the coarse phase's last one included) is that small, the next map at
+    ``ctl``'s step carries the pair: with v = eps phi1 / max phi1, it steps
+    the iterate u~ and u~ +- v as one (m, 3) block (m below), sampled along
+    the period, when u~ - v > 0. The pair certifies u~ if P(u~ + v) <= u~ + v,
+    P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold everywhere with zero
+    slack and the image gap is at most ``tol``. Since P preserves order, the
+    unique positive fixed point u* = P(u*) lies between the two images. A pair
+    that does not certify rides again with a later iterate; a lower image
+    above the upper one means P did not preserve order, and SolverError is
+    raised. The attractor is the sampled orbit of u~ from that same run, and
+    its period-map residual |P(u~) - u~| is checked against ``tol``.
 
     Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1 and
     the pair, built from phi1's leading half (c and the enclosure use all of
@@ -322,67 +315,69 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
                           lambda1=lam1, trace=trace)
 
-    # periods counts every period map against max_periods, a map carrying
-    # the pair once; the coarse step N is the first 2^k whose estimate is at
+    # used counts every period map against max_periods, a map carrying the
+    # pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * tol
     A = _linear_part(op, p.a, p.b, (op.n + 1) // 2)
     phi_e = phi[:len(A), None]
     v = eps / float(np.max(phi)) * phi_e
     x = np.full((len(A), 1), top)
-    periods, coarse = 0, None
+    used, coarse = 0, None
     choice = (_step_doubling(x, p, A, 1, ctl.steps_for(p.good_season_length) // 4)
               if max_periods >= 2 else ())
-    for periods, (steps, est) in enumerate(choice, 2):
+    for used, (steps, est) in enumerate(choice, 2):
         if est is not None and est <= eps:
             coarse = steps
             break
-        if periods == max_periods:
+        if used == max_periods:
             break
-    chosen = periods
-    # Anderson starts from the orbit z0 phi1 of the one-mode projection
+    # Anderson starts from the orbit z0 phi1 of the one-mode projection; its
+    # history holds the pairs (x, P(x)) of the current level, oldest first
     c = float(np.sum(phi**3) / np.sum(phi**2))
     z0 = ode_periodic_solution(replace(p, a=-pair.sigma1, b=p.b * c)).z0
     x = z0 * phi_e
-    # at ctl's step, the map after a residual within the margin carries the
-    # pair x +- v as columns 1 and 2 of one sampled (m, 3) run, kept in run
-    passed, run = False, None
-
-    def fine(x: np.ndarray) -> np.ndarray:
-        nonlocal run
-        run = None
-        if not (passed and np.min(x - v) > 0.0):
-            return _one_period(x, p, A, ctl)
-        run = _evolve(np.hstack([x, x + v, x - v]), p, A, ctl, p.omega)
-        return run[1][-1][:, :1]
-
-    maps = [fine]
-    if coarse is not None:
-        level = StepControl.for_params(p, coarse)
-        maps.insert(0, lambda x: _one_period(x, p, A, level))
-    q, residual, rows, carried = 1.0, math.inf, None, 0
-    for period in maps:
-        start = periods
-        iterates = _anderson(x, period, q)
-        while rows is None and periods < max_periods:
-            x, image, q = next(iterates)
-            periods += 1
-            residual = float(np.max(np.abs(image - x)))
-            passed = residual <= ANDERSON_MARGIN * (1.0 - q) * eps
-            if run is not None:
-                carried += 1
-                ends = run[1][[0, -1], :, 1:]
-                block, stepped = ends
-                crossed = float(np.max(stepped[:, 1] - stepped[:, 0]))
-                if crossed > 0.0:
-                    raise SolverError(f"upper/lower ordering broken by {crossed:.3e}: "
-                                      "the period map did not preserve order")
-                if (np.all(stepped[:, 0] <= block[:, 0])
-                        and np.all(stepped[:, 1] >= block[:, 1])
-                        and np.max(stepped[:, 0] - stepped[:, 1]) <= tol):
-                    rows = ends
-            if passed and period is not fine:
-                break
+    level = ctl if coarse is None else StepControl.for_params(p, coarse)
+    history, q, residual, passed, rows = [], 1.0, math.inf, False, None
+    periods = coarse_periods = 0
+    while rows is None and used < max_periods:
+        if history:
+            x = _extrapolate(history)
+        # at ctl's step, the map after a residual within the margin carries
+        # the pair x +- v as columns 1 and 2 of one sampled (m, 3) run
+        carry = level is ctl and passed and np.min(x - v) > 0.0
+        if carry:
+            run = _evolve(np.hstack([x, x + v, x - v]), p, A, ctl, p.omega)
+            image = run[1][-1][:, :1]
+        else:
+            image = _one_period(x, p, A, level)
+        used += 1
+        if level is ctl:
+            periods += 3 if carry else 1
+        else:
+            coarse_periods += 1
+        if history:
+            x_last, image_last = history[-1]
+            step = float(np.max(np.abs(x - x_last)))
+            q = float(np.max(np.abs(image - image_last))) / step if step > 0.0 else 1.0
+        residual = float(np.max(np.abs(image - x)))
+        passed = residual <= ANDERSON_MARGIN * (1.0 - q) * eps
+        if carry:
+            ends = run[1][[0, -1], :, 1:]
+            block, stepped = ends
+            crossed = float(np.max(stepped[:, 1] - stepped[:, 0]))
+            if crossed > 0.0:
+                raise SolverError(f"upper/lower ordering broken by {crossed:.3e}: "
+                                  "the period map did not preserve order")
+            if (np.all(stepped[:, 0] <= block[:, 0])
+                    and np.all(stepped[:, 1] >= block[:, 1])
+                    and np.max(stepped[:, 0] - stepped[:, 1]) <= tol):
+                rows = ends
+        if passed and level is not ctl:
+            # the coarse phase ends: its iterate and q start ctl's level
+            level, history = ctl, []
+        else:
+            history = [*history[-ANDERSON_DEPTH:], (x, image)]
     if rows is None:
         raise IterationBudgetError(
             f"no pair {tol:g} apart certified after {max_periods} periods; "
@@ -396,8 +391,8 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
         raise SolverError(f"period-map residual {residual:g} exceeds tolerance {tol:g}")
     return PeriodicSolution(times=_readonly(times), values=_readonly(values),
                             residual=residual, lambda1=lam1, trace=trace,
-                            grid=op.grid, periods=periods - start + 2 * carried,
-                            coarse_periods=start - chosen, coarse_steps=coarse)
+                            grid=op.grid, periods=periods,
+                            coarse_periods=coarse_periods, coarse_steps=coarse)
 
 
 # ---------------------------------------------------------------------------
@@ -459,16 +454,15 @@ class ProfileEntry:
 
 
 def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
-                             lengths: Sequence[float], *,
-                             nodes_per_scale: int = 16,
-                             steps_per_season: int = 400) -> list[ProfileEntry]:
+                             lengths: Sequence[float]) -> list[ProfileEntry]:
     """Deviation of the habitat attractor from the scalar periodic orbit.
 
-    For each centered habitat length L the periodic attractor is computed
-    and compared to z*(t) on the core |x| <= L/4, maximized over the
-    attractor's sample instants, at find_periodic_solution's default tol and
-    budget. Growing habitats must not increase the deviation (10 percent
-    slack), or SolverError is raised.
+    For each centered habitat length L the periodic attractor is computed, on
+    max(256, PROFILE_NODES_PER_SCALE L / kernel.scale) nodes (rounded up) at
+    PROFILE_STEPS_PER_SEASON RK4 steps per good season, and compared to z*(t)
+    on the core |x| <= L/4, maximized over the attractor's sample instants, at
+    find_periodic_solution's default tol and budget. Growing habitats must not
+    increase the deviation (10 percent slack), or SolverError is raised.
     """
     if p.growth_margin <= 0:
         raise ValidationError("profile study requires growth_margin > 0")
@@ -482,12 +476,12 @@ def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
 
     entries = []
     for L in lengths:
-        n = max(256, math.ceil(nodes_per_scale * L / kernel.scale))
+        n = max(256, math.ceil(PROFILE_NODES_PER_SCALE * L / kernel.scale))
         grid = Grid.centered(L, n)
         op = assemble(kernel, grid, BoundaryCondition.DIRICHLET, p.d)
         pair = principal_eigenpair(op, p.a)
-        ctl = StepControl.for_params(p, steps_per_season,
-                                     stride=max(1, steps_per_season // 20))
+        ctl = StepControl.for_params(p, PROFILE_STEPS_PER_SEASON,
+                                     stride=max(1, PROFILE_STEPS_PER_SEASON // 20))
         sol = find_periodic_solution(p, op, pair, ctl)
         if isinstance(sol, Extinction):
             raise SolverError(

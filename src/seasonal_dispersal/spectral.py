@@ -27,6 +27,9 @@ from .operator import DispersalOperator, assemble
 # beta_j below CLOSURE * theta: the Krylov space is invariant to rounding
 CLOSURE = 1e-12
 
+#: critical_length brackets its root within this many kernel scales either way
+EXPAND_CAP = 1e4
+
 
 class Regime(enum.Enum):
     """Long-run outcome category."""
@@ -151,8 +154,8 @@ class CriticalLengthResult:
     lambda_hi: float | None = None  # lambda1 at the persistence-side endpoint
 
 
-def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
-                    expand_cap: float = 1e4) -> CriticalLengthResult:
+def critical_length(p: SeasonParams, kernel: KernelSpec,
+                    tol: float = 1e-4) -> CriticalLengthResult:
     """Habitat length at which the persistence threshold changes sign.
 
     Only the regime 0 < (1-rho) a - rho delta <= (1-rho) d has a finite
@@ -160,7 +163,7 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
     habitat persists, both reported without any eigen-solve. In the critical
     regime, lambda1(ell) is strictly decreasing and continuous in the length
     of centered habitats [-ell/2, ell/2]. A sign change is bracketed by
-    doubling or halving from one kernel scale, within expand_cap kernel
+    doubling or halving from one kernel scale, within EXPAND_CAP kernel
     scales either way and not below ``tol``, then narrowed by Illinois
     regula falsi (Dowell & Jarratt, *BIT* 11, 1971), which keeps the bracket
     and converges superlinearly. A point becomes a bracket end only when
@@ -204,13 +207,13 @@ def critical_length(p: SeasonParams, kernel: KernelSpec, tol: float = 1e-4, *,
     while lam_lo is None or lam_hi is None or hi - lo > tol:
         if lam_hi is None:
             x = scale if lam_lo is None else 2.0 * lo
-            if x > expand_cap * scale:
+            if x > EXPAND_CAP * scale:
                 raise BracketError(
                     f"no sign change of lambda1 up to ell = {x:g} "
-                    f"({expand_cap:g} kernel scales)")
+                    f"({EXPAND_CAP:g} kernel scales)")
         elif lam_lo is None:
             x = 0.5 * hi
-            if x < max(scale / expand_cap, tol):
+            if x < max(scale / EXPAND_CAP, tol):
                 raise BracketError(
                     f"lambda1 stayed negative down to ell = {hi:g}; parameters "
                     "sit at or near the degenerate regime boundary")

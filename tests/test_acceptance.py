@@ -323,8 +323,7 @@ def test_criterion_7_profile_limit():
     t0 = time.perf_counter()
     p = params(P1)
     zstar0 = ode_periodic_solution(p).z0
-    entries = asymptotic_profile_study(p, LaplaceKernel(1.0), [10.0, 20.0, 40.0],
-                                       nodes_per_scale=16, steps_per_season=400)
+    entries = asymptotic_profile_study(p, LaplaceKernel(1.0), [10.0, 20.0, 40.0])
     devs = [e.deviation for e in entries]
     elapsed = time.perf_counter() - t0
 

@@ -392,8 +392,8 @@ class TestOneModeStart:
         # lies 3.8e-9 from the given step's; from top it picks 32, whose
         # fixed point lies 9.5e-12 from it
         _, _, _, _, sol = p1_attractor
-        assert (sol.coarse_steps, sol.periods) == (32, 3)
-        assert sol.coarse_periods <= 8
+        assert (sol.coarse_steps, sol.periods, sol.coarse_periods) == (32, 3, 7)
+        assert type(sol.periods) is int and type(sol.coarse_periods) is int
 
     @pytest.mark.parametrize("length", NEAR_THRESHOLD_HABITATS)
     def test_near_threshold_habitats_certify(self, length):
@@ -480,24 +480,33 @@ class TestCoarsePhase:
 
     def test_perturbed_coarse_start_certifies_the_same_attractor(self, p1_attractor,
                                                                 monkeypatch):
-        # the certificate does not rest on the coarse phase: a start at the
-        # given step 1e-6 phi1 off the coarse iterate still certifies u*
-        # within tol
+        # the certificate does not rest on the coarse phase: when the first
+        # map at the given step steps its block 1e-6 phi1 off the coarse
+        # iterate, the solve still certifies u* within tol
         from seasonal_dispersal import periodic
 
         p, op, pair, ctl, sol = p1_attractor
-        anderson, levels = periodic._anderson, []
+        good = p.good_season_length
+        fine = ctl.steps_for(good)
+        one_period, evolve, levels = periodic._one_period, periodic._evolve, []
 
-        def perturbed(x, period, q=1.0):
-            levels.append(period)
-            if len(levels) == 2:  # the given step's level, on the even part
-                x = x + 1e-6 * pair.phi1[:len(x), None]
-            return anderson(x, period, q)
+        def stepped(u, p, A, level):
+            levels.append(level.steps_for(good))
+            return one_period(u, p, A, level)
 
-        monkeypatch.setattr(periodic, "_anderson", perturbed)
+        def perturbed(u0, p, A, level, t_end):
+            levels.append(level.steps_for(good))
+            if levels.count(fine) == 1:  # the given step's first map, on the even part
+                u0 = u0 + 1e-6 * pair.phi1[:len(u0), None]
+            return evolve(u0, p, A, level, t_end)
+
+        monkeypatch.setattr(periodic, "_one_period", stepped)
+        monkeypatch.setattr(periodic, "_evolve", perturbed)
         other = find_periodic_solution(p, op, pair, ctl)
-        assert len(levels) == 2
-        assert other.coarse_periods == sol.coarse_periods
+        # coarse maps first, then maps at the given step
+        coarse = levels.index(fine)
+        assert levels == [sol.coarse_steps] * coarse + [fine] * (len(levels) - coarse)
+        assert other.coarse_periods == sol.coarse_periods == coarse
         assert other.periods > sol.periods
         assert np.max(np.abs(other.values[0] - sol.values[0])) <= 1e-8
         assert other.trace.gaps[-1] <= 1e-8
@@ -511,36 +520,153 @@ class TestCoarsePhase:
         assert len(sol.trace) == 2 and sol.trace.gaps[-1] <= 1e-8
 
     def test_pair_rides_only_after_a_residual_within_the_margin(self, p1_attractor):
-        # at 7 steps per good season there is no coarse phase: the map after
-        # a residual |P(x) - x| <= ANDERSON_MARGIN (1 - q) eps carries the
-        # pair as an (m, 3) block, and every other map steps one column
-        from seasonal_dispersal import evolution, periodic
-
+        # at 7 steps per good season there is no coarse phase
         p, op, pair, _, _ = p1_attractor
-        ctl = StepControl.for_params(p, 7)
-        stepper, anderson = evolution._rk4_span, periodic._anderson
-        widths, passed = [], []
+        assert_pair_rides_after_the_margin(p, op, pair, StepControl.for_params(p, 7))
 
-        def recorded(u, A, b, span, steps, *args, **kwargs):
-            if steps == 7:
-                widths.append(np.shape(u)[1])
-            return stepper(u, A, b, span, steps, *args, **kwargs)
+    def test_contraction_is_measured_from_the_last_pair(self):
+        # P2 near the threshold at tol 1e-10 has no coarse phase, and its pair
+        # rides at another map if q is measured from an older pair
+        p = params(P2)
+        op = dirichlet_op(LaplaceKernel(20.0), 4.32, 64, p.d)
+        pair = principal_eigenpair(op, p.a)
+        assert_pair_rides_after_the_margin(p, op, pair, StepControl.for_params(p, 200),
+                                           tol=1e-10)
 
-        def watched(x, period, q=1.0):
-            for x, image, q in anderson(x, period, q):
-                margin = periodic.ANDERSON_MARGIN * (1.0 - q) * 0.5e-8
-                passed.append(float(np.max(np.abs(image - x))) <= margin)
-                yield x, image, q
+    def test_extrapolation_reads_the_last_pairs_of_its_level(self):
+        # P2 near the threshold: the coarse phase and the given step's level
+        # each take several maps; each extrapolation reads the last
+        # ANDERSON_DEPTH + 1 pairs (x, P(x)) of the level the next map is at,
+        # so the given step's first map steps the coarse phase's last x
+        from seasonal_dispersal.periodic import ANDERSON_DEPTH
 
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(evolution, "_rk4_span", recorded)
-            mp.setattr(periodic, "_anderson", watched)
-            sol = find_periodic_solution(p, op, pair, ctl)
-        assert sol.coarse_periods == 0 and len(widths) == len(passed)
-        first = passed.index(True)
-        assert first > 0 and widths[:first + 1] == [1] * (first + 1)
-        assert widths[1:] == [3 if ok else 1 for ok in passed[:-1]]
-        assert widths[-1] == 3 and sol.periods == len(widths) + 2 * widths.count(3)
+        p = params(P2)
+        op = dirichlet_op(LaplaceKernel(20.0), 4.319876, 64, p.d)
+        pair = principal_eigenpair(op, p.a)
+        ctl = StepControl.for_params(p, 200)
+        sol, maps, histories = solve_recorded(p, op, pair, ctl)
+        coarse = sol.coarse_periods
+        assert coarse >= 2 and len(maps) - coarse >= 2
+        assert np.array_equal(maps[coarse][2], maps[coarse - 1][2])
+        levels = [maps[:coarse], maps[coarse:]]
+        expected = [level[max(0, k - ANDERSON_DEPTH):k + 1]
+                    for level in levels for k in range(len(level) - 1)]
+        assert len(histories) == len(expected)
+        for history, pairs in zip(histories, expected):
+            assert len(history) == len(pairs)
+            assert all(np.array_equal(x, m[2]) and np.array_equal(image, m[3])
+                       for (x, image), m in zip(history, pairs))
+
+
+def solve_recorded(p, op, pair, ctl, **kwargs):
+    """find_periodic_solution with each period map of its loop recorded as
+    (steps per good season, columns stepped, x, P(x)), and each history that
+    _extrapolate is given."""
+    from seasonal_dispersal import periodic
+
+    good = p.good_season_length
+    one_period, evolve = periodic._one_period, periodic._evolve
+    extrapolate = periodic._extrapolate
+    maps, histories = [], []
+
+    def mapped(x, p, A, level):
+        image = one_period(x, p, A, level)
+        maps.append((level.steps_for(good), 1, x, image))
+        return image
+
+    def carried(block, p, A, level, t_end):
+        run = evolve(block, p, A, level, t_end)
+        maps.append((level.steps_for(good), block.shape[1], block[:, :1], run[1][-1][:, :1]))
+        return run
+
+    def extrapolated(history):
+        histories.append(list(history))
+        return extrapolate(history)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(periodic, "_one_period", mapped)
+        mp.setattr(periodic, "_evolve", carried)
+        mp.setattr(periodic, "_extrapolate", extrapolated)
+        sol = find_periodic_solution(p, op, pair, ctl, **kwargs)
+    return sol, maps, histories
+
+
+def assert_pair_rides_after_the_margin(p, op, pair, ctl, tol=1e-8):
+    """With no coarse phase, the map after a residual |P(x) - x| <=
+    ANDERSON_MARGIN (1 - q) eps carries the pair as an (m, 3) block, and every
+    other map steps one column; q is the sup-norm ratio of the last P(x) and
+    x steps, 1 before the second map."""
+    from seasonal_dispersal import evolution, periodic
+
+    stepper, widths = evolution._rk4_span, []
+    steps = ctl.steps_for(p.good_season_length)
+
+    def recorded(u, A, b, span, n, *args, **kwargs):
+        if n == steps:
+            widths.append(np.shape(u)[1])
+        return stepper(u, A, b, span, n, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(evolution, "_rk4_span", recorded)
+        sol, maps, _ = solve_recorded(p, op, pair, ctl, tol=tol)
+    passed, q = [], 1.0
+    for k, (_, _, x, image) in enumerate(maps):
+        if k > 0:
+            x_last, image_last = maps[k - 1][2:]
+            step = float(np.max(np.abs(x - x_last)))
+            q = float(np.max(np.abs(image - image_last))) / step if step > 0.0 else 1.0
+        margin = periodic.ANDERSON_MARGIN * (1.0 - q) * 0.5 * tol
+        passed.append(float(np.max(np.abs(image - x))) <= margin)
+    assert sol.coarse_periods == 0 and len(widths) == len(passed)
+    first = passed.index(True)
+    assert first > 0 and widths[:first + 1] == [1] * (first + 1)
+    assert widths[1:] == [3 if ok else 1 for ok in passed[:-1]]
+    assert widths[-1] == 3 and sol.periods == len(widths) + 2 * widths.count(3)
+
+
+class TestAndersonExtrapolation:
+    """The next iterate from the pairs (x, P(x)) of one level, oldest first."""
+
+    @staticmethod
+    def affine_pairs(c, count):
+        # pairs of the plain iteration of P(x) = x / 2 + c from x = 10,
+        # whose fixed point is 2 c; every x and P(x) here is positive
+        x, pairs = np.full((2, 1), 10.0), []
+        for _ in range(count):
+            pairs.append((x, 0.5 * x + c))
+            x = pairs[-1][1]
+        return pairs
+
+    def test_one_pair_gives_its_image(self):
+        from seasonal_dispersal.periodic import _extrapolate
+
+        x, image = np.array([[1.0], [2.0]]), np.array([[1.5], [1.75]])
+        assert np.array_equal(_extrapolate([(x, image)]), image)
+
+    def test_an_entry_at_most_zero_falls_back_to_the_last_image(self):
+        # two pairs of an affine map extrapolate to its fixed point; where
+        # that is (2, -2), the last P(x) = (4, 1) is taken instead
+        from seasonal_dispersal.periodic import _extrapolate
+
+        c = np.array([[1.0], [1.5]])
+        assert np.allclose(_extrapolate(self.affine_pairs(c, 2)), 2.0 * c,
+                           rtol=0.0, atol=1e-14)
+        history = self.affine_pairs(np.array([[1.0], [-1.0]]), 2)
+        assert np.all(history[-1][1] > 0.0)
+        assert np.array_equal(_extrapolate(history), history[-1][1])
+
+    def test_only_the_last_depth_plus_one_pairs_count(self):
+        from seasonal_dispersal.periodic import ANDERSON_DEPTH, _extrapolate
+
+        # a map with no exact extrapolation, so each pair changes the result
+        rng = np.random.default_rng(3)
+        pairs, x = [], rng.uniform(1.0, 2.0, (4, 1))
+        for _ in range(5):
+            pairs.append((x, 1.0 + 0.5 * np.sin(x)))
+            x = pairs[-1][1] + 0.01 * rng.standard_normal((4, 1))
+        last = _extrapolate(pairs[-ANDERSON_DEPTH - 1:])
+        assert np.array_equal(_extrapolate(pairs), last)
+        assert not np.array_equal(_extrapolate(pairs[-ANDERSON_DEPTH:]), last)
 
 
 @pytest.fixture(scope="module")
@@ -734,11 +860,13 @@ class TestNeumannOdeConsistency:
 
 
 class TestProfileStudy:
-    def test_deviations_decrease_with_length(self):
+    def test_deviations_decrease_with_length(self, monkeypatch):
+        # both habitats take the 256-node floor
+        from seasonal_dispersal import periodic
+
         p = params(P1)
-        entries = asymptotic_profile_study(p, LaplaceKernel(1.0), [6.0, 10.0],
-                                           nodes_per_scale=10,
-                                           steps_per_season=300)
+        monkeypatch.setattr(periodic, "PROFILE_STEPS_PER_SEASON", 300)
+        entries = asymptotic_profile_study(p, LaplaceKernel(1.0), [6.0, 10.0])
         assert len(entries) == 2
         assert all(e.deviation >= 0 for e in entries)
         assert entries[1].deviation <= entries[0].deviation * 1.10
@@ -772,5 +900,4 @@ class TestProfileStudy:
         # a much shorter habitat cannot supply a positive attractor
         p = params(P2)
         with pytest.raises(SolverError, match="lambda1"):
-            asymptotic_profile_study(p, LaplaceKernel(1.0), [0.02, 0.05],
-                                     steps_per_season=100)
+            asymptotic_profile_study(p, LaplaceKernel(1.0), [0.02, 0.05])

@@ -339,10 +339,13 @@ class TestCriticalLength:
         with pytest.raises(BracketError, match="degenerate"):
             critical_length(p, LaplaceKernel(1.0))
 
-    def test_expansion_cap_reported(self):
+    def test_expansion_cap_reported(self, monkeypatch):
         # weak growth pushes ell* to tens of kernel scales; a small expansion
         # cap must fail loudly instead of extrapolating
+        from seasonal_dispersal import spectral
+
         p = params(a=0.4, d=1.0)
         assert 0 < p.growth_margin <= (1 - p.rho) * p.d
+        monkeypatch.setattr(spectral, "EXPAND_CAP", 4.0)
         with pytest.raises(BracketError, match="no sign change"):
-            critical_length(p, LaplaceKernel(1.0), expand_cap=4.0)
+            critical_length(p, LaplaceKernel(1.0))
