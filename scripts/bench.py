@@ -7,14 +7,14 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
 
 * ``operator.assemble_us``: one ``assemble`` call;
 * ``operator.apply_us``: one ``DispersalOperator.apply``;
-* ``spectral.eigen_ms``: one ``principal_eigenpair`` at its default
-  tolerance, with the operator products it took beside it;
+* ``spectral.eigen_ms``: one ``principal_eigenpair`` (at
+  ``spectral.EIGEN_TOL``), with the operator products it took beside it;
 * ``spectral.eigen_wide_ms``: the same on the ``threshold-wide`` operator
   (P2, kernel scale 1, habitat [-50, 50]), at n = 2048 only, where the top
   two eigenvalues of K lie close together;
-* ``spectral.critical_length_ms``: one ``critical_length`` for P2 at
-  tolerance 1e-4, keyed by the kernel scale (1 and 20), with the number of
-  eigen-solves it made beside it;
+* ``spectral.critical_length_ms``: one ``critical_length`` for P2 (at
+  ``spectral.BRACKET_TOL`` = 1e-4), keyed by the kernel scale (1 and 20),
+  with the number of eigen-solves it made beside it;
 * ``evolution.period_map_ms``: one ``period_map`` at 400 RK4 steps per
   good season, which is one period of ``evolve``, its samples included
   (``BENCH_19.json`` and earlier time the bare period, without samples);
@@ -40,13 +40,20 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   [-3.34, 3.34] of the same kernel, where lambda1 is about -0.02, at n = 128
   only, a case nearer the persistence threshold, with the same counts;
 * ``periodic.find_near_ms``: one P2 solve on the habitat of length 4.319876
-  at n = 64, 200 RK4 steps per good season and a budget of 400 periods,
-  where lambda1 is about -2.6e-4, with the same counts beside it (or, on a
-  tree where it raises, the error's class name and the time to the raise);
+  at n = 64 and 200 RK4 steps per good season, where lambda1 is about
+  -2.6e-4, with the same counts beside it (or, on a tree where it raises,
+  the error's class name and the time to the raise); ``BENCH_22.json`` and
+  earlier give it a budget of 400 periods, which it never reaches;
 * ``periodic.profile_study_ms``: one ``asymptotic_profile_study`` of
   acceptance criterion 7 (P1, Laplace kernel of scale 1, habitats of
   length 10, 20 and 40 at 16 nodes per scale, so n = 256, 320 and 640, and
   400 RK4 steps per good season).
+
+Each ``periodic.find`` layer includes its eigen-solve:
+``find_periodic_solution(p, op, ctl)`` solves for the eigenpair of its own
+operator (``BENCH_22.json`` and earlier time those solves without it; the
+profile study has always made its eigen-solves). A tree whose
+``find_periodic_solution`` takes the eigenpair as an argument does not run.
 
 Each figure is the median of at least MIN_RUNS = 10 calls, and of as many
 as fill one second, after one warm-up call (``BENCH_22.json`` and earlier
@@ -60,7 +67,9 @@ alternating from group to group, so that the medians of a pair share the
 machine's drift. The rk4 rows call ``evolution._linear_part(op, a, b, n)``,
 so every ``--src`` tree must build its linear part from the column, with
 that signature; a tree from before it, whose ``_linear_part`` takes the
-dense K, does not run:
+dense K, does not run.
+
+Usage:
 
     python scripts/bench.py --label mine --out BENCH.json
     python scripts/bench.py --src ../parent/src --label parent \
@@ -86,47 +95,13 @@ import numpy as np
 SIZES = (128, 512, 2048)
 FIND_N = 128
 P2_LENGTH = 6.68
-NEAR = dict(length=4.319876, n=64, steps=200, max_periods=400)
+NEAR = dict(length=4.319876, n=64, steps=200)
 P2 = dict(delta=0.2, a=1.2, b=0.6, d=1.0, rho=0.6, omega=1.0)
 WIDE_N = 2048
 CRITICAL_SCALES = (1.0, 20.0)
 PROFILE_LENGTHS = (10.0, 20.0, 40.0)
-ABOUT = ("Median wall time per call over at least 10 calls and 1 s, after one "
-         "warm-up call (BENCH_22.json and earlier: at least 3 calls), BLAS pinned to one "
-         "thread, on the P1 operator (Laplace kernel of scale 20, habitat "
-         "[-0.2, 0.2], Dirichlet). spectral.eigen_ms is one principal_eigenpair "
-         "('products': operator products taken); spectral.eigen_wide_ms the same "
-         "on P2, kernel scale 1, habitat [-50, 50], n = 2048; "
-         "spectral.critical_length_ms one critical_length for P2 at tol 1e-4, "
-         "keyed by kernel scale ('eigen_solves': principal_eigenpair calls); "
-         "evolution.period_map_ms, periodic.find_ms and periodic.find_p2_ms "
-         "(n = 128 only) use 400 RK4 steps per good season; period_map is one "
-         "period of evolve, samples included (BENCH_19.json and earlier: the "
-         "bare period); periodic.find_p2_ms "
-         "solves P2 (d = 1) on the habitat [-3.34, 3.34], lambda1 about -0.02; "
-         "periodic.find_near_ms solves P2 on a habitat of length 4.319876, n = 64, "
-         "200 steps per good season, at most 400 periods, lambda1 about -2.6e-4 "
-         "('error': the class raised). periodic.profile_study_ms is criterion 7's "
-         "asymptotic_profile_study: P1, kernel scale 1, habitats 10, 20 and 40 at 16 "
-         "nodes per scale (n = 256, 320, 640), 400 steps per good season. "
-         "The periodic.find layers record 'periods', the column-periods taken at "
-         "the given step, and 'coarse_periods', those taken before on the "
-         "coarse-step period map. "
-         "evolution.rk4_step_us is one RK4 step, the mean over a 50-step span, "
-         "of a state (.block2, .block3: of an (n, 2), (n, 3) block), the linear "
-         "part A built outside the timing (BENCH_17.json and earlier count its "
-         "build in the span; at n = 2048 those rows do not compare). "
-         "From BENCH_19.json on, each layer group (a size, the n = 64 near "
-         "solve, criterion7, a kernel scale) runs in a fresh subprocess per "
-         "source tree, the trees alternating group by group. "
-         "Every source tree builds the linear part A from the column, by "
-         "_linear_part(op, a, b, m); a tree whose _linear_part takes the dense K "
-         "does not run. "
-         "evolution.simulate_figure_ms (n = 128 only) is fit_step plus evolve "
-         "over 60 periods from the cosine start, nominal 2000 steps per good "
-         "season and stride 100 ('steps_per_season': the steps evolve took). "
-         "cli.export_ms (n = 128 only, from BENCH_22.json on) is export_trajectory "
-         "of that run's trajectory into a temporary directory ('rows': CSV data rows).")
+#: the "about" entry of the JSON file: the docstring above its usage lines
+ABOUT = " ".join(__doc__.split("\nUsage:")[0].split())
 STEPS_PER_SEASON = 400
 SPAN_STEPS = 50
 FIGURE_PERIODS = 60
@@ -197,14 +172,13 @@ def measure(sd, n: int) -> dict:
         layers.append(("evolution.simulate_figure_ms", simulate, 1e3,
                        {"steps_per_season": fitted.steps_for(good)}))
         layers.append(("periodic.find_ms",
-                       lambda: sd.find_periodic_solution(p, op, pair, ctl), 1e3,
-                       periods(sd.find_periodic_solution(p, op, pair, ctl))))
+                       lambda: sd.find_periodic_solution(p, op, ctl), 1e3,
+                       periods(sd.find_periodic_solution(p, op, ctl))))
         op2 = sd.assemble(kernel, sd.Grid.centered(P2_LENGTH, n), dirichlet, p2.d)
-        pair2 = sd.principal_eigenpair(op2, p2.a)
         ctl2 = sd.StepControl.for_params(p2, STEPS_PER_SEASON)
         layers.append(("periodic.find_p2_ms",
-                       lambda: sd.find_periodic_solution(p2, op2, pair2, ctl2), 1e3,
-                       periods(sd.find_periodic_solution(p2, op2, pair2, ctl2))))
+                       lambda: sd.find_periodic_solution(p2, op2, ctl2), 1e3,
+                       periods(sd.find_periodic_solution(p2, op2, ctl2))))
     out = {}
     for name, fn, scale, extra in layers:
         secs, runs = median_seconds(fn)
@@ -229,13 +203,11 @@ def measure_near(sd) -> dict:
     p2 = sd.SeasonParams(**P2)
     op = sd.assemble(sd.LaplaceKernel(20.0), sd.Grid.centered(NEAR["length"], NEAR["n"]),
                      sd.BoundaryCondition.DIRICHLET, p2.d)
-    pair = sd.principal_eigenpair(op, p2.a)
     ctl = sd.StepControl.for_params(p2, NEAR["steps"])
 
     def solve() -> dict:
         try:
-            return periods(sd.find_periodic_solution(
-                p2, op, pair, ctl, max_periods=NEAR["max_periods"]))
+            return periods(sd.find_periodic_solution(p2, op, ctl))
         except sd.SolverError as err:
             return {"error": type(err).__name__}
 

@@ -211,10 +211,9 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         if cfg.bc is not BoundaryCondition.DIRICHLET:
             raise ConfigError("subcommand 'periodic' requires bc = dirichlet")
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
-        pair = principal_eigenpair(op, p.a)
-        summary.sigma1 = pair.sigma1
-        summary.eigen_residual = pair.residual
-        sol = find_periodic_solution(p, op, pair, cfg.ctl)
+        sol = find_periodic_solution(p, op, cfg.ctl)
+        summary.sigma1 = sol.pair.sigma1
+        summary.eigen_residual = sol.pair.residual
         summary.lambda1 = sol.lambda1
         if isinstance(sol, Extinction):
             summary.classification = "extinction"
@@ -236,7 +235,7 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         _require(cfg.out_profile, "out.profile", command)
         entries = asymptotic_profile_study(p, cfg.kernel, lengths)
         export_profile(entries, cfg.out_profile)
-        summary.extra["n_lengths"] = str(len(entries))
+        summary.extra["n_lengths"] = len(entries)
         summary.extra["final_deviation"] = entries[-1].deviation
 
     elif command == "ode-reference":
@@ -251,9 +250,9 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
     return summary
 
 
-def _parse_overrides(pairs: Optional[list[str]]) -> dict[str, str]:
+def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     out: dict[str, str] = {}
-    for item in pairs or []:
+    for item in pairs:
         if "=" not in item:
             raise ConfigError(f"--override expects key=value, got {item!r}")
         key, value = item.split("=", 1)

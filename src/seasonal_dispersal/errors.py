@@ -14,11 +14,12 @@ class SolverError(RuntimeError):
 
 
 class EigenConvergenceError(SolverError):
-    """The Lanczos eigen-solve did not reach the residual tolerance within its
-    budget of operator products, or its eigenfunction was not positive.
+    """The Lanczos eigen-solve did not reach the residual tolerance
+    spectral.EIGEN_TOL before its Krylov space closed, or its eigenfunction
+    was not positive.
 
-    ``last_residual`` is the last explicit sup-norm residual, or the Ritz
-    estimate when none was measured; ``iterations`` counts the products.
+    ``last_residual`` is the last explicit sup-norm residual; ``iterations``
+    counts the operator products.
     """
 
     def __init__(self, message, last_residual, iterations):
@@ -42,8 +43,9 @@ class BracketError(SolverError):
 
 
 class IterationBudgetError(SolverError):
-    """The accelerated fixed-point iteration spent its period budget before
-    an ordered pair around it certified the periodic attractor.
+    """The accelerated fixed-point iteration spent its period budget,
+    periodic.MAX_PERIODS, before an ordered pair around it certified the
+    periodic attractor.
 
     ``gap`` is the last fixed-point residual |P(u) - u| and ``periods`` the
     budget.

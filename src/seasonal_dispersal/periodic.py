@@ -1,5 +1,6 @@
 """Periodic attractors, regime classification, and the ODE reference model.
 
+The solve takes the principal eigenpair of its own habitat operator first.
 When the threshold eigenvalue is negative, the omega-periodic attractor of the
 habitat problem is the unique positive fixed point of the period map. One
 loop, one period map per pass, finds and certifies it: an Anderson-accelerated
@@ -28,20 +29,27 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import IterationBudgetError, SolverError, ValidationError
-# evolve and period_map stay importable here: perfbench/tracing.py wraps
-# periodic.evolve and periodic.period_map
+# perfbench/tracing.py wraps periodic.evolve, periodic.period_map,
+# periodic.principal_eigenpair and periodic.critical_length, which callers
+# here look up at call time
 from .evolution import (StepControl, _evolve, _linear_part, _one_period, _step_doubling,
                         evolve, period_map)
 from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
 from .operator import DispersalOperator, _unfold, assemble
-from .spectral import (EigenPair, Regime, critical_length, principal_eigenpair,
-                       sigma1_bounds)
+from .spectral import EigenPair, Regime, critical_length, principal_eigenpair
 
 #: a certified sup-norm bound below this certifies extinction
 EXTINCTION_THRESHOLD = 1e-10
 
 #: the constant upper start, shared by both branches, is a/b + UPPER_OFFSET
 UPPER_OFFSET = 1.0
+
+#: find_periodic_solution certifies a pair this far apart, and accepts a
+#: period-map residual of this times max(1, sup u~)
+PERIODIC_TOL = 1e-8
+
+#: find_periodic_solution's budget of period maps
+MAX_PERIODS = 5000
 
 #: history depth of the Anderson-accelerated fixed-point iteration
 ANDERSON_DEPTH = 3
@@ -155,22 +163,24 @@ class PeriodicSolution:
 
     ``values[k]`` is the state at ``times[k]``: the orbit of the centre u~ of
     the certified pair, which lies between the pair's images. ``residual`` is
-    its sup-norm period-map defect |values[-1] - values[0]|, at most ``tol``
-    times max(1, sup u~). Through the bad season the samples factor exactly
-    as values(t) = e^{-delta t} values(0). ``periods`` counts the
-    column-periods find_periodic_solution stepped at the control it was
-    given: one per state carried through one period, the certified pair's
-    two included. ``coarse_periods`` counts those it stepped before, at
-    ``coarse_steps`` RK4 steps per good season (None: no coarse phase).
-    The solve steps the even part, the leading ceil(n/2) nodes; ``values``
-    and the trace rows are unfolded from it, n nodes each and exactly
-    mirror-symmetric.
+    its sup-norm period-map defect |values[-1] - values[0]|, at most
+    PERIODIC_TOL times max(1, sup u~). ``pair`` is the principal eigenpair of
+    the stepped operator, whose threshold eigenvalue is ``lambda1``. Through
+    the bad season the samples factor exactly as values(t) = e^{-delta t}
+    values(0). ``periods`` counts the column-periods find_periodic_solution
+    stepped at the control it was given: one per state carried through one
+    period, the certified pair's two included. ``coarse_periods`` counts those
+    it stepped before, at ``coarse_steps`` RK4 steps per good season (None: no
+    coarse phase). The solve steps the even part, the leading ceil(n/2) nodes;
+    ``values`` and the trace rows are unfolded from it, n nodes each and
+    exactly mirror-symmetric.
     """
 
     times: np.ndarray
     values: np.ndarray
     residual: float
     lambda1: float
+    pair: EigenPair
     trace: MonotoneIterationTrace
     grid: Grid
     periods: int
@@ -190,11 +200,14 @@ class Extinction:
     ``final_supnorm`` is the super-solution bound of find_periodic_solution,
     not a simulated sup-norm, and ``periods`` is the first period at which it
     is below EXTINCTION_THRESHOLD, the CLI's ``evidence = below_threshold``.
+    ``pair`` is the principal eigenpair of the operator, as for a
+    PeriodicSolution.
     """
 
     final_supnorm: float
     periods: int
     lambda1: float
+    pair: EigenPair
     trace: MonotoneIterationTrace
 
 
@@ -216,49 +229,49 @@ def _extrapolate(history: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
     return g if np.min(x) <= 0.0 else x
 
 
-def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPair,
-                           ctl: StepControl, *, tol: float = 1e-8,
-                           max_periods: int = 5000
+def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepControl
                            ) -> Union[PeriodicSolution, Extinction]:
     """Periodic attractor on a Dirichlet habitat, or a certificate of extinction.
 
-    The sign of lambda1 = lambda1(pair.sigma1) is certified first, on the
-    enclosure (sigma_lo, sigma_hi) = sigma1_bounds(op, a, phi1) of the
-    operator that is stepped: lambda1(sigma_lo) > 0 must hold when lambda1 >=
-    0, and lambda1(sigma_hi) < 0 when lambda1 < 0, or SolverError is raised
-    before any period is stepped. The model is cooperative and sigma_lo phi1
-    <= -(L phi1 + a phi1) <= sigma_hi phi1, so m(t) phi1, with m' = -delta m
-    in the bad season and m' = -sigma m in the good one, is a super-solution
-    for sigma = sigma_lo and, scaled small, a lower solution for any sigma >
-    sigma_hi; over a period m changes by the factor exp(-lambda1(sigma) omega).
+    The principal eigenpair (sigma1, phi1) = principal_eigenpair(op, a) of the
+    operator that is stepped comes first, and the sign of lambda1 =
+    lambda1(sigma1) is certified on its enclosure (sigma_lo, sigma_hi), the
+    sigma1_bounds of phi1: lambda1(sigma_lo) > 0 must hold when lambda1 >= 0,
+    and lambda1(sigma_hi) < 0 when lambda1 < 0, or SolverError is raised
+    before any period is stepped; the result carries the pair. The model is
+    cooperative and sigma_lo phi1 <= -(L phi1 + a phi1) <= sigma_hi phi1, so
+    m(t) phi1, with m' = -delta m in the bad season and m' = -sigma m in the
+    good one, is a super-solution for sigma = sigma_lo and, scaled small, a
+    lower solution for any sigma > sigma_hi; over a period m changes by the
+    factor exp(-lambda1(sigma) omega).
 
     With lambda1 < 0, one loop makes every period map, one per pass: Anderson
     iteration of u <- P(u) on one column from z0 phi1, each next iterate
     extrapolated from the last ANDERSON_DEPTH + 1 pairs (x, P(x)), gives u~
-    with |P(u~) - u~| well below (1 - q) eps, eps = tol/2 and q the measured
-    contraction, the sup-norm ratio of the last P(x) and x steps. u* branches
-    off zero along phi1 (Crandall & Rabinowitz, J. Funct. Anal. 8, 1971), and
-    z0 is the closed form of ode_periodic_solution for the projection
-    u = s phi1: the scalar model with a = -sigma1 and b c, c =
-    sum phi1^3 / sum phi1^2, whose growth margin is -lambda1 > 0. The
+    with |P(u~) - u~| well below (1 - q) eps, eps = PERIODIC_TOL / 2 and q the
+    measured contraction, the sup-norm ratio of the last P(x) and x steps. u*
+    branches off zero along phi1 (Crandall & Rabinowitz, J. Funct. Anal. 8,
+    1971), and z0 is the closed form of ode_periodic_solution for the
+    projection u = s phi1: the scalar model with a = -sigma1 and b c,
+    c = sum phi1^3 / sum phi1^2, whose growth margin is -lambda1 > 0. The
     iteration runs first on the coarse-step period map P_N, until |P_N(x) - x|
-    is that small: N is the coarsest 2^k with 4 N at most ``ctl``'s steps per
-    good season whose step-doubling estimate |P_N(top) - P_2N(top)| 16/15
-    (that of fit_step), with top = a/b + UPPER_OFFSET, is at most eps; with
-    none, there is no coarse phase. The loop then drops its pairs and goes on
-    from that iterate and q at ``ctl``'s step. The coarse phase only chooses
-    the start: every check below is made at ``ctl``'s step. Once a residual
-    (the coarse phase's last one included) is that small, the next map at
-    ``ctl``'s step carries the pair: with v = eps phi1 / max phi1, it steps
-    the iterate u~ and u~ +- v as one (m, 3) block (m below), sampled along
-    the period, when u~ - v > 0. The pair certifies u~ if P(u~ + v) <= u~ + v,
+    is that small: N is the coarsest 2^k with 4 N at most ``ctl``'s steps per good
+    season whose step-doubling estimate |P_N(top) - P_2N(top)| 16/15 (that of
+    fit_step), with top = a/b + UPPER_OFFSET, is at most eps; with none, there
+    is no coarse phase. The loop then drops its pairs and goes on from that
+    iterate and q at ``ctl``'s step. The coarse phase only chooses the start:
+    every check below is made at ``ctl``'s step. Once a residual (the coarse
+    phase's last one included) is that small, the next map at ``ctl``'s step
+    carries the pair: with v = eps phi1 / max phi1, it steps the iterate u~
+    and u~ +- v as one (m, 3) block (m below), sampled along the period, when
+    u~ - v > 0. The pair certifies u~ if P(u~ + v) <= u~ + v,
     P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold everywhere with zero
-    slack and the image gap is at most ``tol``. Since P preserves order, the
-    unique positive fixed point u* = P(u*) lies between the two images. A pair
-    that does not certify rides again with a later iterate; a lower image
+    slack and the image gap is at most PERIODIC_TOL. Since P preserves order,
+    the unique positive fixed point u* = P(u*) lies between the two images. A
+    pair that does not certify rides again with a later iterate; a lower image
     above the upper one means P did not preserve order, and SolverError is
     raised. The attractor is the sampled orbit of u~ from that same run, and
-    its period-map residual |P(u~) - u~| is checked against ``tol``.
+    its period-map residual |P(u~) - u~| is checked against PERIODIC_TOL.
 
     Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1 and
     the pair, built from phi1's leading half (c and the enclosure use all of
@@ -272,28 +285,22 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     the Extinction reports the first k at which this bound is strictly below
     EXTINCTION_THRESHOLD.
 
-    ``max_periods`` bounds the period maps of the persistence branch, the
-    runs that choose N and the coarse ones included, a map carrying the pair
+    MAX_PERIODS bounds the period maps of the persistence branch, the runs
+    that choose N and the coarse ones included, a map carrying the pair
     counting once. IterationBudgetError is raised, with the last fixed-point
     residual (inf if none was stepped), if no pair has certified after
-    ``max_periods`` periods; 0 is an empty budget. A ``tol`` that is not
-    finite and positive, or a ``max_periods`` that is not a nonnegative
-    integer, raises ValidationError before any work.
+    MAX_PERIODS periods; 0 is an empty budget.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol!r}")
-    if not (isinstance(max_periods, (int, np.integer)) and max_periods >= 0):
-        raise ValidationError(
-            f"max_periods must be a nonnegative integer, got {max_periods!r}")
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("find_periodic_solution expects a Dirichlet operator")
     if op.d != p.d:
         raise ValidationError(
             f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
+    pair = principal_eigenpair(op, p.a)
     lam1 = p.lambda1(pair.sigma1)
     phi = pair.phi1
     top = p.a / p.b + UPPER_OFFSET
-    lam_lo, lam_hi = (p.lambda1(s) for s in sigma1_bounds(op, p.a, phi))
+    lam_lo, lam_hi = (p.lambda1(s) for s in pair.enclosure)
     if lam_lo <= 0.0 <= lam1 or lam1 < 0.0 <= lam_hi:
         raise SolverError(
             f"lambda1 = {lam1:g} lies within the eigen residual of zero: the "
@@ -313,24 +320,24 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
                                        lower=_readonly(np.zeros_like(upper)),
                                        gaps=_readonly(np.max(upper, axis=1)))
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
-                          lambda1=lam1, trace=trace)
+                          lambda1=lam1, pair=pair, trace=trace)
 
-    # used counts every period map against max_periods, a map carrying the
+    # used counts every period map against MAX_PERIODS, a map carrying the
     # pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
-    eps = 0.5 * tol
+    eps = 0.5 * PERIODIC_TOL
     A = _linear_part(op, p.a, p.b, (op.n + 1) // 2)
     phi_e = phi[:len(A), None]
     v = eps / float(np.max(phi)) * phi_e
     x = np.full((len(A), 1), top)
     used, coarse = 0, None
     choice = (_step_doubling(x, p, A, 1, ctl.steps_for(p.good_season_length) // 4)
-              if max_periods >= 2 else ())
+              if MAX_PERIODS >= 2 else ())
     for used, (steps, est) in enumerate(choice, 2):
         if est is not None and est <= eps:
             coarse = steps
             break
-        if used == max_periods:
+        if used == MAX_PERIODS:
             break
     # Anderson starts from the orbit z0 phi1 of the one-mode projection; its
     # history holds the pairs (x, P(x)) of the current level, oldest first
@@ -340,7 +347,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
     level = ctl if coarse is None else StepControl.for_params(p, coarse)
     history, q, residual, passed, rows = [], 1.0, math.inf, False, None
     periods = coarse_periods = 0
-    while rows is None and used < max_periods:
+    while rows is None and used < MAX_PERIODS:
         if history:
             x = _extrapolate(history)
         # at ctl's step, the map after a residual within the margin carries
@@ -371,7 +378,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
                                   "the period map did not preserve order")
             if (np.all(stepped[:, 0] <= block[:, 0])
                     and np.all(stepped[:, 1] >= block[:, 1])
-                    and np.max(stepped[:, 0] - stepped[:, 1]) <= tol):
+                    and np.max(stepped[:, 0] - stepped[:, 1]) <= PERIODIC_TOL):
                 rows = ends
         if passed and level is not ctl:
             # the coarse phase ends: its iterate and q start ctl's level
@@ -380,17 +387,18 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, pair: EigenPa
             history = [*history[-ANDERSON_DEPTH:], (x, image)]
     if rows is None:
         raise IterationBudgetError(
-            f"no pair {tol:g} apart certified after {max_periods} periods; "
+            f"no pair {PERIODIC_TOL:g} apart certified after {MAX_PERIODS} periods; "
             f"last fixed-point residual {residual:.3e}",
-            gap=residual, periods=max_periods)
+            gap=residual, periods=MAX_PERIODS)
     upper, lower = (_unfold(rows[:, :, k], op.n) for k in (0, 1))
     trace = MonotoneIterationTrace(upper=_readonly(upper), lower=_readonly(lower),
                                    gaps=_readonly(np.max(upper - lower, axis=1)))
     times, values = run[0], _unfold(run[1][:, :, 0], op.n)
-    if residual > tol * max(1.0, float(np.max(values[0]))):
-        raise SolverError(f"period-map residual {residual:g} exceeds tolerance {tol:g}")
+    if residual > PERIODIC_TOL * max(1.0, float(np.max(values[0]))):
+        raise SolverError(
+            f"period-map residual {residual:g} exceeds tolerance {PERIODIC_TOL:g}")
     return PeriodicSolution(times=_readonly(times), values=_readonly(values),
-                            residual=residual, lambda1=lam1, trace=trace,
+                            residual=residual, lambda1=lam1, pair=pair, trace=trace,
                             grid=op.grid, periods=periods,
                             coarse_periods=coarse_periods, coarse_steps=coarse)
 
@@ -460,9 +468,9 @@ def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
     For each centered habitat length L the periodic attractor is computed, on
     max(256, PROFILE_NODES_PER_SCALE L / kernel.scale) nodes (rounded up) at
     PROFILE_STEPS_PER_SEASON RK4 steps per good season, and compared to z*(t)
-    on the core |x| <= L/4, maximized over the attractor's sample instants, at
-    find_periodic_solution's default tol and budget. Growing habitats must not
-    increase the deviation (10 percent slack), or SolverError is raised.
+    on the core |x| <= L/4, maximized over the attractor's sample instants.
+    Growing habitats must not increase the deviation (10 percent slack), or
+    SolverError is raised.
     """
     if p.growth_margin <= 0:
         raise ValidationError("profile study requires growth_margin > 0")
@@ -479,10 +487,9 @@ def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
         n = max(256, math.ceil(PROFILE_NODES_PER_SCALE * L / kernel.scale))
         grid = Grid.centered(L, n)
         op = assemble(kernel, grid, BoundaryCondition.DIRICHLET, p.d)
-        pair = principal_eigenpair(op, p.a)
         ctl = StepControl.for_params(p, PROFILE_STEPS_PER_SEASON,
                                      stride=max(1, PROFILE_STEPS_PER_SEASON // 20))
-        sol = find_periodic_solution(p, op, pair, ctl)
+        sol = find_periodic_solution(p, op, ctl)
         if isinstance(sol, Extinction):
             raise SolverError(
                 f"habitat of length {L:g} has lambda1 = {sol.lambda1:g} >= 0; "

@@ -30,6 +30,12 @@ CLOSURE = 1e-12
 #: critical_length brackets its root within this many kernel scales either way
 EXPAND_CAP = 1e4
 
+#: principal_eigenpair accepts a pair whose sup-norm residual is at most this
+EIGEN_TOL = 1e-8
+
+#: critical_length brackets its root to this width
+BRACKET_TOL = 1e-4
+
 
 class Regime(enum.Enum):
     """Long-run outcome category."""
@@ -56,9 +62,7 @@ class EigenPair:
     enclosure: tuple[float, float]
 
 
-def principal_eigenpair(op: DispersalOperator, a: float, *,
-                        tol_residual: float = 1e-8,
-                        max_iter: int = 100_000) -> EigenPair:
+def principal_eigenpair(op: DispersalOperator, a: float) -> EigenPair:
     """Lanczos iteration for the principal eigenpair of d(K u - u) + a u.
 
     K is nonnegative, symmetric and irreducible for kernels positive near the
@@ -67,16 +71,18 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
     Gram-Schmidt passes; Golub & Van Loan, *Matrix Computations*, ch. 10)
     builds an orthonormal basis of the Krylov space of the ones vector and
     takes the largest Ritz pair (theta, y) of the tridiagonal projection.
-    Once the Ritz estimate |beta_j s_j| is at most ``tol_residual / 10``, or
-    the space closes (beta_j ~ 0; K is centrosymmetric, so the space of the
-    ones vector closes by dimension ceil(n/2)), one explicit product measures
-    the sup-norm residual max|d K y - theta y| of y scaled to max y = 1, and
-    the pair is accepted at or below ``tol_residual``; the same product
-    gives its sigma1_bounds enclosure.
+    Once the Ritz estimate |beta_j s_j| is at most EIGEN_TOL / 10, or the
+    space closes (beta_j ~ 0; K is centrosymmetric, so the space of the ones
+    vector closes by dimension ceil(n/2); an orthonormal basis in R^n holds
+    at most n vectors, so it is closed at dimension n whatever beta_j is),
+    one explicit product measures the sup-norm residual max|d K y - theta y|
+    of y scaled to max y = 1, and the pair is accepted at or below
+    EIGEN_TOL; the same product gives its sigma1_bounds enclosure. A closed
+    space whose pair is not accepted raises EigenConvergenceError, so the
+    solve takes at most 2 n products; ``iterations`` reports them.
 
     Every product applies K by FFT from its first column, so no n x n matrix
-    is formed, and the basis grows with the steps taken. ``max_iter`` bounds
-    the products, the explicit ones included; ``iterations`` reports them.
+    is formed, and the basis grows with the steps taken.
     """
     if op.bc is not BoundaryCondition.DIRICHLET:
         raise ValidationError("principal_eigenpair expects a Dirichlet operator")
@@ -84,9 +90,8 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
     basis = np.empty((min(n, 32) + 1, n))  # doubled when full
     basis[0] = 1.0 / math.sqrt(n)
     T = np.zeros((len(basis), len(basis)))  # the tridiagonal projection of d K
-    res = math.inf
     products = k = 0
-    while products < max_iter:
+    while True:
         V = basis[:k + 1]
         w = op.d * op._matvec(V[k])
         products += 1
@@ -96,15 +101,15 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
         b = float(np.linalg.norm(w))
         ritz, vecs = np.linalg.eigh(T[:k + 1, :k + 1])
         theta, s = float(ritz[-1]), vecs[:, -1]
-        closed = b <= CLOSURE * theta
+        closed = b <= CLOSURE * theta or k + 1 == n
         res = abs(b * s[-1])
-        if (closed or res <= tol_residual / 10) and products < max_iter:
+        if closed or res <= EIGEN_TOL / 10:
             y = V.T @ s
             y /= y[np.argmax(np.abs(y))]
             Ky = op._matvec(y)
             res = float(np.max(np.abs(op.d * Ky - theta * y)))
             products += 1
-            if res <= tol_residual:
+            if res <= EIGEN_TOL:
                 if not np.all(y > 0):
                     raise EigenConvergenceError(
                         "eigenfunction is not strictly positive (reducible kernel?)",
@@ -114,17 +119,17 @@ def principal_eigenpair(op: DispersalOperator, a: float, *,
                 return EigenPair(sigma1=op.d - a - theta, phi1=_readonly(y),
                                  residual=res, iterations=products, enclosure=enclosure)
         if closed:
-            break
+            raise EigenConvergenceError(
+                f"Lanczos iteration did not converge: the Krylov space closed at "
+                f"dimension {k + 1} after {products} operator products "
+                f"(last residual {res:.3e})",
+                last_residual=res, iterations=products)
         if k + 1 == len(basis):
             basis = np.concatenate((basis, np.empty_like(basis)))
             T = np.pad(T, (0, len(T)))
         basis[k + 1] = w / b
         T[k, k + 1] = T[k + 1, k] = b
         k += 1
-    raise EigenConvergenceError(
-        f"Lanczos iteration did not converge in {products} operator products "
-        f"of {max_iter} (last residual {res:.3e})",
-        last_residual=res, iterations=products)
 
 
 def sigma1_bounds(op: DispersalOperator, a: float, phi: np.ndarray,
@@ -154,8 +159,7 @@ class CriticalLengthResult:
     lambda_hi: float | None = None  # lambda1 at the persistence-side endpoint
 
 
-def critical_length(p: SeasonParams, kernel: KernelSpec,
-                    tol: float = 1e-4) -> CriticalLengthResult:
+def critical_length(p: SeasonParams, kernel: KernelSpec) -> CriticalLengthResult:
     """Habitat length at which the persistence threshold changes sign.
 
     Only the regime 0 < (1-rho) a - rho delta <= (1-rho) d has a finite
@@ -164,21 +168,19 @@ def critical_length(p: SeasonParams, kernel: KernelSpec,
     regime, lambda1(ell) is strictly decreasing and continuous in the length
     of centered habitats [-ell/2, ell/2]. A sign change is bracketed by
     doubling or halving from one kernel scale, within EXPAND_CAP kernel
-    scales either way and not below ``tol``, then narrowed by Illinois
+    scales either way and not below BRACKET_TOL, then narrowed by Illinois
     regula falsi (Dowell & Jarratt, *BIT* 11, 1971), which keeps the bracket
     and converges superlinearly. A point becomes a bracket end only when
     lambda1 has one sign on the whole sigma1_bounds enclosure of its solve.
-    Once the estimate lies within tol/4 of an end, or its sign is not
-    certified, the points estimate -+ tol/4 inside the bracket are solved
-    instead, and a probe whose sign is not certified raises BracketError.
-    The result brackets the root to width ``tol``.
+    Once the estimate lies within BRACKET_TOL / 4 of an end, or its sign is
+    not certified, the points estimate -+ BRACKET_TOL / 4 inside the bracket
+    are solved instead, and a probe whose sign is not certified raises
+    BracketError. The result brackets the root to width BRACKET_TOL.
 
     Grid resolution follows the kernel scale, n = max(256, ceil(64 ell / D))
     capped at 4096, so wide habitats stay resolved without unbounded
     matrices.
     """
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValidationError(f"tol must be positive, got {tol!r}")
     margin = p.growth_margin
     if margin > (1.0 - p.rho) * p.d:
         return CriticalLengthResult(verdict=Regime.PERSIST_ALL_DOMAINS)
@@ -204,7 +206,7 @@ def critical_length(p: SeasonParams, kernel: KernelSpec,
     # weight halved; a moved end starts again at weight 1
     w_lo = w_hi = 1.0
     moved = 0  # -1: lo moved last, +1: hi moved last, 0: an end was just found
-    while lam_lo is None or lam_hi is None or hi - lo > tol:
+    while lam_lo is None or lam_hi is None or hi - lo > BRACKET_TOL:
         if lam_hi is None:
             x = scale if lam_lo is None else 2.0 * lo
             if x > EXPAND_CAP * scale:
@@ -213,14 +215,14 @@ def critical_length(p: SeasonParams, kernel: KernelSpec,
                     f"({EXPAND_CAP:g} kernel scales)")
         elif lam_lo is None:
             x = 0.5 * hi
-            if x < max(scale / EXPAND_CAP, tol):
+            if x < max(scale / EXPAND_CAP, BRACKET_TOL):
                 raise BracketError(
                     f"lambda1 stayed negative down to ell = {hi:g}; parameters "
                     "sit at or near the degenerate regime boundary")
         else:
             x = (lo * w_hi * lam_hi - hi * w_lo * lam_lo) / (w_hi * lam_hi - w_lo * lam_lo)
-        probing = min(x - lo, hi - x) <= 0.25 * tol
-        points = [x - 0.25 * tol, x + 0.25 * tol] if probing else [x]
+        probing = min(x - lo, hi - x) <= 0.25 * BRACKET_TOL
+        points = [x - 0.25 * BRACKET_TOL, x + 0.25 * BRACKET_TOL] if probing else [x]
         while points:
             q = points.pop(0)
             if not lo < q < hi:
@@ -230,8 +232,8 @@ def critical_length(p: SeasonParams, kernel: KernelSpec,
                 if probing:
                     raise BracketError(
                         f"sign of lambda1 = {value:g} at ell = {q:g} is within its "
-                        f"eigen residual; no certified bracket of width {tol:g}")
-                points, probing = [q - 0.25 * tol, q + 0.25 * tol], True
+                        f"eigen residual; no certified bracket of width {BRACKET_TOL:g}")
+                points, probing = [q - 0.25 * BRACKET_TOL, q + 0.25 * BRACKET_TOL], True
             elif sign > 0:
                 w_hi *= 0.5 if moved == -1 else 1.0
                 moved = 0 if lam_lo is None else -1

@@ -144,7 +144,7 @@ def test_criterion_3_regime_classification_of_presets():
     k = LaplaceKernel(20.0)
     c1 = classify(params(P1), k, DIR)
     c3 = classify(params(P3), k, DIR)
-    res2 = critical_length(params(P2), k, tol=1e-4)
+    res2 = critical_length(params(P2), k)
     lo, hi = res2.bracket if res2.bracket else (math.nan, math.nan)
 
     _verdict(3, [
@@ -291,9 +291,8 @@ def test_criterion_5_maximum_and_comparison_principles():
 def test_criterion_6_monotone_iteration_sandwich():
     p = params(P1)
     op = dirichlet_op(LaplaceKernel(20.0), 0.4, 64, p.d)
-    pair = principal_eigenpair(op, p.a)
     ctl = StepControl.for_params(p, 2000, stride=400)
-    sol = find_periodic_solution(p, op, pair, ctl, tol=1e-8)
+    sol = find_periodic_solution(p, op, ctl)
     assert isinstance(sol, PeriodicSolution)
     tr = sol.trace
     upper_mono = bool(np.all(np.diff(tr.upper, axis=0) <= 1e-10))

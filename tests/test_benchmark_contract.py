@@ -27,12 +27,22 @@ from helpers import P1, P2, dirichlet_op, params
 TRACING = Path(__file__).resolve().parents[1] / "perfbench" / "tracing.py"
 
 
-@pytest.fixture(scope="module")
-def tracing():
-    spec = importlib.util.spec_from_file_location("perfbench_tracing", TRACING)
+def _load(name: str):
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}",
+                                                  TRACING.with_name(f"{name}.py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
+
+
+@pytest.fixture(scope="module")
+def tracing():
+    return _load("tracing")
+
+
+@pytest.fixture(scope="module")
+def workloads():
+    return _load("workloads")
 
 
 def test_every_target_exists(tracing):
@@ -69,7 +79,7 @@ def test_extractors_read_real_results(tracing):
     assert tracing._eigen(pair) == {"iterations": pair.iterations,
                                     "residual": pair.residual, "n": 24}
 
-    sol = find_periodic_solution(p1, op, pair, StepControl.for_params(p1, 100))
+    sol = find_periodic_solution(p1, op, StepControl.for_params(p1, 100))
     assert isinstance(sol, PeriodicSolution)
     rec = tracing._iteration(sol)
     assert rec["periods"] == 1  # the certified pair and its image
@@ -77,8 +87,7 @@ def test_extractors_read_real_results(tracing):
     assert rec["trace_bytes"] == 2 * (2 * 24 * 8) + 2 * 8  # upper, lower, gaps
 
     op2 = dirichlet_op(LaplaceKernel(20.0), 1.0, 24, p2.d)
-    ext = find_periodic_solution(p2, op2, principal_eigenpair(op2, p2.a),
-                                 StepControl.for_params(p2, 100))
+    ext = find_periodic_solution(p2, op2, StepControl.for_params(p2, 100))
     assert isinstance(ext, Extinction)
     rec = tracing._iteration(ext)
     assert rec["periods"] == 1 and rec["final_gap"] == ext.final_supnorm
@@ -107,17 +116,45 @@ def test_package_calls_of_the_benchmark():
     assert end.shape == (16,) and np.all(end > 0.0)
 
 
+@pytest.mark.parametrize("name", ["attractor", "extinction"])
+def test_periodic_run_solves_its_eigenpair_once_through_periodic(tmp_path, monkeypatch,
+                                                                 tracing, workloads,
+                                                                 name):
+    # the untraced run captures the pairs returned through the wrapped
+    # attributes, and the oracle checks each captured residual: the one
+    # eigen-solve of a periodic run must go through periodic's attribute,
+    # and its pair is the one the summary reports
+    from seasonal_dispersal import cli, spectral
+
+    targets = {mod for mod, attr, span, _ in tracing.TARGETS
+               if attr == "principal_eigenpair" and span in tracing.CHECKED}
+    assert "periodic" in targets
+    calls = []
+    for owner in (cli, periodic, spectral):
+        solve = owner.principal_eigenpair
+
+        def counted(op, a, owner=owner, solve=solve):
+            pair = solve(op, a)
+            calls.append((owner, pair))
+            return pair
+
+        monkeypatch.setattr(owner, "principal_eigenpair", counted)
+    inputs = workloads.make_inputs(workloads.WORKLOADS[name], 1, tmp_path)
+    assert cli.main(inputs.argv) == 0
+    (owner, pair), = calls
+    assert owner is periodic
+    summary = workloads.parse_summary((tmp_path / f"{name}.summary.txt").read_text())
+    assert float(summary["sigma1"]) == pair.sigma1
+    assert float(summary["eigen_residual"]) == pair.residual
+
+
 @pytest.mark.parametrize("seed", [1, 901, 902, 911])
-def test_benchmark_cosine_starts_are_stepped_on_their_half(tmp_path, seed):
+def test_benchmark_cosine_starts_are_stepped_on_their_half(tmp_path, workloads, seed):
     # each workload's seeded habitat Grid(-hw, hw, n) has exactly mirrored
     # nodes, so its cosine start is even bit for bit and folded
     from seasonal_dispersal.config import parse_config
     from seasonal_dispersal.operator import _fold_width
 
-    spec = importlib.util.spec_from_file_location("perfbench_workloads",
-                                                  TRACING.with_name("workloads.py"))
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
     for w in workloads.WORKLOADS.values():
         inputs = workloads.make_inputs(w, seed, tmp_path)
         cfg = parse_config((tmp_path / f"{w.name}.cfg").read_text())

@@ -9,7 +9,7 @@ from seasonal_dispersal import (BoundaryCondition, ConfigError, Grid,
                                 LaplaceKernel, MonotoneIterationTrace,
                                 PeriodicSolution, StateVector, StepControl,
                                 Trajectory, assemble, evolve,
-                                find_periodic_solution, principal_eigenpair)
+                                find_periodic_solution)
 from seasonal_dispersal import cli
 from seasonal_dispersal.cli import export_periodic, export_trajectory, main
 from seasonal_dispersal.config import parse_config
@@ -158,7 +158,7 @@ class TestExportTrajectory:
         trace = MonotoneIterationTrace(upper=tr.values[:1], lower=tr.values[:1],
                                        gaps=np.zeros(1))
         return PeriodicSolution(times=tr.times, values=tr.values, residual=0.0,
-                                lambda1=-0.1, trace=trace, grid=tr.grid,
+                                lambda1=-0.1, pair=None, trace=trace, grid=tr.grid,
                                 periods=0)
 
     @pytest.mark.parametrize("kind", ["trajectory", "periodic"])
@@ -391,8 +391,7 @@ out.periodic = {tmp_path}/per.csv
                        (tmp_path / "s.txt").read_text().splitlines())
         cfg = parse_config(open(path).read())
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, cfg.params.d)
-        sol = find_periodic_solution(cfg.params, op, principal_eigenpair(op, cfg.params.a),
-                                     cfg.ctl)
+        sol = find_periodic_solution(cfg.params, op, cfg.ctl)
         assert int(summary["periods"]) == sol.periods
         assert summary["grid_n"] == "24"
         assert float(summary["dt_good"]) == pytest.approx(0.001)

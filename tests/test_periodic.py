@@ -76,10 +76,9 @@ class TestScalarOde:
 def p1_attractor():
     p = params(P1)
     op = dirichlet_op(LaplaceKernel(20.0), 0.4, 48, p.d)
-    pair = principal_eigenpair(op, p.a)
     ctl = StepControl.for_params(p, 500)
-    sol = find_periodic_solution(p, op, pair, ctl)
-    return p, op, pair, ctl, sol
+    sol = find_periodic_solution(p, op, ctl)
+    return p, op, sol.pair, ctl, sol
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +90,7 @@ def p1_retried(p1_attractor):
     # as it is
     from seasonal_dispersal import periodic
 
-    p, op, pair, ctl, _ = p1_attractor
+    p, op, _, ctl, _ = p1_attractor
     evolve = periodic._evolve
     blocks = []
 
@@ -105,7 +104,7 @@ def p1_retried(p1_attractor):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(periodic, "_evolve", nudged)
-        sol = find_periodic_solution(p, op, pair, ctl)
+        sol = find_periodic_solution(p, op, ctl)
     return sol, blocks
 
 
@@ -113,7 +112,7 @@ def p1_retried(p1_attractor):
 def p3_extinct():
     p = params(P3)
     op = dirichlet_op(LaplaceKernel(20.0), 8.0, 64, p.d)
-    return p, op, principal_eigenpair(op, p.a), StepControl.for_params(p, 300)
+    return p, op, StepControl.for_params(p, 300)
 
 
 class TestFindPeriodicSolution:
@@ -147,14 +146,14 @@ class TestFindPeriodicSolution:
     def test_uniqueness_from_distinct_starts(self, p1_attractor, monkeypatch):
         from seasonal_dispersal import periodic
 
-        p, op, pair, ctl, sol = p1_attractor
+        p, op, _, ctl, sol = p1_attractor
         monkeypatch.setattr(periodic, "UPPER_OFFSET", 3.0)
-        other = find_periodic_solution(p, op, pair, ctl)
+        other = find_periodic_solution(p, op, ctl)
         assert np.max(np.abs(other.values[0] - sol.values[0])) <= 1e-7
 
     def test_extinction_P3(self, p3_extinct):
-        p, op, pair, ctl = p3_extinct
-        out = find_periodic_solution(p, op, pair, ctl)
+        p, op, ctl = p3_extinct
+        out = find_periodic_solution(p, op, ctl)
         assert isinstance(out, Extinction)
         assert out.lambda1 >= 0
         assert out.final_supnorm < 1e-10
@@ -163,8 +162,9 @@ class TestFindPeriodicSolution:
     def test_extinction_bound_dominates_simulated_upper_sequence(self, p3_extinct):
         # the certificate M sup(phi1) e^{-lam k omega} must lie above the
         # stepped upper sequence from the same start at every period
-        p, op, pair, ctl = p3_extinct
-        out = find_periodic_solution(p, op, pair, ctl)
+        p, op, ctl = p3_extinct
+        out = find_periodic_solution(p, op, ctl)
+        pair = out.pair
         phi = pair.phi1
         resid = op.apply(phi) + (p.a + pair.sigma1) * phi
         lam = p.lambda1(pair.sigma1 - np.max(resid / phi))
@@ -185,8 +185,8 @@ class TestFindPeriodicSolution:
             raise AssertionError("the extinction certificate stepped the model")
 
         monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
-        p, op, pair, ctl = p3_extinct
-        out = find_periodic_solution(p, op, pair, ctl)
+        p, op, ctl = p3_extinct
+        out = find_periodic_solution(p, op, ctl)
         assert isinstance(out, Extinction)
         assert len(out.trace) == 2
 
@@ -198,7 +198,7 @@ class TestFindPeriodicSolution:
     ], ids=["extinction", "lower_start"])
     def test_wrong_sign_sigma1_is_refused(self, preset, length, wrong_lambda1, message,
                                           monkeypatch):
-        from seasonal_dispersal import evolution
+        from seasonal_dispersal import evolution, periodic
 
         p = params(preset)
         op = dirichlet_op(LaplaceKernel(20.0), length, 48, p.d)
@@ -212,56 +212,16 @@ class TestFindPeriodicSolution:
             raise AssertionError("a refused solve stepped the model")
 
         # refused before any period is stepped
+        monkeypatch.setattr(periodic, "principal_eigenpair", lambda op, a: wrong)
         monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
         with pytest.raises(SolverError, match=message):
-            find_periodic_solution(p, op, wrong, StepControl.for_params(p, 300))
-
-    def test_non_positive_phi1_refused_before_stepping(self, p1_attractor, monkeypatch):
-        from seasonal_dispersal import evolution
-
-        def no_stepping(*args, **kwargs):
-            raise AssertionError("a refused solve stepped the model")
-
-        p, op, pair, ctl, _ = p1_attractor
-        phi = pair.phi1.copy()
-        phi[0] = 0.0
-        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
-        with pytest.raises(ValidationError, match="positive"):
-            find_periodic_solution(p, op, replace(pair, phi1=phi), ctl)
-
-    @pytest.mark.parametrize("tol", [0.0, -1e-8, math.nan, math.inf])
-    def test_bad_tol_refused_before_stepping(self, p1_attractor, monkeypatch, tol):
-        # 0 and nan would step the whole budget, and -1e-8 blamed the order
-        from seasonal_dispersal import evolution
-
-        def no_stepping(*args, **kwargs):
-            raise AssertionError("a refused solve stepped the model")
-
-        p, op, pair, ctl, _ = p1_attractor
-        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
-        with pytest.raises(ValidationError, match="tol must be positive"):
-            find_periodic_solution(p, op, pair, ctl, tol=tol)
-
-    @pytest.mark.parametrize("budget", [-3, 2.5, math.nan, 4.0])
-    def test_bad_max_periods_refused_before_stepping(self, p1_attractor, monkeypatch,
-                                                     budget):
-        # these stepped nothing and blamed the budget ("after 2.5 periods");
-        # max_periods = 0, an empty budget, is TestIterationBudget's
-        from seasonal_dispersal import evolution
-
-        def no_stepping(*args, **kwargs):
-            raise AssertionError("a refused solve stepped the model")
-
-        p, op, pair, ctl, _ = p1_attractor
-        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
-        with pytest.raises(ValidationError, match="max_periods must be a nonnegative"):
-            find_periodic_solution(p, op, pair, ctl, max_periods=budget)
+            find_periodic_solution(p, op, StepControl.for_params(p, 300))
 
     def test_neumann_rejected(self, p1_attractor):
-        p, _, pair, ctl, _ = p1_attractor
+        p, _, _, ctl, _ = p1_attractor
         op = assemble(LaplaceKernel(20.0), Grid.centered(0.4, 16), NEU, p.d)
         with pytest.raises(ValidationError, match="Dirichlet"):
-            find_periodic_solution(p, op, pair, ctl)
+            find_periodic_solution(p, op, ctl)
 
     def test_crossed_sequences_are_refused(self, p1_attractor, monkeypatch):
         # a period map that swaps the pair's upper and lower columns breaks
@@ -275,9 +235,9 @@ class TestFindPeriodicSolution:
             return times, states[..., [0, 2, 1]]
 
         monkeypatch.setattr(periodic, "_evolve", swapped)
-        p, op, pair, ctl, _ = p1_attractor
+        p, op, _, ctl, _ = p1_attractor
         with pytest.raises(SolverError, match="ordering broken"):
-            find_periodic_solution(p, op, pair, ctl)
+            find_periodic_solution(p, op, ctl)
 
 
 class TestTwoStarts:
@@ -327,9 +287,8 @@ class TestTwoStarts:
     def test_p1_n32_certifies_in_few_column_periods(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 32, p.d)
-        pair = principal_eigenpair(op, p.a)
         ctl = StepControl.for_params(p, 400)
-        sols = [find_periodic_solution(p, op, pair, ctl) for _ in range(2)]
+        sols = [find_periodic_solution(p, op, ctl) for _ in range(2)]
         assert all(len(s.trace) == 2 for s in sols)  # certified pair and image
         assert sols[0].periods == sols[1].periods <= 40
 
@@ -338,23 +297,23 @@ class TestTwoStarts:
         # new minimum here, and the iteration must not give up on that
         p = params(P2)
         op = dirichlet_op(LaplaceKernel(20.0), 18.57, 32, p.d)
-        pair = principal_eigenpair(op, p.a)
-        assert p.lambda1(pair.sigma1) == pytest.approx(-0.1, abs=5e-3)
-        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 200))
+        sol = find_periodic_solution(p, op, StepControl.for_params(p, 200))
+        assert sol.lambda1 == pytest.approx(-0.1, abs=5e-3)
         assert isinstance(sol, PeriodicSolution)
         assert len(sol.trace) == 2
         assert sol.periods <= 40
 
-    def test_p2_lambda1_near_minus_2p6e_4_certifies(self):
+    def test_p2_lambda1_near_minus_2p6e_4_certifies(self, monkeypatch):
         # with a constant shift eps the sandwich's upper image rose above
         # u~ + eps at the centre nodes here, on every attempt; shifted along
         # phi1 it certifies well within the budget
+        from seasonal_dispersal import periodic
+
         p = params(P2)
         op = dirichlet_op(LaplaceKernel(20.0), 4.319876, 64, p.d)
-        pair = principal_eigenpair(op, p.a)
-        assert p.lambda1(pair.sigma1) == pytest.approx(-2.6e-4, abs=1e-5)
-        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 200),
-                                     max_periods=400)
+        monkeypatch.setattr(periodic, "MAX_PERIODS", 400)
+        sol = find_periodic_solution(p, op, StepControl.for_params(p, 200))
+        assert sol.lambda1 == pytest.approx(-2.6e-4, abs=1e-5)
         assert isinstance(sol, PeriodicSolution)
         assert len(sol.trace) == 2
         assert sol.trace.gaps[-1] <= 1e-8
@@ -372,19 +331,19 @@ class TestOneModeStart:
     projection; the coarse step is still chosen from the constant top."""
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_start_is_the_fixed_point_where_phi1_is_constant(self, n):
+    def test_start_is_the_fixed_point_where_phi1_is_constant(self, n, monkeypatch):
         # on one or two nodes phi1 is constant, the projection is exact, and
         # z0 phi1 is the period map's fixed point up to RK4's error: the one
         # period a budget of 1 pays for steps it and reports |P(x0) - x0|
-        from seasonal_dispersal import IterationBudgetError
+        from seasonal_dispersal import IterationBudgetError, periodic
 
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, n, p.d)
         pair = principal_eigenpair(op, p.a)
         assert np.all(pair.phi1 == pair.phi1[0])
+        monkeypatch.setattr(periodic, "MAX_PERIODS", 1)
         with pytest.raises(IterationBudgetError) as err:
-            find_periodic_solution(p, op, pair, StepControl.for_params(p, 400),
-                                   max_periods=1)
+            find_periodic_solution(p, op, StepControl.for_params(p, 400))
         assert err.value.gap <= 1e-12
 
     def test_coarse_step_is_chosen_from_top(self, p1_attractor):
@@ -396,13 +355,14 @@ class TestOneModeStart:
         assert type(sol.periods) is int and type(sol.coarse_periods) is int
 
     @pytest.mark.parametrize("length", NEAR_THRESHOLD_HABITATS)
-    def test_near_threshold_habitats_certify(self, length):
+    def test_near_threshold_habitats_certify(self, length, monkeypatch):
+        from seasonal_dispersal import periodic
+
         p = params(P2)
         op = dirichlet_op(LaplaceKernel(20.0), length, 64, p.d)
-        pair = principal_eigenpair(op, p.a)
-        assert -1.5e-5 < p.lambda1(pair.sigma1) < 0.0
-        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 200),
-                                     max_periods=400)
+        monkeypatch.setattr(periodic, "MAX_PERIODS", 400)
+        sol = find_periodic_solution(p, op, StepControl.for_params(p, 200))
+        assert -1.5e-5 < sol.lambda1 < 0.0
         assert isinstance(sol, PeriodicSolution)
         assert len(sol.trace) == 2 and sol.trace.gaps[-1] <= 1e-8
 
@@ -413,7 +373,7 @@ def p1_stepped(p1_attractor):
     # shape, steps, sampled); only the map carrying the pair samples its run
     from seasonal_dispersal import evolution
 
-    p, op, pair, ctl, _ = p1_attractor
+    p, op, _, ctl, _ = p1_attractor
     stepper, spans = evolution._rk4_span, []
 
     def recorded(u, A, b, span, steps, record_every=0):
@@ -422,7 +382,7 @@ def p1_stepped(p1_attractor):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_rk4_span", recorded)
-        sol = find_periodic_solution(p, op, pair, ctl)
+        sol = find_periodic_solution(p, op, ctl)
     return sol, spans
 
 
@@ -442,10 +402,11 @@ class TestCoarsePhase:
         assert sol.coarse_steps is not None and 4 * sol.coarse_steps <= fine
 
     def test_coarse_periods_and_step_choice_count_against_the_budget(self, p1_attractor,
-                                                                    p1_stepped):
-        from seasonal_dispersal import IterationBudgetError
+                                                                    p1_stepped,
+                                                                    monkeypatch):
+        from seasonal_dispersal import IterationBudgetError, periodic
 
-        p, op, pair, ctl, _ = p1_attractor
+        p, op, _, ctl, _ = p1_attractor
         sol, spans = p1_stepped
         assert sol.coarse_periods > 0
         maps = [steps for _, steps, _ in spans]
@@ -455,10 +416,12 @@ class TestCoarsePhase:
         choice = len(maps) - sol.coarse_periods - fine
         assert choice == 2 + int(math.log2(sol.coarse_steps))
         assert maps.count(sol.coarse_steps) == sol.coarse_periods + 1
-        exact = find_periodic_solution(p, op, pair, ctl, max_periods=len(maps))
+        monkeypatch.setattr(periodic, "MAX_PERIODS", len(maps))
+        exact = find_periodic_solution(p, op, ctl)
         assert np.all(exact.values == sol.values)
+        monkeypatch.setattr(periodic, "MAX_PERIODS", len(maps) - 1)
         with pytest.raises(IterationBudgetError) as err:
-            find_periodic_solution(p, op, pair, ctl, max_periods=len(maps) - 1)
+            find_periodic_solution(p, op, ctl)
         assert err.value.periods == len(maps) - 1
         assert 0.0 < err.value.gap < 1e-8  # the residual that let the pair ride
 
@@ -502,7 +465,7 @@ class TestCoarsePhase:
 
         monkeypatch.setattr(periodic, "_one_period", stepped)
         monkeypatch.setattr(periodic, "_evolve", perturbed)
-        other = find_periodic_solution(p, op, pair, ctl)
+        other = find_periodic_solution(p, op, ctl)
         # coarse maps first, then maps at the given step
         coarse = levels.index(fine)
         assert levels == [sol.coarse_steps] * coarse + [fine] * (len(levels) - coarse)
@@ -514,24 +477,22 @@ class TestCoarsePhase:
     def test_no_qualifying_coarse_step_steps_no_coarse_period(self, p1_attractor):
         # at 7 steps per good season the only candidate, one step, is far
         # from eps: the solve is the given step's iteration alone
-        p, op, pair, _, _ = p1_attractor
-        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 7))
+        p, op, _, _, _ = p1_attractor
+        sol = find_periodic_solution(p, op, StepControl.for_params(p, 7))
         assert (sol.coarse_periods, sol.coarse_steps) == (0, None)
         assert len(sol.trace) == 2 and sol.trace.gaps[-1] <= 1e-8
 
     def test_pair_rides_only_after_a_residual_within_the_margin(self, p1_attractor):
         # at 7 steps per good season there is no coarse phase
-        p, op, pair, _, _ = p1_attractor
-        assert_pair_rides_after_the_margin(p, op, pair, StepControl.for_params(p, 7))
+        p, op, _, _, _ = p1_attractor
+        assert_pair_rides_after_the_margin(p, op, StepControl.for_params(p, 7))
 
     def test_contraction_is_measured_from_the_last_pair(self):
         # P2 near the threshold at tol 1e-10 has no coarse phase, and its pair
         # rides at another map if q is measured from an older pair
         p = params(P2)
         op = dirichlet_op(LaplaceKernel(20.0), 4.32, 64, p.d)
-        pair = principal_eigenpair(op, p.a)
-        assert_pair_rides_after_the_margin(p, op, pair, StepControl.for_params(p, 200),
-                                           tol=1e-10)
+        assert_pair_rides_after_the_margin(p, op, StepControl.for_params(p, 200), tol=1e-10)
 
     def test_extrapolation_reads_the_last_pairs_of_its_level(self):
         # P2 near the threshold: the coarse phase and the given step's level
@@ -542,9 +503,8 @@ class TestCoarsePhase:
 
         p = params(P2)
         op = dirichlet_op(LaplaceKernel(20.0), 4.319876, 64, p.d)
-        pair = principal_eigenpair(op, p.a)
         ctl = StepControl.for_params(p, 200)
-        sol, maps, histories = solve_recorded(p, op, pair, ctl)
+        sol, maps, histories = solve_recorded(p, op, ctl)
         coarse = sol.coarse_periods
         assert coarse >= 2 and len(maps) - coarse >= 2
         assert np.array_equal(maps[coarse][2], maps[coarse - 1][2])
@@ -558,10 +518,10 @@ class TestCoarsePhase:
                        for (x, image), m in zip(history, pairs))
 
 
-def solve_recorded(p, op, pair, ctl, **kwargs):
-    """find_periodic_solution with each period map of its loop recorded as
-    (steps per good season, columns stepped, x, P(x)), and each history that
-    _extrapolate is given."""
+def solve_recorded(p, op, ctl, tol=1e-8):
+    """find_periodic_solution at PERIODIC_TOL = ``tol`` with each period map
+    of its loop recorded as (steps per good season, columns stepped, x,
+    P(x)), and each history that _extrapolate is given."""
     from seasonal_dispersal import periodic
 
     good = p.good_season_length
@@ -587,11 +547,12 @@ def solve_recorded(p, op, pair, ctl, **kwargs):
         mp.setattr(periodic, "_one_period", mapped)
         mp.setattr(periodic, "_evolve", carried)
         mp.setattr(periodic, "_extrapolate", extrapolated)
-        sol = find_periodic_solution(p, op, pair, ctl, **kwargs)
+        mp.setattr(periodic, "PERIODIC_TOL", tol)
+        sol = find_periodic_solution(p, op, ctl)
     return sol, maps, histories
 
 
-def assert_pair_rides_after_the_margin(p, op, pair, ctl, tol=1e-8):
+def assert_pair_rides_after_the_margin(p, op, ctl, tol=1e-8):
     """With no coarse phase, the map after a residual |P(x) - x| <=
     ANDERSON_MARGIN (1 - q) eps carries the pair as an (m, 3) block, and every
     other map steps one column; q is the sup-norm ratio of the last P(x) and
@@ -608,7 +569,7 @@ def assert_pair_rides_after_the_margin(p, op, pair, ctl, tol=1e-8):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_rk4_span", recorded)
-        sol, maps, _ = solve_recorded(p, op, pair, ctl, tol=tol)
+        sol, maps, _ = solve_recorded(p, op, ctl, tol=tol)
     passed, q = [], 1.0
     for k, (_, _, x, image) in enumerate(maps):
         if k > 0:
@@ -675,7 +636,7 @@ def p1_odd():
     p = params(P1)
     op = dirichlet_op(LaplaceKernel(20.0), 0.4, 47, p.d)
     ctl = StepControl.for_params(p, 500)
-    return p, op, ctl, find_periodic_solution(p, op, principal_eigenpair(op, p.a), ctl)
+    return p, op, ctl, find_periodic_solution(p, op, ctl)
 
 
 class TestEvenPart:
@@ -737,10 +698,10 @@ class TestEvenPart:
             built.append(A.shape)
             return A
 
-        p, op, pair, ctl, sol = p1_attractor
+        p, op, _, ctl, sol = p1_attractor
         monkeypatch.setattr(DispersalOperator, "K", property(dense))
         monkeypatch.setattr(periodic, "_linear_part", counted)
-        again = find_periodic_solution(p, op, pair, ctl)
+        again = find_periodic_solution(p, op, ctl)
         assert isinstance(again, PeriodicSolution)
         assert np.array_equal(again.values, sol.values)
         m = (op.n + 1) // 2
@@ -759,12 +720,13 @@ BUDGET_GAPS = {0: math.inf, 1: None, 2: math.inf, 9: 0.0001711331979563635}
 
 class TestIterationBudget:
     @pytest.mark.parametrize("budget", sorted(BUDGET_GAPS))
-    def test_budget_exhaustion_reports_gap(self, p1_attractor, budget):
-        from seasonal_dispersal import IterationBudgetError
+    def test_budget_exhaustion_reports_gap(self, p1_attractor, budget, monkeypatch):
+        from seasonal_dispersal import IterationBudgetError, periodic
 
         p, op, pair, ctl, _ = p1_attractor
+        monkeypatch.setattr(periodic, "MAX_PERIODS", budget)
         with pytest.raises(IterationBudgetError, match=f"after {budget} periods;") as err:
-            find_periodic_solution(p, op, pair, ctl, max_periods=budget)
+            find_periodic_solution(p, op, ctl)
         assert err.value.periods == budget
         gap = BUDGET_GAPS[budget]
         if gap is None:  # z0 phi1 from the one-mode orbit, c = <phi1^3>/<phi1^2>
@@ -812,9 +774,13 @@ class TestClassify:
 
 
 class TestClassificationCoherence:
-    def test_fixed_point_existence_matches_lambda1_sign(self):
+    def test_fixed_point_existence_matches_lambda1_sign(self, monkeypatch):
         # randomized cross-check between the spectral verdict and the actual
         # monotone-iteration outcome, away from the degenerate band
+        from seasonal_dispersal import periodic
+
+        monkeypatch.setattr(periodic, "PERIODIC_TOL", 1e-6)
+        monkeypatch.setattr(periodic, "MAX_PERIODS", 1200)
         rng = np.random.default_rng(77)
         k = LaplaceKernel(1.0)
         persist = extinct = 0
@@ -831,8 +797,7 @@ class TestClassificationCoherence:
             if abs(lam1) < 0.05:  # stay clear of the slow band near zero
                 continue
             ctl = StepControl.for_params(p, 150)
-            out = find_periodic_solution(p, op, pair, ctl, tol=1e-6,
-                                         max_periods=1200)
+            out = find_periodic_solution(p, op, ctl)
             if lam1 < 0:
                 assert isinstance(out, PeriodicSolution)
                 assert np.all(out.values[0] > 0)
@@ -877,8 +842,7 @@ class TestProfileStudy:
         # bad season, so the deviation inherits the e^{-delta t} factor
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(1.0), 8.0, 128, p.d)
-        pair = principal_eigenpair(op, p.a)
-        sol = find_periodic_solution(p, op, pair, StepControl.for_params(p, 300))
+        sol = find_periodic_solution(p, op, StepControl.for_params(p, 300))
         z = ode_periodic_solution(p)
         u0 = sol.values[0]
         base = np.abs(u0 - z.z0)

@@ -140,9 +140,8 @@ class TestThreshold:
     def test_rate_mismatch_rejected(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, d=0.7)
-        pair = principal_eigenpair(op, p.a)
         with pytest.raises(ValidationError, match="dispersal"):
-            find_periodic_solution(p, op, pair, StepControl.for_params(p, 10))
+            find_periodic_solution(p, op, StepControl.for_params(p, 10))
 
 
 class TestSpectralProperties:
@@ -183,7 +182,7 @@ class TestSpectralProperties:
         assert abs(s2 / s1 - 2.0) <= 1e-8
 
 
-def test_threshold_is_linear_period_map_decay_rate():
+def test_threshold_is_linear_period_map_decay_rate(monkeypatch):
     # the linearized model (b ~ 0) maps phi1 to e^{-lambda1 omega} phi1 over
     # one period: exact decay through the bad season and, since phi1 is an
     # eigenfunction of the frozen good-season operator, pure exponential
@@ -192,7 +191,8 @@ def test_threshold_is_linear_period_map_decay_rate():
 
     p = params(P1, b=1e-30)
     op = dirichlet_op(LaplaceKernel(2.0), 3.0, 64, p.d)
-    pair = principal_eigenpair(op, p.a, tol_residual=1e-12)
+    monkeypatch.setattr(spectral, "EIGEN_TOL", 1e-12)
+    pair = principal_eigenpair(op, p.a)
     lam1 = p.lambda1(pair.sigma1)
     out = period_map(StateVector(pair.phi1), p, op, StepControl.for_params(p, 2000))
     expected = math.exp(-lam1 * p.omega) * pair.phi1
@@ -238,13 +238,23 @@ class TestSigma1Bounds:
             sigma1_bounds(op, 1.2, phi)
 
 
-def test_eigen_iteration_budget_error():
+@pytest.mark.parametrize("n", [1, 2, 3, 64])
+def test_eigen_solve_ends_within_2n_products(n, monkeypatch):
+    # no budget bounds the Lanczos loop: the Krylov space is closed by
+    # dimension n at the latest, so at a tolerance of 0 the solve gives up
+    # after at most n Lanczos products and as many explicit ones; on one
+    # node the 1 x 1 problem is solved exactly, and its residual 0 passes
     from seasonal_dispersal import EigenConvergenceError
 
-    op = dirichlet_op(LaplaceKernel(1.0), 4.0, 64, 0.6)
-    with pytest.raises(EigenConvergenceError) as err:
-        principal_eigenpair(op, a=1.2, max_iter=2)
-    assert err.value.iterations == 2
+    monkeypatch.setattr(spectral, "EIGEN_TOL", 0.0)
+    op = dirichlet_op(LaplaceKernel(1.0), 4.0, n, 0.6)
+    if n == 1:
+        pair = principal_eigenpair(op, a=1.2)
+        assert pair.residual == 0.0 and pair.iterations == 2
+        return
+    with pytest.raises(EigenConvergenceError, match="closed") as err:
+        principal_eigenpair(op, a=1.2)
+    assert 0 < err.value.iterations <= 2 * n
     assert err.value.last_residual > 0
 
 
@@ -262,7 +272,7 @@ class TestCriticalLength:
 
     def test_P2_finite_critical_length(self):
         p = params(P2)
-        res = critical_length(p, LaplaceKernel(20.0), tol=1e-4)
+        res = critical_length(p, LaplaceKernel(20.0))
         assert res.verdict is Regime.CRITICAL_LENGTH
         lo, hi = res.bracket
         assert hi - lo <= 1e-4
@@ -280,13 +290,13 @@ class TestCriticalLength:
         p = params(P2)
         solves = []
 
-        def spy(op, a, **kw):
-            pair = principal_eigenpair(op, a, **kw)
+        def spy(op, a):
+            pair = principal_eigenpair(op, a)
             solves.append((op.grid.l2 - op.grid.l1, op.n, pair))
             return pair
 
         monkeypatch.setattr(spectral, "principal_eigenpair", spy)
-        res = critical_length(p, LaplaceKernel(scale), tol=1e-4)
+        res = critical_length(p, LaplaceKernel(scale))
         assert len(solves) <= 12
         lo, hi = res.bracket
         assert hi - lo <= 1e-4
@@ -309,7 +319,7 @@ class TestCriticalLength:
         delta0 = -(1 - p2.rho) * principal_eigenpair(op, p2.a).sigma1 / p2.rho
         for shift in (0.0, 1e-15, -1e-15):
             p = params(P2, delta=delta0 + shift)
-            res = critical_length(p, LaplaceKernel(1.0), tol=1e-4)
+            res = critical_length(p, LaplaceKernel(1.0))
             lo, hi = res.bracket
             assert 0 < hi - lo <= 1e-4
             assert lo < 1.0 < hi
@@ -319,16 +329,14 @@ class TestCriticalLength:
                 lower, upper = (p.lambda1(s) for s in sigma1_bounds(op, p.a, pair.phi1))
                 assert (lower > 0) if positive else (upper < 0)
 
-    def test_tolerance_below_certified_resolution_reported(self):
+    def test_tolerance_below_certified_resolution_reported(self, monkeypatch):
         # near ell* at kernel scale 20, lambda1 falls by 8.7e-3 per unit
-        # length, so it moves by 2e-17 over tol/4: far below the width of
-        # the lambda1 enclosure of any eigen-solve in floating point
+        # length, so it moves by 2e-17 over BRACKET_TOL / 4 = 2.5e-15: far
+        # below the width of the lambda1 enclosure of any eigen-solve in
+        # floating point
+        monkeypatch.setattr(spectral, "BRACKET_TOL", 1e-14)
         with pytest.raises(BracketError, match="eigen residual"):
-            critical_length(params(P2), LaplaceKernel(20.0), tol=1e-14)
-
-    def test_invalid_tol(self):
-        with pytest.raises(ValidationError):
-            critical_length(params(P2), LaplaceKernel(20.0), tol=0.0)
+            critical_length(params(P2), LaplaceKernel(20.0))
 
     def test_degenerate_regime_boundary_reports_bracket_failure(self):
         # margin exactly equal to (1-rho) d (dyadic values, so the equality
