@@ -21,6 +21,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass, field, fields
+from pathlib import Path
 from typing import Iterable, Optional
 
 import numpy as np
@@ -100,28 +101,24 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
 def _write_csv(path: str, header: str, times, values, nodes=None) -> None:
     """CSV of ``header``, then one row ``t,x,value`` per time and node, times
     and nodes in the given order; without ``nodes``, one row ``t,value`` per
-    time. Each node is formatted once per file, into a template that the
-    time joins and one ``%`` fills per time; ``%.17g`` is ``_fmt``. A row
-    that equals its mirror bit for bit (``_fold_width`` m < n) formats only
-    its leading m values and repeats those strings for the mirror nodes, into
-    a ``%s`` template. The rows stream into the temp file of the atomic write.
+    time. Each node is formatted once per file, into a ``%s`` template that
+    the time joins and one ``%`` fills per time. A row formats its leading m
+    values (``_fold_width``: m < n only where it equals its mirror bit for bit)
+    with ``%.17g``, as ``_fmt`` does, and repeats those strings for its trailing
+    n - m nodes. The rows stream into the temp file of the atomic write.
     """
     cols = [""] if nodes is None else [_fmt(x) + "," for x in nodes]
     n = len(cols)
     values = np.asarray(values, dtype=float).reshape(-1, n)  # an empty profile too
-    # "t,".join(parts) puts the time before every node column
-    parts = [""] + [c + "%.17g\n" for c in cols]
-    mirrored = [""] + [c + "%s\n" for c in cols]
-    half = ",".join(["%.17g"] * ((n + 1) // 2))
+    # "t,".join(template) puts the time before every node column
+    template = [""] + [c + "%s\n" for c in cols]
+    leading = {m: ",".join(["%.17g"] * m) for m in ((n + 1) // 2, n)}
 
     def lines():
         yield header + "\n"
         for t, row, m in zip(times, values, _fold_width(values).tolist()):
-            if m < n:
-                s = (half % tuple(row[:m].tolist())).split(",")
-                yield (_fmt(t) + ",").join(mirrored) % tuple(s + s[:n - m][::-1])
-            else:
-                yield (_fmt(t) + ",").join(parts) % tuple(row.tolist())
+            s = (leading[m] % tuple(row[:m].tolist())).split(",")
+            yield (_fmt(t) + ",").join(template) % tuple(s + s[:n - m][::-1])
 
     _atomic_write(path, lines())
 
@@ -148,6 +145,15 @@ def _require(cfg_value, key: str, command: str):
     return cfg_value
 
 
+def _record_verdict(summary: RunSummary, cfg: ScenarioConfig) -> None:
+    """The classification lines of ``simulate`` and ``classify``."""
+    verdict = classify(cfg.params, cfg.kernel, cfg.bc, domain=cfg.grid)
+    summary.classification = verdict.regime.value
+    summary.sigma1 = verdict.sigma1
+    summary.lambda1 = verdict.lambda1
+    summary.ell_star = verdict.ell_star
+
+
 def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
     """Execute one subcommand pipeline; artifacts are written on success only."""
     if command not in COMMANDS:
@@ -172,21 +178,13 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         if step_error is not None:
             summary.extra["step_error_estimate"] = step_error
         tr = evolve(cfg.u0, p, op, ctl, n_periods * p.omega)
-        verdict = classify(p, cfg.kernel, cfg.bc, domain=cfg.grid)
+        _record_verdict(summary, cfg)
         export_trajectory(tr, cfg.out_trajectory)
-        summary.classification = verdict.regime.value
-        summary.sigma1 = verdict.sigma1
-        summary.lambda1 = verdict.lambda1
-        summary.ell_star = verdict.ell_star
         summary.final_supnorm = tr.final.sup_norm
         summary.n_periods = n_periods
 
     elif command == "classify":
-        verdict = classify(p, cfg.kernel, cfg.bc, domain=cfg.grid)
-        summary.classification = verdict.regime.value
-        summary.sigma1 = verdict.sigma1
-        summary.lambda1 = verdict.lambda1
-        summary.ell_star = verdict.ell_star
+        _record_verdict(summary, cfg)
 
     elif command == "spectrum":
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
@@ -215,18 +213,17 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         summary.sigma1 = sol.pair.sigma1
         summary.eigen_residual = sol.pair.residual
         summary.lambda1 = sol.lambda1
+        summary.extra["periods"] = sol.periods
         if isinstance(sol, Extinction):
             summary.classification = "extinction"
             summary.evidence = "below_threshold"
             summary.final_supnorm = sol.final_supnorm
-            summary.extra["periods"] = sol.periods
         else:
             _require(cfg.out_periodic, "out.periodic", command)
             export_periodic(sol, cfg.out_periodic)
             summary.classification = "periodic_solution"
             summary.periodic_residual = sol.residual
             summary.final_supnorm = sol.sup_norm
-            summary.extra["periods"] = sol.periods
             summary.extra["coarse_periods"] = sol.coarse_periods
             summary.extra["coarse_steps"] = sol.coarse_steps
 
@@ -271,8 +268,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        with open(args.config) as fh:
-            text = fh.read()
+        text = Path(args.config).read_text()
     except OSError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -285,13 +281,12 @@ def main(argv: Optional[list[str]] = None) -> int:
         return 2
     except SolverError as exc:  # only run_scenario raises it, so cfg is set
         summary = RunSummary(command=args.command, status="failed", error=str(exc))
-        if cfg.out_summary is not None:
-            _atomic_write(cfg.out_summary, [summary.to_text()])
-        print(f"solver error: {exc}", file=sys.stderr)
-        return 3
 
     if cfg.out_summary is not None:
         _atomic_write(cfg.out_summary, [summary.to_text()])
+    if summary.status == "failed":
+        print(f"solver error: {summary.error}", file=sys.stderr)
+        return 3
     sys.stdout.write(summary.to_text())
     return 0
 

@@ -14,7 +14,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, ValidationError
 from .evolution import StepControl
 from .model import (BoundaryCondition, Grid, KernelSpec, LaplaceKernel,
                     SeasonParams, StateVector, TabulatedKernel)
@@ -102,6 +102,8 @@ def _read_xy_csv(path: str, expected_header: tuple[str, str]) -> tuple[np.ndarra
         raise ConfigError(f"table {path!r} contains a non-numeric cell") from None
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise ConfigError(f"table {path!r} needs at least two x,value rows")
+    if not np.all(np.isfinite(data)):
+        raise ConfigError(f"table {path!r} contains a non-finite cell")
     return data[:, 0], data[:, 1]
 
 
@@ -130,7 +132,8 @@ def _check_writable(key: str, path: str) -> None:
 
 
 def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> ScenarioConfig:
-    """Parse and validate scenario text; raise ConfigError naming the first bad key."""
+    """Parse and validate scenario text; raise ConfigError naming the first bad key,
+    or with the text of the ValidationError by which a model class refused it."""
     raw = _parse_lines(text)
     for key, value in (overrides or {}).items():
         if key not in KNOWN_KEYS:
@@ -138,7 +141,13 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Scena
         if not value:
             raise ConfigError(f"key {key!r} has an empty value (override)")
         raw[key] = value
+    try:
+        return _scenario(raw)
+    except ValidationError as exc:  # a ConfigError keeps its type and text
+        raise ConfigError(str(exc)) from None
 
+
+def _scenario(raw: dict[str, str]) -> ScenarioConfig:
     values: dict = {}
     if "preset" in raw:
         name = raw["preset"]
@@ -153,20 +162,14 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Scena
     missing = [k for k in ("delta", "a", "b", "d", "rho", "omega") if k not in values]
     if missing:
         raise ConfigError(f"missing required parameter key {missing[0]!r}")
-    try:
-        params = SeasonParams(delta=values["delta"], a=values["a"], b=values["b"],
-                              d=values["d"], rho=values["rho"], omega=values["omega"])
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    params = SeasonParams(delta=values["delta"], a=values["a"], b=values["b"],
+                          d=values["d"], rho=values["rho"], omega=values["omega"])
 
     ktype = values.get("kernel.type", "laplace")
     if ktype == "laplace":
         if "kernel.scale" not in values:
             raise ConfigError("kernel.type = laplace requires kernel.scale")
-        try:
-            kernel: KernelSpec = LaplaceKernel(scale=values["kernel.scale"])
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
+        kernel: KernelSpec = LaplaceKernel(scale=values["kernel.scale"])
     elif ktype == "table":
         if "kernel.table_path" not in values:
             raise ConfigError("kernel.type = table requires kernel.table_path")
@@ -182,11 +185,7 @@ def parse_config(text: str, overrides: Optional[dict[str, str]] = None) -> Scena
 
     if "domain.l1" not in values or "domain.l2" not in values:
         raise ConfigError("domain.l1 and domain.l2 are required")
-    try:
-        grid = Grid(l1=values["domain.l1"], l2=values["domain.l2"],
-                    n=values.get("grid.n", 256))
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
+    grid = Grid(l1=values["domain.l1"], l2=values["domain.l2"], n=values.get("grid.n", 256))
 
     dt_good = values.get("time.dt_good", params.good_season_length / 2000.0)
     try:

@@ -36,7 +36,8 @@ from .evolution import (StepControl, _evolve, _linear_part, _one_period, _step_d
                         evolve, period_map)
 from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
 from .operator import DispersalOperator, _unfold, assemble
-from .spectral import EigenPair, Regime, critical_length, principal_eigenpair
+from .spectral import (EigenPair, Regime, _certified_sign, critical_length,
+                       principal_eigenpair)
 
 #: a certified sup-norm bound below this certifies extinction
 EXTINCTION_THRESHOLD = 1e-10
@@ -142,7 +143,7 @@ class MonotoneIterationTrace:
 
     ``gaps[k]`` is the sup-norm distance between the two rows k. For a
     PeriodicSolution there are two rows: the certified pair
-    u~ +- eps phi1 / max phi1 and its image under the period map, the upper row
+    u~ +- eps phi1 and its image under the period map, the upper row
     non-increasing, the lower non-decreasing and below the upper one, all
     with zero slack, as find_periodic_solution enforces. For an Extinction
     there are two rows: the upper start and the super-solution bound at the
@@ -234,11 +235,10 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     """Periodic attractor on a Dirichlet habitat, or a certificate of extinction.
 
     The principal eigenpair (sigma1, phi1) = principal_eigenpair(op, a) of the
-    operator that is stepped comes first, and the sign of lambda1 =
-    lambda1(sigma1) is certified on its enclosure (sigma_lo, sigma_hi), the
-    sigma1_bounds of phi1: lambda1(sigma_lo) > 0 must hold when lambda1 >= 0,
-    and lambda1(sigma_hi) < 0 when lambda1 < 0, or SolverError is raised
-    before any period is stepped; the result carries the pair. The model is
+    operator that is stepped comes first, and it must certify the sign of
+    lambda1 = lambda1(sigma1) on its enclosure (sigma_lo, sigma_hi), the
+    sigma1_bounds of phi1 (_certified_sign), or SolverError is raised before
+    any period is stepped; the result carries the pair. The model is
     cooperative and sigma_lo phi1 <= -(L phi1 + a phi1) <= sigma_hi phi1, so
     m(t) phi1, with m' = -delta m in the bad season and m' = -sigma m in the
     good one, is a super-solution for sigma = sigma_lo and, scaled small, a
@@ -262,7 +262,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     iterate and q at ``ctl``'s step. The coarse phase only chooses the start:
     every check below is made at ``ctl``'s step. Once a residual (the coarse
     phase's last one included) is that small, the next map at ``ctl``'s step
-    carries the pair: with v = eps phi1 / max phi1, it steps the iterate u~
+    carries the pair: with v = eps phi1, it steps the iterate u~
     and u~ +- v as one (m, 3) block (m below), sampled along the period, when
     u~ - v > 0. The pair certifies u~ if P(u~ + v) <= u~ + v,
     P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold everywhere with zero
@@ -280,10 +280,9 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     above is that folded discrete map, and the certificate is its own; only
     the results are unfolded to n nodes.
 
-    With lambda1 >= 0 no period is stepped: with M = top / min phi1 and lam =
-    lambda1(sigma_lo), sup u(k omega) <= M sup phi1 exp(-lam k omega), and
-    the Extinction reports the first k at which this bound is strictly below
-    EXTINCTION_THRESHOLD.
+    With lambda1 > 0 no period is stepped: with M = top / min phi1 and
+    lam = lambda1(sigma_lo), sup u(k omega) <= M exp(-lam k omega), and the
+    Extinction reports the first k at which it is strictly below EXTINCTION_THRESHOLD.
 
     MAX_PERIODS bounds the period maps of the persistence branch, the runs
     that choose N and the coarse ones included, a map carrying the pair
@@ -301,19 +300,19 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     phi = pair.phi1
     top = p.a / p.b + UPPER_OFFSET
     lam_lo, lam_hi = (p.lambda1(s) for s in pair.enclosure)
-    if lam_lo <= 0.0 <= lam1 or lam1 < 0.0 <= lam_hi:
+    sign = _certified_sign(p, pair)
+    if sign == 0:
         raise SolverError(
             f"lambda1 = {lam1:g} lies within the eigen residual of zero: the "
             f"enclosure [{lam_lo:g}, {lam_hi:g}] does not certify its sign, so no "
             "multiple of phi1 is a certified "
             + ("decaying super-solution" if lam1 >= 0.0 else "lower solution"))
 
-    if lam1 >= 0.0:
+    if sign > 0:
         M = top / float(np.min(phi))
         # floor + 1, not ceil: the bound is strictly below the threshold even
         # when the log ratio is an integer
-        periods = math.floor(math.log(M * float(np.max(phi)) / EXTINCTION_THRESHOLD)
-                             / (lam_lo * p.omega)) + 1
+        periods = math.floor(math.log(M / EXTINCTION_THRESHOLD) / (lam_lo * p.omega)) + 1
         upper = np.array([np.full(op.n, top),
                           M * math.exp(-lam_lo * p.omega * periods) * phi])
         trace = MonotoneIterationTrace(upper=_readonly(upper),
@@ -328,7 +327,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     eps = 0.5 * PERIODIC_TOL
     A = _linear_part(op, p.a, p.b, (op.n + 1) // 2)
     phi_e = phi[:len(A), None]
-    v = eps / float(np.max(phi)) * phi_e
+    v = eps * phi_e
     x = np.full((len(A), 1), top)
     used, coarse = 0, None
     choice = (_step_doubling(x, p, A, 1, ctl.steps_for(p.good_season_length) // 4)

@@ -49,10 +49,10 @@ class Regime(enum.Enum):
 
 @dataclass(frozen=True)
 class EigenPair:
-    """Principal eigenvalue and positive eigenfunction, sup-normalized.
+    """Principal eigenvalue and positive eigenfunction, max phi1 = 1 exactly.
 
-    ``enclosure`` is (sigma_lo, sigma_hi) of sigma1_bounds for phi1, from
-    the product that measured ``residual``.
+    ``enclosure`` is (sigma_lo, sigma_hi) of sigma1_bounds for phi1, from the
+    product that measured ``residual``; _certified_sign reads lambda1's sign off it.
     """
 
     sigma1: float
@@ -133,19 +133,26 @@ def principal_eigenpair(op: DispersalOperator, a: float) -> EigenPair:
 
 
 def sigma1_bounds(op: DispersalOperator, a: float, phi: np.ndarray,
-                  Lphi: np.ndarray | None = None) -> tuple[float, float]:
+                  Lphi: np.ndarray) -> tuple[float, float]:
     """Enclosure (sigma_lo, sigma_hi) of sigma1 = -a - mu, mu the largest
-    eigenvalue of L, from one product with any positive phi: L plus a multiple
-    of the identity is nonnegative and irreducible, so min_i (L phi)_i / phi_i
-    <= mu <= max_i (L phi)_i / phi_i (Collatz-Wielandt; Horn & Johnson,
-    *Matrix Analysis*, 2nd ed., 8.1). At an eigenpair of residual res and
-    max phi = 1 the enclosure is at most 2 res / min phi wide. ``Lphi`` is
-    the product L phi, when it is already made.
+    eigenvalue of L = ``op``, from the product ``Lphi`` = L phi of any
+    positive phi: L plus a multiple of the identity is nonnegative and
+    irreducible, so min_i (L phi)_i / phi_i <= mu <= max_i (L phi)_i / phi_i
+    (Collatz-Wielandt; Horn & Johnson, *Matrix Analysis*, 2nd ed., 8.1). At
+    an eigenpair of residual res and max phi = 1 the enclosure is at most
+    2 res / min phi wide.
     """
     if not np.all(phi > 0):
         raise ValidationError("the sigma1 enclosure needs a strictly positive phi")
-    ratio = (op.apply(phi) if Lphi is None else Lphi) / phi
+    ratio = Lphi / phi
     return -a - float(np.max(ratio)), -a - float(np.min(ratio))
+
+
+def _certified_sign(p: SeasonParams, pair: EigenPair) -> int:
+    """The sign of lambda1 = p.lambda1(pair.sigma1) that ``pair`` certifies: 1 or -1
+    when lambda1 and lambda1 over all of ``pair.enclosure`` have that sign, else 0."""
+    lam1, lower, upper = (p.lambda1(s) for s in (pair.sigma1, *pair.enclosure))
+    return (lam1 > 0 and lower > 0) - (lam1 < 0 and upper < 0)
 
 
 @dataclass(frozen=True)
@@ -170,8 +177,8 @@ def critical_length(p: SeasonParams, kernel: KernelSpec) -> CriticalLengthResult
     doubling or halving from one kernel scale, within EXPAND_CAP kernel
     scales either way and not below BRACKET_TOL, then narrowed by Illinois
     regula falsi (Dowell & Jarratt, *BIT* 11, 1971), which keeps the bracket
-    and converges superlinearly. A point becomes a bracket end only when
-    lambda1 has one sign on the whole sigma1_bounds enclosure of its solve.
+    and converges superlinearly. A point becomes a bracket end only when its
+    solve certifies the sign of lambda1 (_certified_sign, on its enclosure).
     Once the estimate lies within BRACKET_TOL / 4 of an end, or its sign is
     not certified, the points estimate -+ BRACKET_TOL / 4 inside the bracket
     are solved instead, and a probe whose sign is not certified raises
@@ -194,8 +201,7 @@ def critical_length(p: SeasonParams, kernel: KernelSpec) -> CriticalLengthResult
         n = min(4096, max(256, math.ceil(64.0 * ell / scale)))
         op = assemble(kernel, Grid.centered(ell, n), BoundaryCondition.DIRICHLET, p.d)
         pair = principal_eigenpair(op, p.a)
-        lower, upper = (p.lambda1(s) for s in pair.enclosure)
-        return p.lambda1(pair.sigma1), (lower > 0) - (upper < 0)
+        return p.lambda1(pair.sigma1), _certified_sign(p, pair)
 
     # the ends hold certified signs, lambda1(lo) > 0 > lambda1(hi); until an
     # end is found it sits at 0 or inf with no value, and the other end

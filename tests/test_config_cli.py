@@ -1,6 +1,7 @@
 import dataclasses
 import os
 import stat
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -135,6 +136,30 @@ class TestParseConfig:
         assert np.all(u0.values >= 0)
         assert np.max(u0.values) > 0.9
 
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("kind, column", [("ic", 0), ("ic", 1),
+                                              ("kernel", 0), ("kernel", 1)])
+    def test_non_finite_table_cell_names_the_table(self, tmp_path, capsys, kind,
+                                                   column, cell):
+        # a NaN u once escaped as a bare ValidationError about the state, and
+        # a NaN kernel x was refused for non-uniform spacing
+        xs = np.linspace(-1.0, 1.0, 5)
+        if kind == "ic":
+            header, body = "x,u", BASE_P1.replace(
+                "ic.type = cosine\nic.l = 0.2\n", "ic.type = table\n")
+            rows = [[x, 1.0 - x * x] for x in xs]
+        else:
+            header, body = "x,J", BASE_P1 + "kernel.type = table\n"
+            rows = [[x, 1.0 - abs(x)] for x in xs]
+        rows[1][column] = cell
+        path = tmp_path / f"{kind}.csv"
+        path.write_text(header + "\n" + "\n".join(f"{x},{v}" for x, v in rows) + "\n")
+        body += f"{kind}.table_path = {path}\n"
+        with pytest.raises(ConfigError, match=f"table {str(path)!r} contains a non-finite"):
+            parse_config(body)
+        assert main(["classify", "--config", make_config(tmp_path, body)]) == 2
+        assert "non-finite cell" in capsys.readouterr().err
+
     def test_unwritable_output_dir_rejected(self, tmp_path):
         with pytest.raises(ConfigError, match="does not exist"):
             parse_config(BASE_P1 + f"out.summary = {tmp_path}/nodir/s.txt\n")
@@ -149,7 +174,7 @@ class TestExportTrajectory:
     def test_row_count(self, tmp_path):
         path = str(tmp_path / "t.csv")
         export_trajectory(self._tiny_trajectory(), path)
-        lines = open(path).read().splitlines()
+        lines = Path(path).read_text().splitlines()
         assert lines[0] == "t,x,u"
         assert len(lines) == 1 + 2 * 2
 
@@ -169,7 +194,7 @@ class TestExportTrajectory:
             export_trajectory(tr, path)
         else:
             export_periodic(self._as_periodic(tr), path)
-        header, *lines = open(path).read().splitlines()
+        header, *lines = Path(path).read_text().splitlines()
         assert header == {"trajectory": "t,x,u", "periodic": "t,x,ustar"}[kind]
         parsed = np.array([[float(c) for c in ln.split(",")] for ln in lines])
         assert np.array_equal(parsed[:, 0], np.repeat(tr.times, 2))
@@ -184,7 +209,7 @@ class TestExportTrajectory:
                     StepControl.for_params(p, 20, stride=5), p.omega)
         path = str(tmp_path / "t.csv")
         export_trajectory(tr, path)
-        lines = open(path).read().splitlines()[1:]
+        lines = Path(path).read_text().splitlines()[1:]
         data = np.array([[float(c) for c in ln.split(",")] for ln in lines])
         ts = data[:, 0]
         assert np.all(np.diff(ts) >= 0)
@@ -197,7 +222,7 @@ class TestExportTrajectory:
                         grid=Grid.centered(1.0, 3))
         path = str(tmp_path / "t.csv")
         export_trajectory(tr, path)
-        assert open(path).read() == "t,x,u\n"
+        assert Path(path).read_text() == "t,x,u\n"
 
     def test_failed_export_leaves_no_files(self, tmp_path):
         # the second time row fails, after the header and the first row have
@@ -342,6 +367,24 @@ out.summary = {tmp_path}/summary.txt
         assert "classification = persist_all_domains" in text
         assert "lambda1 = " in text
 
+    def test_simulate_and_classify_write_one_verdict(self, tmp_path):
+        # P2 on a habitat below its critical length: every verdict line is set
+        path = make_config(tmp_path, BASE_P1.replace("P1", "P2") + f"""
+run.n_periods = 1
+out.trajectory = {tmp_path}/traj.csv
+out.summary = {tmp_path}/s.txt
+""")
+        keys = ("classification", "sigma1", "lambda1", "ell_star")
+        verdicts = []
+        for command in ("simulate", "classify"):
+            assert main([command, "--config", path]) == 0
+            summary = dict(line.split(" = ", 1) for line in
+                           (tmp_path / "s.txt").read_text().splitlines())
+            verdicts.append([summary.get(k) for k in keys])
+        assert verdicts[0] == verdicts[1]
+        assert None not in verdicts[0]
+        assert verdicts[0][0] == "critical_length"
+
     def test_spectrum_subcommand(self, tmp_path):
         path = make_config(tmp_path, BASE_P1 + f"out.summary = {tmp_path}/s.txt\n")
         assert main(["spectrum", "--config", path]) == 0
@@ -389,7 +432,7 @@ out.periodic = {tmp_path}/per.csv
         assert main(["periodic", "--config", path]) == 0
         summary = dict(line.split(" = ", 1) for line in
                        (tmp_path / "s.txt").read_text().splitlines())
-        cfg = parse_config(open(path).read())
+        cfg = parse_config(Path(path).read_text())
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, cfg.params.d)
         sol = find_periodic_solution(cfg.params, op, cfg.ctl)
         assert int(summary["periods"]) == sol.periods
@@ -428,7 +471,7 @@ out.periodic = {tmp_path}/per.csv
         assert main(["simulate", "--config", path]) == 0
         summary = dict(line.split(" = ", 1) for line in
                        (tmp_path / "summary.txt").read_text().splitlines())
-        cfg = parse_config(open(path).read())
+        cfg = parse_config(Path(path).read_text())
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, cfg.params.d)
         fit, est = fit_step(cfg.u0, cfg.params, op, cfg.ctl)
         assert fit.dt_good > cfg.ctl.dt_good
@@ -580,7 +623,7 @@ out.summary = {tmp_path}/s.txt
         # writing to ''
         path = self._sim_config(tmp_path)
         with pytest.raises(ConfigError, match="'out.summary' has an empty value"):
-            parse_config(open(path).read(), overrides={"out.summary": ""})
+            parse_config(Path(path).read_text(), overrides={"out.summary": ""})
         assert main(["simulate", "--config", path, "--override", "out.summary="]) == 2
         assert "has an empty value" in capsys.readouterr().err
 

@@ -1,5 +1,6 @@
 import math
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -217,14 +218,15 @@ class TestSigma1Bounds:
         exact = dense_sigma1(op, p.a)
         rng = np.random.default_rng(12)
         for _ in range(20):
-            lo, hi = sigma1_bounds(op, p.a, rng.uniform(0.01, 1.0, op.n))
+            phi = rng.uniform(0.01, 1.0, op.n)
+            lo, hi = sigma1_bounds(op, p.a, phi, op.apply(phi))
             assert lo <= exact <= hi
 
     def test_width_at_eigenpair_within_residual_bound(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 24, p.d)
         pair = principal_eigenpair(op, p.a)
-        lo, hi = sigma1_bounds(op, p.a, pair.phi1)
+        lo, hi = sigma1_bounds(op, p.a, pair.phi1, op.apply(pair.phi1))
         assert lo <= dense_sigma1(op, p.a) <= hi
         assert lo <= pair.sigma1 <= hi
         assert hi - lo <= 2.0 * pair.residual / np.min(pair.phi1)
@@ -235,7 +237,7 @@ class TestSigma1Bounds:
         phi = np.ones(op.n)
         phi[3] = bad
         with pytest.raises(ValidationError, match="positive"):
-            sigma1_bounds(op, 1.2, phi)
+            sigma1_bounds(op, 1.2, phi, op.apply(phi))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64])
@@ -305,8 +307,9 @@ class TestCriticalLength:
         for ell, lam in ((lo, res.lambda_lo), (hi, res.lambda_hi)):
             (n, pair), = [(n, pair) for length, n, pair in solves if length == ell]
             assert lam == p.lambda1(pair.sigma1)
+            op = dirichlet_op(LaplaceKernel(scale), ell, n, p.d)
             lower, upper = (p.lambda1(s) for s in sigma1_bounds(
-                dirichlet_op(LaplaceKernel(scale), ell, n, p.d), p.a, pair.phi1))
+                op, p.a, pair.phi1, op.apply(pair.phi1)))
             assert lower > 0 if lam > 0 else upper < 0
         assert abs(res.ell_star - laplace_critical_length(p, scale)) <= 1e-4
 
@@ -326,8 +329,30 @@ class TestCriticalLength:
             for ell, positive in ((lo, True), (hi, False)):
                 op = dirichlet_op(LaplaceKernel(1.0), ell, 256, p.d)
                 pair = principal_eigenpair(op, p.a)
-                lower, upper = (p.lambda1(s) for s in sigma1_bounds(op, p.a, pair.phi1))
+                lower, upper = (p.lambda1(s) for s in sigma1_bounds(
+                    op, p.a, pair.phi1, op.apply(pair.phi1)))
                 assert (lower > 0) if positive else (upper < 0)
+
+    def test_pair_disagreeing_with_its_enclosure_is_not_kept(self, monkeypatch):
+        # every solve's sigma1 is moved, as test_wrong_sign_sigma1_is_refused
+        # moves it, so that lambda1 takes the other sign while the enclosure
+        # still holds the true one: such a pair certifies no sign, so neither
+        # the start nor the probes around it may become a bracket end
+        p = params(P2)
+        solves = []
+
+        def wrong(op, a):
+            pair = principal_eigenpair(op, a)
+            lower, upper = (p.lambda1(s) for s in pair.enclosure)
+            assert lower > 0 or upper < 0  # the enclosure certifies a sign
+            wrong_lambda1 = -p.lambda1(pair.sigma1)
+            solves.append(op.grid.l2 - op.grid.l1)
+            return replace(pair, sigma1=(wrong_lambda1 - p.rho * p.delta) / (1.0 - p.rho))
+
+        monkeypatch.setattr(spectral, "principal_eigenpair", wrong)
+        with pytest.raises(BracketError, match="eigen residual"):
+            critical_length(p, LaplaceKernel(20.0))
+        assert solves == pytest.approx([20.0, 20.0 - 2.5e-5])
 
     def test_tolerance_below_certified_resolution_reported(self, monkeypatch):
         # near ell* at kernel scale 20, lambda1 falls by 8.7e-3 per unit
