@@ -195,7 +195,7 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
             summary.extra["eigen_iterations"] = pair.iterations
             summary.lambda1 = p.lambda1(pair.sigma1)
         else:
-            summary.lambda1 = p.lambda1(-p.a)
+            summary.lambda1 = classify(p, cfg.kernel, cfg.bc).lambda1
 
     elif command == "critical-length":
         res = critical_length(p, cfg.kernel)

@@ -18,6 +18,7 @@ from .errors import ConfigError, ValidationError
 from .evolution import StepControl
 from .model import (BoundaryCondition, Grid, KernelSpec, LaplaceKernel,
                     SeasonParams, StateVector, TabulatedKernel)
+from .periodic import _profile_lengths
 
 PRESETS = {
     "P1": dict(delta=0.2, d=0.6, a=1.2, b=0.6, rho=0.6, omega=1.0),
@@ -231,13 +232,10 @@ def _scenario(raw: dict[str, str]) -> ScenarioConfig:
     profile_lengths = None
     if "profile.lengths" in values:
         try:
-            profile_lengths = tuple(float(s) for s in values["profile.lengths"].split(","))
+            profile_lengths = [float(s) for s in values["profile.lengths"].split(",")]
         except ValueError:
             raise ConfigError("profile.lengths must be comma-separated numbers") from None
-        if any(L <= 0 for L in profile_lengths):
-            raise ConfigError("profile.lengths must be positive")
-        if any(b <= a for a, b in zip(profile_lengths, profile_lengths[1:])):
-            raise ConfigError("profile.lengths must be strictly increasing")
+        profile_lengths = _profile_lengths(profile_lengths)
 
     outs = {}
     for key in ("out.trajectory", "out.summary", "out.periodic", "out.profile"):

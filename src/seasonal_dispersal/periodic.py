@@ -235,15 +235,16 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     """Periodic attractor on a Dirichlet habitat, or a certificate of extinction.
 
     The principal eigenpair (sigma1, phi1) = principal_eigenpair(op, a) of the
-    operator that is stepped comes first, and it must certify the sign of
-    lambda1 = lambda1(sigma1) on its enclosure (sigma_lo, sigma_hi), the
-    sigma1_bounds of phi1 (_certified_sign), or SolverError is raised before
-    any period is stepped; the result carries the pair. The model is
-    cooperative and sigma_lo phi1 <= -(L phi1 + a phi1) <= sigma_hi phi1, so
-    m(t) phi1, with m' = -delta m in the bad season and m' = -sigma m in the
-    good one, is a super-solution for sigma = sigma_lo and, scaled small, a
-    lower solution for any sigma > sigma_hi; over a period m changes by the
-    factor exp(-lambda1(sigma) omega).
+    operator that is stepped comes first (it refuses a Neumann operator), and
+    it must certify the sign of lambda1 = lambda1(sigma1) on its enclosure
+    (sigma_lo, sigma_hi), the sigma1_bounds of phi1 (_certified_sign), or
+    SolverError names the cause, an enclosure straddling zero or a lambda1
+    outside it, before any period is stepped; the result carries the pair.
+    The model is cooperative and sigma_lo phi1 <= -(L phi1 + a phi1) <=
+    sigma_hi phi1, so m(t) phi1, with m' = -delta m in the bad season and
+    m' = -sigma m in the good one, is a super-solution for sigma = sigma_lo
+    and, scaled small, a lower solution for any sigma > sigma_hi; over a
+    period m changes by the factor exp(-lambda1(sigma) omega).
 
     With lambda1 < 0, one loop makes every period map, one per pass: Anderson
     iteration of u <- P(u) on one column from z0 phi1, each next iterate
@@ -290,25 +291,19 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     residual (inf if none was stepped), if no pair has certified after
     MAX_PERIODS periods; 0 is an empty budget.
     """
-    if op.bc is not BoundaryCondition.DIRICHLET:
-        raise ValidationError("find_periodic_solution expects a Dirichlet operator")
     if op.d != p.d:
         raise ValidationError(
             f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
     pair = principal_eigenpair(op, p.a)
-    lam1 = p.lambda1(pair.sigma1)
     phi = pair.phi1
     top = p.a / p.b + UPPER_OFFSET
-    lam_lo, lam_hi = (p.lambda1(s) for s in pair.enclosure)
-    sign = _certified_sign(p, pair)
+    lam1, sign, cause = _certified_sign(p, pair)
     if sign == 0:
-        raise SolverError(
-            f"lambda1 = {lam1:g} lies within the eigen residual of zero: the "
-            f"enclosure [{lam_lo:g}, {lam_hi:g}] does not certify its sign, so no "
-            "multiple of phi1 is a certified "
-            + ("decaying super-solution" if lam1 >= 0.0 else "lower solution"))
+        raise SolverError(f"{cause}, so no multiple of phi1 is a certified "
+                          + ("decaying super-solution" if lam1 >= 0.0 else "lower solution"))
 
     if sign > 0:
+        lam_lo = p.lambda1(pair.enclosure[0])
         M = top / float(np.min(phi))
         # floor + 1, not ceil: the bound is strictly below the threshold even
         # when the log ratio is an integer
@@ -460,6 +455,15 @@ class ProfileEntry:
     lambda1: float
 
 
+def _profile_lengths(lengths: Sequence[float]) -> tuple[float, ...]:
+    """``lengths`` as floats, or ValidationError unless they are finite, positive
+    and strictly increasing (each below the next, the last below inf)."""
+    lengths = tuple(map(float, lengths))
+    if not lengths or not all(0 < a < b for a, b in zip(lengths, lengths[1:] + (math.inf,))):
+        raise ValidationError("profile lengths must be finite, positive and strictly increasing")
+    return lengths
+
+
 def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
                              lengths: Sequence[float]) -> list[ProfileEntry]:
     """Deviation of the habitat attractor from the scalar periodic orbit.
@@ -473,11 +477,7 @@ def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
     """
     if p.growth_margin <= 0:
         raise ValidationError("profile study requires growth_margin > 0")
-    lengths = [float(L) for L in lengths]
-    if len(lengths) < 1 or any(L <= 0 for L in lengths):
-        raise ValidationError("lengths must be positive")
-    if any(b <= a for a, b in zip(lengths, lengths[1:])):
-        raise ValidationError("lengths must be strictly increasing")
+    lengths = _profile_lengths(lengths)
     zsol = ode_periodic_solution(p)
     assert zsol is not None  # margin > 0 checked above
 

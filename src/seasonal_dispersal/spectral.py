@@ -115,7 +115,7 @@ def principal_eigenpair(op: DispersalOperator, a: float) -> EigenPair:
                         "eigenfunction is not strictly positive (reducible kernel?)",
                         last_residual=res, iterations=products)
                 # L y, as op.apply(y) computes it
-                enclosure = sigma1_bounds(op, a, y, op.d * (Ky - op.loss * y))
+                enclosure = sigma1_bounds(a, y, op.d * (Ky - op.loss * y))
                 return EigenPair(sigma1=op.d - a - theta, phi1=_readonly(y),
                                  residual=res, iterations=products, enclosure=enclosure)
         if closed:
@@ -132,15 +132,15 @@ def principal_eigenpair(op: DispersalOperator, a: float) -> EigenPair:
         k += 1
 
 
-def sigma1_bounds(op: DispersalOperator, a: float, phi: np.ndarray,
-                  Lphi: np.ndarray) -> tuple[float, float]:
+def sigma1_bounds(a: float, phi: np.ndarray, Lphi: np.ndarray) -> tuple[float, float]:
     """Enclosure (sigma_lo, sigma_hi) of sigma1 = -a - mu, mu the largest
-    eigenvalue of L = ``op``, from the product ``Lphi`` = L phi of any
-    positive phi: L plus a multiple of the identity is nonnegative and
+    eigenvalue of the dispersal operator L, from the product ``Lphi`` = L phi
+    of any positive phi: L plus a multiple of the identity is nonnegative and
     irreducible, so min_i (L phi)_i / phi_i <= mu <= max_i (L phi)_i / phi_i
     (Collatz-Wielandt; Horn & Johnson, *Matrix Analysis*, 2nd ed., 8.1). At
     an eigenpair of residual res and max phi = 1 the enclosure is at most
-    2 res / min phi wide.
+    2 res / min phi wide. It certifies no sign of lambda1 (_certified_sign)
+    when it straddles zero or when lambda1 lies outside it.
     """
     if not np.all(phi > 0):
         raise ValidationError("the sigma1 enclosure needs a strictly positive phi")
@@ -148,11 +148,19 @@ def sigma1_bounds(op: DispersalOperator, a: float, phi: np.ndarray,
     return -a - float(np.max(ratio)), -a - float(np.min(ratio))
 
 
-def _certified_sign(p: SeasonParams, pair: EigenPair) -> int:
-    """The sign of lambda1 = p.lambda1(pair.sigma1) that ``pair`` certifies: 1 or -1
-    when lambda1 and lambda1 over all of ``pair.enclosure`` have that sign, else 0."""
+def _certified_sign(p: SeasonParams, pair: EigenPair) -> tuple[float, int, str]:
+    """lambda1 = p.lambda1(pair.sigma1) and the sign that ``pair`` certifies:
+    (lambda1, 1 or -1, "") when lambda1 over all of ``pair.enclosure`` has the
+    sign of lambda1, else (lambda1, 0, the cause): the enclosure straddles
+    zero, or lambda1 lies outside its own enclosure."""
     lam1, lower, upper = (p.lambda1(s) for s in (pair.sigma1, *pair.enclosure))
-    return (lam1 > 0 and lower > 0) - (lam1 < 0 and upper < 0)
+    side = (lower > 0) - (upper < 0)
+    if side and (lam1 > 0) - (lam1 < 0) == side:
+        return lam1, side, ""
+    enclosure = f"its enclosure [{lower:g}, {upper:g}]"
+    return lam1, 0, f"lambda1 = {lam1:g} " + (
+        f"lies outside {enclosure}" if side
+        else f"is within its eigen residual of zero: {enclosure} straddles zero")
 
 
 @dataclass(frozen=True)
@@ -178,11 +186,12 @@ def critical_length(p: SeasonParams, kernel: KernelSpec) -> CriticalLengthResult
     scales either way and not below BRACKET_TOL, then narrowed by Illinois
     regula falsi (Dowell & Jarratt, *BIT* 11, 1971), which keeps the bracket
     and converges superlinearly. A point becomes a bracket end only when its
-    solve certifies the sign of lambda1 (_certified_sign, on its enclosure).
+    solve certifies the sign of lambda1 on its enclosure (_certified_sign).
     Once the estimate lies within BRACKET_TOL / 4 of an end, or its sign is
     not certified, the points estimate -+ BRACKET_TOL / 4 inside the bracket
-    are solved instead, and a probe whose sign is not certified raises
-    BracketError. The result brackets the root to width BRACKET_TOL.
+    are solved instead; an uncertified probe raises BracketError naming the
+    cause, an enclosure straddling zero or a lambda1 outside it. The result
+    brackets the root to width BRACKET_TOL.
 
     Grid resolution follows the kernel scale, n = max(256, ceil(64 ell / D))
     capped at 4096, so wide habitats stay resolved without unbounded
@@ -195,14 +204,6 @@ def critical_length(p: SeasonParams, kernel: KernelSpec) -> CriticalLengthResult
         return CriticalLengthResult(verdict=Regime.EXTINCT_ALL_DOMAINS)
 
     scale = kernel.scale
-
-    def lam(ell: float) -> tuple[float, int]:
-        """lambda1 at ell and its certified sign, 1 or -1 (0: not certified)."""
-        n = min(4096, max(256, math.ceil(64.0 * ell / scale)))
-        op = assemble(kernel, Grid.centered(ell, n), BoundaryCondition.DIRICHLET, p.d)
-        pair = principal_eigenpair(op, p.a)
-        return p.lambda1(pair.sigma1), _certified_sign(p, pair)
-
     # the ends hold certified signs, lambda1(lo) > 0 > lambda1(hi); until an
     # end is found it sits at 0 or inf with no value, and the other end
     # doubles or halves towards it
@@ -233,12 +234,13 @@ def critical_length(p: SeasonParams, kernel: KernelSpec) -> CriticalLengthResult
             q = points.pop(0)
             if not lo < q < hi:
                 continue  # outside the bracket, or passed by the probe before
-            value, sign = lam(q)
+            n = min(4096, max(256, math.ceil(64.0 * q / scale)))
+            op = assemble(kernel, Grid.centered(q, n), BoundaryCondition.DIRICHLET, p.d)
+            value, sign, cause = _certified_sign(p, principal_eigenpair(op, p.a))
             if sign == 0:
                 if probing:
                     raise BracketError(
-                        f"sign of lambda1 = {value:g} at ell = {q:g} is within its "
-                        f"eigen residual; no certified bracket of width {BRACKET_TOL:g}")
+                        f"at ell = {q:g}, {cause}; no certified bracket of width {BRACKET_TOL:g}")
                 points, probing = [q - 0.25 * BRACKET_TOL, q + 0.25 * BRACKET_TOL], True
             elif sign > 0:
                 w_hi *= 0.5 if moved == -1 else 1.0

@@ -1,6 +1,8 @@
 import dataclasses
 import os
 import stat
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -571,6 +573,18 @@ ic.c = 1
         assert not os.path.exists(tmp_path / "prof.csv")
         assert not os.path.exists(tmp_path / "s.txt")
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    def test_non_finite_profile_length_exits_2(self, tmp_path, capsys, bad):
+        # refused while the config is read, by the profile study's own rule
+        # for its lengths, before any habitat is solved
+        path = make_config(tmp_path, BASE_P1.replace("0.2", "1") + "kernel.scale = 1\n"
+                           f"profile.lengths = 4, {bad}\nout.summary = {tmp_path}/s.txt\n"
+                           f"out.profile = {tmp_path}/prof.csv\n")
+        assert main(["profile-study", "--config", path]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and "finite" in err
+        assert os.listdir(tmp_path) == ["scenario.cfg"]
+
     def test_config_error_exit_code(self, tmp_path):
         path = make_config(tmp_path, BASE_P1 + "rho = 2\n")
         assert main(["classify", "--config", path]) == 2
@@ -659,3 +673,21 @@ out.summary = {tmp_path}/s.txt
 """)
         assert main(["simulate", "--config", path]) == 0
         assert "status = ok" in (tmp_path / "s.txt").read_text()
+
+
+def test_cli_imports_no_scipy(tmp_path):
+    # numpy is the only runtime dependency (scipy serves the tests only):
+    # one CLI call in a fresh interpreter must load no scipy module
+    path = make_config(tmp_path, BASE_P1)
+    code = ("import sys\n"
+            "from seasonal_dispersal.cli import main\n"
+            f"assert main(['spectrum', '--config', {path!r}]) == 0\n"
+            "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+            "assert not loaded, loaded\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [src] + [p for p in [os.environ.get("PYTHONPATH")] if p])}
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert "lambda1 = " in run.stdout

@@ -192,7 +192,7 @@ class TestFindPeriodicSolution:
 
     @pytest.mark.parametrize("preset, length, wrong_lambda1, message", [
         # true lambda1 < 0: the residual correction undoes the raised sigma1
-        (P1, 0.4, 1e-3, "within the eigen residual of zero"),
+        (P1, 0.4, 1e-3, "outside its enclosure"),
         # true lambda1 > 0: no multiple of phi1 is a lower solution
         (P3, 8.0, -1e-3, "no multiple of phi1 is a certified lower solution"),
     ], ids=["extinction", "lower_start"])
@@ -216,6 +216,27 @@ class TestFindPeriodicSolution:
         monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
         with pytest.raises(SolverError, match=message):
             find_periodic_solution(p, op, StepControl.for_params(p, 300))
+
+    def test_lambda1_at_zero_is_refused_as_straddling(self, monkeypatch):
+        # delta tuned so that lambda1 = 0 on the habitat, as
+        # test_uncertified_start_is_probed_not_kept tunes it: the enclosure
+        # straddles zero, and the refusal names that cause, before any step
+        from seasonal_dispersal import evolution
+
+        p2 = params(P2)
+        op = dirichlet_op(LaplaceKernel(20.0), 8.0, 48, p2.d)
+        delta0 = -(1 - p2.rho) * principal_eigenpair(op, p2.a).sigma1 / p2.rho
+
+        def no_stepping(*args, **kwargs):
+            raise AssertionError("a refused solve stepped the model")
+
+        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
+        for shift in (0.0, 1e-15, -1e-15):
+            p = params(P2, delta=delta0 + shift)
+            with pytest.raises(SolverError, match="within its eigen residual of zero: "
+                               r"its enclosure \[.*\] straddles zero") as err:
+                find_periodic_solution(p, op, StepControl.for_params(p, 300))
+            assert "outside" not in str(err.value)
 
     def test_neumann_rejected(self, p1_attractor):
         p, _, _, ctl, _ = p1_attractor
@@ -858,6 +879,18 @@ class TestProfileStudy:
     def test_rejects_unsorted_lengths(self):
         with pytest.raises(ValidationError, match="increasing"):
             asymptotic_profile_study(params(P1), LaplaceKernel(1.0), [4.0, 3.0])
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_lengths(self, bad, monkeypatch):
+        # refused before the first habitat is solved
+        from seasonal_dispersal import periodic
+
+        def never(*args, **kwargs):
+            raise AssertionError("a habitat was solved")
+
+        monkeypatch.setattr(periodic, "find_periodic_solution", never)
+        with pytest.raises(ValidationError, match="finite, positive and strictly increasing"):
+            asymptotic_profile_study(params(P1), LaplaceKernel(1.0), [4.0, bad])
 
     def test_short_habitat_in_critical_regime_fails_loudly(self):
         # (P2)-like rates at kernel scale 1: critical length around 0.21, so

@@ -138,7 +138,15 @@ class TestThreshold:
             lams[length] = lam1
         assert lams[0.4] > 0 > lams[8.0]
 
-    def test_rate_mismatch_rejected(self):
+    def test_rate_mismatch_rejected(self, monkeypatch):
+        # refused before the eigen-solve and before any step
+        from seasonal_dispersal import evolution, periodic
+
+        def never(*args, **kwargs):
+            raise AssertionError("a refused solve went on")
+
+        monkeypatch.setattr(periodic, "principal_eigenpair", never)
+        monkeypatch.setattr(evolution, "_rk4_span", never)
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, d=0.7)
         with pytest.raises(ValidationError, match="dispersal"):
@@ -219,14 +227,14 @@ class TestSigma1Bounds:
         rng = np.random.default_rng(12)
         for _ in range(20):
             phi = rng.uniform(0.01, 1.0, op.n)
-            lo, hi = sigma1_bounds(op, p.a, phi, op.apply(phi))
+            lo, hi = sigma1_bounds(p.a, phi, op.apply(phi))
             assert lo <= exact <= hi
 
     def test_width_at_eigenpair_within_residual_bound(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(20.0), 0.4, 24, p.d)
         pair = principal_eigenpair(op, p.a)
-        lo, hi = sigma1_bounds(op, p.a, pair.phi1, op.apply(pair.phi1))
+        lo, hi = sigma1_bounds(p.a, pair.phi1, op.apply(pair.phi1))
         assert lo <= dense_sigma1(op, p.a) <= hi
         assert lo <= pair.sigma1 <= hi
         assert hi - lo <= 2.0 * pair.residual / np.min(pair.phi1)
@@ -237,7 +245,7 @@ class TestSigma1Bounds:
         phi = np.ones(op.n)
         phi[3] = bad
         with pytest.raises(ValidationError, match="positive"):
-            sigma1_bounds(op, 1.2, phi, op.apply(phi))
+            sigma1_bounds(1.2, phi, op.apply(phi))
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 64])
@@ -309,7 +317,7 @@ class TestCriticalLength:
             assert lam == p.lambda1(pair.sigma1)
             op = dirichlet_op(LaplaceKernel(scale), ell, n, p.d)
             lower, upper = (p.lambda1(s) for s in sigma1_bounds(
-                op, p.a, pair.phi1, op.apply(pair.phi1)))
+                p.a, pair.phi1, op.apply(pair.phi1)))
             assert lower > 0 if lam > 0 else upper < 0
         assert abs(res.ell_star - laplace_critical_length(p, scale)) <= 1e-4
 
@@ -330,7 +338,7 @@ class TestCriticalLength:
                 op = dirichlet_op(LaplaceKernel(1.0), ell, 256, p.d)
                 pair = principal_eigenpair(op, p.a)
                 lower, upper = (p.lambda1(s) for s in sigma1_bounds(
-                    op, p.a, pair.phi1, op.apply(pair.phi1)))
+                    p.a, pair.phi1, op.apply(pair.phi1)))
                 assert (lower > 0) if positive else (upper < 0)
 
     def test_pair_disagreeing_with_its_enclosure_is_not_kept(self, monkeypatch):
@@ -350,7 +358,7 @@ class TestCriticalLength:
             return replace(pair, sigma1=(wrong_lambda1 - p.rho * p.delta) / (1.0 - p.rho))
 
         monkeypatch.setattr(spectral, "principal_eigenpair", wrong)
-        with pytest.raises(BracketError, match="eigen residual"):
+        with pytest.raises(BracketError, match="outside its enclosure"):
             critical_length(p, LaplaceKernel(20.0))
         assert solves == pytest.approx([20.0, 20.0 - 2.5e-5])
 
