@@ -28,9 +28,15 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
 * ``evolution.simulate_figure_ms``: the ``simulate`` run behind the figures
   (60 periods from the cosine start at n = 128 only, nominal step 1/2000 of
   the good season, a sample every 100 nominal steps): ``fit_step`` and
-  ``evolve`` at the step it chose, with the steps per good season beside it;
+  ``evolve`` at the step it chose, with the steps per good season beside it
+  (the library path, which collects the samples; the subcommand streams
+  them into its CSV, which ``cli.simulate_ms`` below times);
 * ``cli.export_ms``: one ``export_trajectory`` of that run's trajectory (n =
   128 only) into a temporary directory, with its CSV data rows beside it;
+* ``cli.simulate_ms``: the figure's ``simulate`` end to end through
+  ``cli.main`` (``scripts/p1_figure.cfg``, n = 128, its CSV and summary
+  written into a temporary directory), and ``cli.simulate_peak_mib`` the
+  tracemalloc peak of one more such call, made outside the timed ones;
 * ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
   per good season (the ``attractor`` benchmark config), at n = 128 only:
   the monotone loop it replaced took minutes at n = 2048; with the
@@ -81,6 +87,8 @@ import os
 os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
 
 import argparse
+import contextlib
+import io
 import json
 import platform
 import statistics
@@ -88,6 +96,7 @@ import subprocess
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -105,6 +114,7 @@ ABOUT = " ".join(__doc__.split("\nUsage:")[0].split())
 STEPS_PER_SEASON = 400
 SPAN_STEPS = 50
 FIGURE_PERIODS = 60
+FIGURE_CONFIG = Path(__file__).resolve().parent / "p1_figure.cfg"
 BUDGET_S = 1.0
 MIN_RUNS = 10
 
@@ -186,6 +196,7 @@ def measure(sd, n: int) -> dict:
     if n == FIND_N:
         out["cli.export_ms"] = measure_export(
             sd.evolve(u0, p, op, fitted, FIGURE_PERIODS * p.omega))
+        out.update(measure_simulate())
     return out
 
 
@@ -196,6 +207,31 @@ def measure_export(tr) -> dict:
         path = os.path.join(tmp, "trajectory.csv")
         secs, runs = median_seconds(lambda: cli.export_trajectory(tr, path))
     return {"value": 1e3 * secs, "runs": runs, "rows": tr.values.size}
+
+
+def measure_simulate() -> dict:
+    """The figure's ``simulate`` through ``cli.main``, writing into a
+    temporary directory, and the tracemalloc peak of one more call."""
+    from seasonal_dispersal import cli
+    with tempfile.TemporaryDirectory() as tmp:
+        argv = ["simulate", "--config", str(FIGURE_CONFIG),
+                "--override", f"out.trajectory={tmp}/trajectory.csv",
+                "--override", f"out.summary={tmp}/summary.txt"]
+
+        def simulate():
+            with contextlib.redirect_stdout(io.StringIO()):
+                if cli.main(argv) != 0:
+                    raise RuntimeError("simulate of the figure config failed")
+
+        secs, runs = median_seconds(simulate)
+        tracemalloc.start()
+        try:
+            simulate()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    return {"cli.simulate_ms": {"value": 1e3 * secs, "runs": runs},
+            "cli.simulate_peak_mib": {"value": peak / 2**20, "runs": 1}}
 
 
 def measure_near(sd) -> dict:

@@ -13,12 +13,13 @@ Subcommands map one-to-one onto the analysis operations::
 Exit codes: 0 success, 2 configuration error, 3 solver error. All artifact
 files are written atomically (temp file plus rename), so a failed run never
 leaves partial CSVs behind; the summary records the failure instead.
+``simulate`` writes each sample into its temp file as it is stepped, so it
+holds no whole trajectory.
 """
 
 import argparse
 import os
 import sys
-import tempfile
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -28,8 +29,10 @@ import numpy as np
 
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigError, SolverError, ValidationError
-from .evolution import Trajectory, evolve, fit_step
-from .model import BoundaryCondition
+# perfbench/tracing.py wraps cli.evolve and cli.export_trajectory, which
+# simulate no longer calls: it streams evolution.samples into its CSV
+from .evolution import Trajectory, evolve, fit_step, samples
+from .model import BoundaryCondition, StateVector
 from .operator import _fold_width, assemble
 from .periodic import (Extinction, PeriodicSolution, ProfileEntry,
                        asymptotic_profile_study, classify,
@@ -83,12 +86,19 @@ class RunSummary:
 
 
 def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write ``chunks`` to a new temp file beside ``path``, then rename it
+    over ``path``; on any failure the temp file is removed and ``path`` is
+    left as it was. The temp file is created with mode 0o666, so it gets the
+    process umask as open() applies it."""
     parent = os.path.dirname(os.path.abspath(path))
-    umask = os.umask(0)  # read back at once; the file gets open()'s mode, not 0o600
-    os.umask(umask)
-    fd, tmp = tempfile.mkstemp(dir=parent, suffix=".tmp")
+    while True:
+        tmp = os.path.join(parent, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
+        try:
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+            break
+        except FileExistsError:
+            continue
     try:
-        os.fchmod(fd, 0o666 & ~umask)
         with os.fdopen(fd, "w") as fh:
             fh.writelines(chunks)
         os.replace(tmp, path)
@@ -98,45 +108,62 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _write_csv(path: str, header: str, times, values, nodes=None) -> None:
-    """CSV of ``header``, then one row ``t,x,value`` per time and node, times
-    and nodes in the given order; without ``nodes``, one row ``t,value`` per
-    time. Each node is formatted once per file, into a ``%s`` template that
-    the time joins and one ``%`` fills per time. A row formats its leading m
-    values (``_fold_width``: m < n only where it equals its mirror bit for bit)
-    with ``%.17g``, as ``_fmt`` does, and repeats those strings for its trailing
-    n - m nodes. The rows stream into the temp file of the atomic write.
+def _write_csv(path: str, header: str, rows: Iterable[tuple[float, np.ndarray]],
+               nodes=None) -> Optional[tuple[float, np.ndarray]]:
+    """CSV of ``header``, then one line ``t,x,value`` per row ``(t, values)``
+    and node, rows and nodes in the given order; without ``nodes``, one line
+    ``t,value`` per row. A row of m < n values stands for the even state
+    whose trailing n - m = floor(n/2) nodes mirror its leading ones, as
+    ``_fold_width`` cuts it; any other row holds all n values. Each node is
+    formatted once per file, into a ``%s`` template that the time joins and
+    one ``%`` fills per row. The row's m values are formatted with
+    ``%.17g``, as ``_fmt`` does, and their strings repeated for the mirror
+    nodes. The rows are consumed one at a time, each streamed into the temp
+    file of the atomic write, so an iterator of rows is never held whole.
+    Returns the last row.
     """
     cols = [""] if nodes is None else [_fmt(x) + "," for x in nodes]
     n = len(cols)
-    values = np.asarray(values, dtype=float).reshape(-1, n)  # an empty profile too
     # "t,".join(template) puts the time before every node column
     template = [""] + [c + "%s\n" for c in cols]
     leading = {m: ",".join(["%.17g"] * m) for m in ((n + 1) // 2, n)}
+    last = None
 
     def lines():
+        nonlocal last
         yield header + "\n"
-        for t, row, m in zip(times, values, _fold_width(values).tolist()):
-            s = (leading[m] % tuple(row[:m].tolist())).split(",")
+        for last in rows:
+            t, row = last
+            m = len(row)
+            s = (leading[m] % tuple(row.tolist())).split(",")
             yield (_fmt(t) + ",").join(template) % tuple(s + s[:n - m][::-1])
 
     _atomic_write(path, lines())
+    return last
+
+
+def _folded_rows(times, values, n: int):
+    """The rows of ``_write_csv`` for ``values`` of n columns, each row cut
+    to its ``_fold_width``."""
+    values = np.asarray(values, dtype=float).reshape(-1, n)  # an empty profile too
+    return ((t, row[:m]) for t, row, m in zip(times, values, _fold_width(values).tolist()))
 
 
 def export_trajectory(tr: Trajectory, path: str) -> None:
     """Trajectory CSV: header ``t,x,u``, times ascending, nodes ascending."""
-    _write_csv(path, "t,x,u", tr.times, tr.values, tr.grid.nodes)
+    _write_csv(path, "t,x,u", _folded_rows(tr.times, tr.values, tr.grid.n), tr.grid.nodes)
 
 
 def export_periodic(sol: PeriodicSolution, path: str) -> None:
     """Periodic attractor CSV: header ``t,x,ustar``."""
-    _write_csv(path, "t,x,ustar", sol.times, sol.values, sol.grid.nodes)
+    _write_csv(path, "t,x,ustar", _folded_rows(sol.times, sol.values, sol.grid.n),
+               sol.grid.nodes)
 
 
 def export_profile(entries: list[ProfileEntry], path: str) -> None:
     """Profile-study CSV: header ``L,deviation``."""
-    _write_csv(path, "L,deviation", [e.length for e in entries],
-               [[e.deviation] for e in entries])
+    _write_csv(path, "L,deviation", _folded_rows([e.length for e in entries],
+                                                 [e.deviation for e in entries], 1))
 
 
 def _require(cfg_value, key: str, command: str):
@@ -177,10 +204,13 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         summary.dt_good = good / ctl.steps_for(good)
         if step_error is not None:
             summary.extra["step_error_estimate"] = step_error
-        tr = evolve(cfg.u0, p, op, ctl, n_periods * p.omega)
         _record_verdict(summary, cfg)
-        export_trajectory(tr, cfg.out_trajectory)
-        summary.final_supnorm = tr.final.sup_norm
+        # streamed: each sample is written as it is stepped
+        _, final = _write_csv(cfg.out_trajectory, "t,x,u",
+                              samples(cfg.u0, p, op, ctl, n_periods * p.omega),
+                              cfg.grid.nodes)
+        # the sup norm of a folded state is that of the state it stands for
+        summary.final_supnorm = StateVector(final).sup_norm
         summary.n_periods = n_periods
 
     elif command == "classify":

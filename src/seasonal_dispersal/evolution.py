@@ -11,7 +11,10 @@ as i*omega and (i+rho)*omega so trajectories and tests agree bit for bit.
 ``fit_step`` coarsens a control to the step whose RK4 truncation error is
 already below rounding, by step doubling over the first good season, with
 the sample instants kept; the ``simulate`` subcommand steps at it. The
-periodic solve chooses its coarse step by the same estimate.
+periodic solve chooses its coarse step by the same estimate. There is one
+stepping path: ``samples`` yields the samples of ``evolve`` one at a time,
+which the ``simulate`` subcommand writes as they come, and ``evolve``
+collects them.
 
 All three follow the operator's one fold rule: an initial state equal to
 its mirror bit for bit (``operator._fold_width``), such as every cosine or
@@ -22,7 +25,7 @@ nodes, exactly mirror-symmetric. Any other state is stepped at full size.
 
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -174,34 +177,60 @@ def evolve(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     the stepper) and bounded by max(a/b, sup u0); the bound is enforced with
     a 1e-6 relative allowance at every recorded good-season sample and
     season end. Bad-season samples decay from a state already checked.
+    The samples are those of ``samples``, collected and unfolded to n nodes.
     """
+    times, values = _collect(samples(u0, p, op, ctl, t_end))
+    return Trajectory(times=_readonly(times), values=_readonly(_unfold(values, op.n)),
+                      grid=op.grid)
+
+
+def samples(u0: StateVector, p: SeasonParams, op: DispersalOperator,
+            ctl: StepControl, t_end: float) -> Iterator[tuple[float, np.ndarray]]:
+    """The samples of ``evolve`` as a stream of (t, state) on the stepped
+    width: the leading ceil(n/2) nodes of a mirror-symmetric ``u0``, which
+    stand for the even state they mirror, or all n. ``u0`` and ``t_end`` are
+    checked here, before the first sample is asked for."""
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValidationError(f"t_end must be positive, got {t_end!r}")
     A = _checked_linear_part(u0, p, op)
-    times, values = _evolve(u0.values[:len(A)], p, A, ctl, t_end)
-    return Trajectory(times=_readonly(times), values=_readonly(_unfold(values, op.n)),
-                      grid=op.grid)
+    return _samples(u0.values[:len(A)], p, A, ctl, t_end)
 
 
 def _evolve(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
             ctl: StepControl, t_end: float) -> tuple[np.ndarray, np.ndarray]:
     """The body of ``evolve`` on one state (n,) or a block of states (n, m),
     one per column: returns the sample times and the states there, of shape
-    (T, n) or (T, n, m). The bound is max(a/b, sup of the whole block)."""
+    (T, n) or (T, n, m)."""
+    return _collect(_samples(u0, p, A, ctl, t_end))
+
+
+def _collect(stream: Iterable[tuple[float, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
+    """The times of a sample stream, and its states stacked."""
+    times, states = zip(*stream)
+    return np.array(times), np.array(states)
+
+
+def _samples(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
+             ctl: StepControl, t_end: float) -> Iterator[tuple[float, np.ndarray]]:
+    """Yield (t, state) at every sample instant of ``evolve`` in time order,
+    t = 0 first, for one state (n,) or a block of states (n, m). No state is
+    modified after it is yielded. A good-season sample or season end is
+    checked against the bound, max(a/b, sup of the whole block), before it
+    is yielded; the samples of a good season are yielded once its span has
+    been stepped."""
     om = p.omega
     bound = max(p.a / p.b, float(np.max(u0, initial=0.0))) * (1.0 + 1e-6)
     sample_dt = ctl.dt_good * ctl.stride
 
-    times = [0.0]
-    states = [u0.copy()]
-
-    def check(v, t):
+    def checked(t, v):
         m = float(np.max(v, initial=0.0))
         if m > bound:
             raise SolverError(
                 f"a-priori bound violated at t={t:g}: sup u = {m:g} > {bound:g}")
+        return t, v
 
     u = u0.copy()
+    yield 0.0, u
     i = 0
     t = 0.0
     while t < t_end:
@@ -211,13 +240,10 @@ def _evolve(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
             # (by index, so that long runs do not drift)
             j = 1
             while (s := t + j * sample_dt) < bad_end * (1.0 - 1e-15):
-                times.append(s)
-                states.append(math.exp(-p.delta * (s - t)) * u)
+                yield s, math.exp(-p.delta * (s - t)) * u
                 j += 1
             u = math.exp(-p.delta * (bad_end - t)) * u
-            times.append(bad_end)
-            states.append(u.copy())
-            check(u, bad_end)
+            yield checked(bad_end, u)
             t = bad_end
         if t >= t_end:
             break
@@ -228,16 +254,10 @@ def _evolve(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
             dt = span / steps
             u, recorded = _rk4_span(u, A, p.b, span, steps, record_every=ctl.stride)
             for k, v in recorded:
-                times.append(t + k * dt)
-                states.append(v)
-                check(v, t + k * dt)
-            times.append(good_end)
-            states.append(u.copy())
-            check(u, good_end)
+                yield checked(t + k * dt, v)
+            yield checked(good_end, u)
             t = good_end
         i += 1
-
-    return np.array(times), np.array(states)
 
 
 def _step_doubling(u: np.ndarray, p: SeasonParams, A: np.ndarray,

@@ -3,6 +3,7 @@ import os
 import stat
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -16,6 +17,7 @@ from seasonal_dispersal import (BoundaryCondition, ConfigError, Grid,
 from seasonal_dispersal import cli
 from seasonal_dispersal.cli import export_periodic, export_trajectory, main
 from seasonal_dispersal.config import parse_config
+from seasonal_dispersal.errors import EigenConvergenceError, PositivityError
 from seasonal_dispersal.evolution import fit_step
 
 from helpers import P1, params, tent_kernel_table
@@ -267,16 +269,16 @@ class TestExportTrajectory:
         values = np.array([even, off, 1 / 3 * even, signed, np.zeros(n)])
         times = [0.0, 0.1, 1 / 3, 5e-324, 60.0]
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), "t,x,u", times, values, grid.nodes)
+        cli._write_csv(str(path), "t,x,u", cli._folded_rows(times, values, n), grid.nodes)
         assert path.read_text() == self._reference("t,x,u", times, values, grid.nodes)
 
     def test_profile_csv_matches_reference(self, tmp_path):
         values = [[0.1], [1 / 3], [-0.0], [5e-324]]
         lengths = [10.0, 20.0, 40.0, 80.0]
         path = tmp_path / "p.csv"
-        cli._write_csv(str(path), "L,deviation", lengths, values)
+        cli._write_csv(str(path), "L,deviation", cli._folded_rows(lengths, values, 1))
         assert path.read_text() == self._reference("L,deviation", lengths, values, None)
-        cli._write_csv(str(path), "L,deviation", [], [])
+        cli._write_csv(str(path), "L,deviation", cli._folded_rows([], [], 1))
         assert path.read_text() == "L,deviation\n"
 
     @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e22])
@@ -503,6 +505,24 @@ out.periodic = {tmp_path}/per.csv
         for name in ("traj.csv", "summary.txt"):
             assert stat.S_IMODE((tmp_path / name).stat().st_mode) == mode
 
+    def test_writes_leave_the_umask_alone(self, tmp_path, monkeypatch):
+        # setting the umask, even for a moment, changes the mode of files
+        # that other threads create meanwhile; the writes never call it
+        path = self._sim_config(tmp_path)
+        old = os.umask(0o022)
+
+        def refused(mask):
+            raise AssertionError("os.umask called")
+
+        try:
+            monkeypatch.setattr(os, "umask", refused)
+            assert main(["simulate", "--config", path]) == 0
+        finally:
+            monkeypatch.undo()
+            os.umask(old)
+        for name in ("traj.csv", "summary.txt"):
+            assert stat.S_IMODE((tmp_path / name).stat().st_mode) == 0o644
+
     def test_periodic_subcommand_extinction(self, tmp_path):
         # P2 on a habitat of length 1, below its critical length of about 4.29
         path = make_config(tmp_path, f"""
@@ -623,9 +643,77 @@ out.summary = {tmp_path}/s.txt
 """)
         assert main(["simulate", "--config", path]) == 3
         assert not os.path.exists(tmp_path / "traj.csv")
+        assert list(tmp_path.glob("*.tmp")) == []
         summary = (tmp_path / "s.txt").read_text()
         assert "status = failed" in summary
         assert "error = " in summary
+
+    @pytest.mark.parametrize("failure", ["positivity", "bound"])
+    def test_failure_mid_stream_leaves_the_old_csv(self, tmp_path, monkeypatch, failure):
+        # simulate writes each sample as it is stepped: the stream's third
+        # good season fails after rows have gone into the temp file, and the
+        # CSV of an earlier run stays as it was
+        from seasonal_dispersal import evolution
+        path = self._sim_config(tmp_path)
+        old = b"t,x,u\nearlier run\n"
+        (tmp_path / "traj.csv").write_bytes(old)
+        step, seasons, tmp_at_failure = evolution._rk4_span, [], []
+
+        def failing(*args, record_every=0, **kwargs):
+            u, recorded = step(*args, record_every=record_every, **kwargs)
+            if record_every:  # a good season of the stream, not of fit_step
+                seasons.append(None)
+                if len(seasons) == 3:
+                    tmp_at_failure.extend(tmp_path.glob("*.tmp"))
+                    if failure == "positivity":
+                        raise PositivityError("injected", node=0, value=-1.0,
+                                              suggested_dt=1e-3)
+                    u = 1e3 * u  # above the a-priori bound at the season's end
+            return u, recorded
+
+        monkeypatch.setattr(evolution, "_rk4_span", failing)
+        assert main(["simulate", "--config", path, "--override", "run.n_periods=4"]) == 3
+        assert len(tmp_at_failure) == 1
+        assert (tmp_path / "traj.csv").read_bytes() == old
+        assert list(tmp_path.glob("*.tmp")) == []
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "status = failed" in summary
+        assert {"positivity": "error = injected",
+                "bound": "error = a-priori bound violated"}[failure] in summary
+
+    def test_classify_failure_writes_no_csv(self, tmp_path, monkeypatch):
+        from seasonal_dispersal import periodic
+
+        def failing(op, a):
+            raise EigenConvergenceError("injected", last_residual=1.0, iterations=0)
+
+        monkeypatch.setattr(periodic, "principal_eigenpair", failing)
+        path = self._sim_config(tmp_path)
+        assert main(["simulate", "--config", path]) == 3
+        assert sorted(os.listdir(tmp_path)) == ["scenario.cfg", "summary.txt"]
+        assert "status = failed" in (tmp_path / "summary.txt").read_text()
+
+    def test_memory_does_not_grow_with_the_run(self, tmp_path):
+        # simulate streams its samples into the CSV: the traced peak of a
+        # 50-period run is that of a 5-period one, and far below the T x n
+        # doubles of the 50-period trajectory
+        argv = ["simulate", "--config", self._sim_config(tmp_path),
+                "--override", "grid.n=128"]
+        assert main(argv) == 0  # first-call caches
+
+        def peak(periods):
+            tracemalloc.start()
+            try:
+                assert main(argv + ["--override", f"run.n_periods={periods}"]) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        short, long = peak(5), peak(50)
+        with open(tmp_path / "traj.csv") as fh:
+            values = sum(1 for _ in fh) - 1  # T x n
+        assert long <= short + 32 * 1024
+        assert max(short, long) < 8 * values / 10
 
     def test_override_flag(self, tmp_path):
         path = self._sim_config(tmp_path)
