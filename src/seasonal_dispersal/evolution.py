@@ -12,9 +12,10 @@ as i*omega and (i+rho)*omega so trajectories and tests agree bit for bit.
 already below rounding, by step doubling over the first good season, with
 the sample instants kept; the ``simulate`` subcommand steps at it. The
 periodic solve chooses its coarse step by the same estimate. There is one
-stepping path: ``samples`` yields the samples of ``evolve`` one at a time,
-which the ``simulate`` subcommand writes as they come, and ``evolve``
-collects them.
+stepping path, ``_samples``, which yields the checked samples one at a
+time: ``samples`` hands them to the ``simulate`` subcommand, which writes
+them as they come, ``evolve`` collects them, and ``_period_end`` keeps
+only the last, for the step-doubling candidates and the periodic solve.
 
 All three follow the operator's one fold rule: an initial state equal to
 its mirror bit for bit (``operator._fold_width``), such as every cosine or
@@ -196,18 +197,20 @@ def samples(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     return _samples(u0.values[:len(A)], p, A, ctl, t_end)
 
 
-def _evolve(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
-            ctl: StepControl, t_end: float) -> tuple[np.ndarray, np.ndarray]:
-    """The body of ``evolve`` on one state (n,) or a block of states (n, m),
-    one per column: returns the sample times and the states there, of shape
-    (T, n) or (T, n, m)."""
-    return _collect(_samples(u0, p, A, ctl, t_end))
-
-
 def _collect(stream: Iterable[tuple[float, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
-    """The times of a sample stream, and its states stacked."""
+    """The times of a sample stream, and its states stacked: (T, n) for a
+    stream of one state, (T, n, m) for a block."""
     times, states = zip(*stream)
     return np.array(times), np.array(states)
+
+
+def _period_end(u: np.ndarray, p: SeasonParams, A: np.ndarray,
+                ctl: StepControl) -> np.ndarray:
+    """One state (n,) or a block of states (n, m) one period on: the last
+    sample of ``_samples`` to t = omega, every sample checked, none kept."""
+    for _, end in _samples(u, p, A, ctl, p.omega):
+        pass
+    return end
 
 
 def _samples(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
@@ -264,13 +267,15 @@ def _step_doubling(u: np.ndarray, p: SeasonParams, A: np.ndarray,
                    steps: int, last: int):
     """Yield (N, est(N)) for N = steps, 2 steps, 4 steps, ... up to ``last``:
     est(N) = |P_N(u) - P_2N(u)| 16/15 in the sup norm, with P_N the period map
-    of ``A`` at N RK4 steps per good season, or None when either run raises
-    PositivityError. Each yield costs one period map, the first two.
+    of ``A`` at N RK4 steps per good season (``_period_end``), or None when
+    either run fails: an undershoot (PositivityError) or a sample above the
+    a-priori bound, both SolverErrors. Each yield costs one period map, the
+    first two.
     """
     def end(steps):
         try:
-            return _one_period(u, p, A, StepControl.for_params(p, steps))
-        except PositivityError:
+            return _period_end(u, p, A, StepControl.for_params(p, steps))
+        except SolverError:
             return None
 
     if steps > last:
@@ -295,7 +300,8 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     ``_step_doubling``, which the periodic solve shares to choose its coarse
     step. The first N with est(N) < 8 est(2N), or est(N) = 0, is where
     halving the step stops gaining RK4's factor 16, and 2N is taken. A
-    candidate whose run raises PositivityError fails. A one-season tolerance
+    candidate whose run raises a SolverError fails, an undershoot or a
+    breach of the a-priori bound alike. A one-season tolerance
     would not do: errors pile up over the slowly contracting periods.
 
     Returns the control of 2N steps and stride 2N / S, whose sample spacing
@@ -315,20 +321,6 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
             return StepControl(dt_good=ctl.dt_good * ctl.stride / ratio, stride=ratio), est
         prev = est
     return ctl, None
-
-
-def _one_period(u: np.ndarray, p: SeasonParams, A: np.ndarray,
-                ctl: StepControl) -> np.ndarray:
-    """Exact bad-season decay, then the good season: one state (n,) or a
-    block of states (n, m) advanced over one period.
-
-    The season lengths are computed from the boundary instants, as evolve
-    computes them, so the two agree bit for bit.
-    """
-    bad = p.rho * p.omega
-    u = math.exp(-p.delta * bad) * u
-    span = p.omega - bad
-    return _rk4_span(u, A, p.b, span, ctl.steps_for(span))[0]
 
 
 def period_map(u0: StateVector, p: SeasonParams, op: DispersalOperator,

@@ -10,12 +10,13 @@ eigenfunction, on a coarse-step period map first, and one period of an ordered
 pair around the approximation, stepped beside it and sampled, certifies it at
 the given step, by comparison: the period map preserves order. Every state
 this stepping touches is mirror-symmetric about the habitat's midpoint, so it
-steps only the leading half of the nodes, with ``_linear_part`` of the folded
-kernel matrix ``DispersalOperator._block``, as ``evolve``, ``period_map`` and
-``fit_step`` do with every exactly even start: the fold is the operator's one
-rule, not special to this solve. When the threshold eigenvalue is not
-negative, a decaying multiple of the principal eigenfunction is a
-super-solution, which certifies extinction in closed form.
+steps only the leading half of the nodes, with the folded linear part, as
+``evolve``, ``period_map`` and ``fit_step`` do with every exactly even start:
+the fold is the operator's one rule, not special to this solve. Each period
+map is a run of ``evolution._samples``, the one stepping path, with its
+bound checks. When the threshold eigenvalue is not negative, a decaying
+multiple of the principal eigenfunction is a super-solution, which certifies
+extinction in closed form.
 
 The spatially homogeneous reference is the scalar seasonal logistic ODE,
 whose periodic orbit has a closed form; it is also the profile limit of the
@@ -29,12 +30,13 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .errors import IterationBudgetError, SolverError, ValidationError
-# perfbench/tracing.py wraps periodic.evolve, periodic.period_map,
-# periodic.principal_eigenpair and periodic.critical_length, which callers
-# here look up at call time
-from .evolution import (StepControl, _evolve, _linear_part, _one_period, _step_doubling,
-                        evolve, period_map)
-from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, _readonly
+# perfbench/tracing.py wraps periodic.principal_eigenpair and
+# periodic.critical_length, which this module looks up at call time, and
+# periodic.evolve and periodic.period_map, which nothing here calls: they
+# are imported only to be wrapped
+from .evolution import (StepControl, _checked_linear_part, _collect, _period_end,
+                        _samples, _step_doubling, evolve, period_map)
+from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, StateVector, _readonly
 from .operator import DispersalOperator, _unfold, assemble
 from .spectral import (EigenPair, Regime, _certified_sign, critical_length,
                        principal_eigenpair)
@@ -277,9 +279,12 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1 and
     the pair, built from phi1's leading half (c and the enclosure use all of
     phi1). P maps even states to even states, so the branch steps them on
-    their leading m = ceil(n/2) nodes, with _linear_part of op._block(m). P
-    above is that folded discrete map, and the certificate is its own; only
-    the results are unfolded to n nodes.
+    their leading m = ceil(n/2) nodes, with the linear part that
+    _checked_linear_part gives top, before the eigen-solve. P above is that
+    folded discrete map, and the certificate is its own; only the results
+    are unfolded to n nodes. A sample above the a-priori bound
+    max(a/b, sup of the block) fails a step-choice candidate, as an
+    undershoot does, and raises SolverError in any other map.
 
     With lambda1 > 0 no period is stepped: with M = top / min phi1 and
     lam = lambda1(sigma_lo), sup u(k omega) <= M exp(-lam k omega), and the
@@ -291,12 +296,10 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     residual (inf if none was stepped), if no pair has certified after
     MAX_PERIODS periods; 0 is an empty budget.
     """
-    if op.d != p.d:
-        raise ValidationError(
-            f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
+    top = p.a / p.b + UPPER_OFFSET
+    A = _checked_linear_part(StateVector(np.full(op.n, top)), p, op)
     pair = principal_eigenpair(op, p.a)
     phi = pair.phi1
-    top = p.a / p.b + UPPER_OFFSET
     lam1, sign, cause = _certified_sign(p, pair)
     if sign == 0:
         raise SolverError(f"{cause}, so no multiple of phi1 is a certified "
@@ -320,7 +323,6 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     # pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * PERIODIC_TOL
-    A = _linear_part(op, p.a, p.b, (op.n + 1) // 2)
     phi_e = phi[:len(A), None]
     v = eps * phi_e
     x = np.full((len(A), 1), top)
@@ -348,10 +350,10 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
         # the pair x +- v as columns 1 and 2 of one sampled (m, 3) run
         carry = level is ctl and passed and np.min(x - v) > 0.0
         if carry:
-            run = _evolve(np.hstack([x, x + v, x - v]), p, A, ctl, p.omega)
+            run = _collect(_samples(np.hstack([x, x + v, x - v]), p, A, ctl, p.omega))
             image = run[1][-1][:, :1]
         else:
-            image = _one_period(x, p, A, level)
+            image = _period_end(x, p, A, level)
         used += 1
         if level is ctl:
             periods += 3 if carry else 1

@@ -132,3 +132,17 @@ def random_nonneg_state(rng, n: int, with_zeros: bool = True) -> np.ndarray:
         if not np.any(u > 0):
             u[int(rng.integers(n))] = 0.5
     return u
+
+
+def overshooting(stepper, steps: int, seen: list):
+    """``stepper`` (an ``evolution._rk4_span``) with every span of ``steps``
+    RK4 steps ending at 1e3 times its state, above the a-priori bound of any
+    positive run; the shape of each state so stepped is appended to ``seen``."""
+    def stepped(u, A, b, span, n, *args, **kwargs):
+        out, recorded = stepper(u, A, b, span, n, *args, **kwargs)
+        if n == steps:
+            seen.append(np.shape(u))
+            out = 1e3 * out
+        return out, recorded
+
+    return stepped

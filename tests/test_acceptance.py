@@ -132,7 +132,7 @@ def test_criterion_2_spectral_properties():
          f"sigma1(1e-3) = {small.sigma1:.6f}"),
         ("large-habitat limit in (-a, -a+5e-2)", -a < large.sigma1 < -a + 5e-2,
          f"sigma1(200) = {large.sigma1:.8f}, sigma1 + a = {large.sigma1 + a:.2e}; "
-         "midpoint bias dx^2/12 = 8.0e-4 exceeds the continuum gap 2.4e-4 at n = 2048"),
+         "midpoint row masses reach 1 + 7.9e-4 at n = 2048, so sigma1 < -a"),
         ("sigma1 < d - a on every solve", below, f"{len(all_pairs)} solves"),
         ("residuals <= 1e-8", residuals,
          f"max {max(pr.residual for pr in all_pairs):.2e}"),

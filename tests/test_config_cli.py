@@ -652,16 +652,23 @@ out.summary = {tmp_path}/s.txt
     def test_failure_mid_stream_leaves_the_old_csv(self, tmp_path, monkeypatch, failure):
         # simulate writes each sample as it is stepped: the stream's third
         # good season fails after rows have gone into the temp file, and the
-        # CSV of an earlier run stays as it was
-        from seasonal_dispersal import evolution
+        # CSV of an earlier run stays as it was. fit_step's candidate runs step
+        # before the stream is opened, so only spans stepped after cli.samples
+        # is called count
+        from seasonal_dispersal import cli, evolution
         path = self._sim_config(tmp_path)
         old = b"t,x,u\nearlier run\n"
         (tmp_path / "traj.csv").write_bytes(old)
-        step, seasons, tmp_at_failure = evolution._rk4_span, [], []
+        step, stream = evolution._rk4_span, cli.samples
+        streaming, seasons, tmp_at_failure = [], [], []
 
-        def failing(*args, record_every=0, **kwargs):
-            u, recorded = step(*args, record_every=record_every, **kwargs)
-            if record_every:  # a good season of the stream, not of fit_step
+        def opened(*args):
+            streaming.append(True)
+            return stream(*args)
+
+        def failing(*args, **kwargs):
+            u, recorded = step(*args, **kwargs)
+            if streaming:  # a good season of the stream, not of fit_step
                 seasons.append(None)
                 if len(seasons) == 3:
                     tmp_at_failure.extend(tmp_path.glob("*.tmp"))
@@ -672,6 +679,7 @@ out.summary = {tmp_path}/s.txt
             return u, recorded
 
         monkeypatch.setattr(evolution, "_rk4_span", failing)
+        monkeypatch.setattr(cli, "samples", opened)
         assert main(["simulate", "--config", path, "--override", "run.n_periods=4"]) == 3
         assert len(tmp_at_failure) == 1
         assert (tmp_path / "traj.csv").read_bytes() == old

@@ -14,7 +14,7 @@ from seasonal_dispersal import evolution
 from seasonal_dispersal.config import parse_config
 from seasonal_dispersal.evolution import _rk4_span
 
-from helpers import (P1, dirichlet_op, params, random_nonneg_state,
+from helpers import (P1, dirichlet_op, overshooting, params, random_nonneg_state,
                      rk4_span_reference, rk4_step_reference)
 
 NEU = BoundaryCondition.NEUMANN
@@ -531,7 +531,7 @@ class TestFitStep:
         p, op, u0, ctl = self._case()
         m = (op.n + 1) // 2
         counts = [20 * 2 ** k for k in range(7)]
-        ends = {k: evolution._one_period(u0.values[:m], p,
+        ends = {k: evolution._period_end(u0.values[:m], p,
                                          evolution._linear_part(op, p.a, p.b, m),
                                          StepControl.for_params(p, k))
                 for k in counts}
@@ -586,6 +586,25 @@ class TestFitStep:
         assert evolution.fit_step(u0, p, op, ctl) == unpatched
         assert sorted(failed) == [20, 40]
 
+    def test_candidate_breaking_the_bound_is_skipped(self, monkeypatch):
+        # a candidate whose period ends above the a-priori bound fails as an
+        # undershooting one does: est(20), which needs it, is None, est(40)
+        # is not, and the choice moves on to the step it makes unpatched
+        p, op, u0, ctl = self._case()
+        unpatched = evolution.fit_step(u0, p, op, ctl)
+        m = (op.n + 1) // 2
+        start, A = u0.values[:m], evolution._linear_part(op, p.a, p.b, m)
+        broken = []
+        monkeypatch.setattr(evolution, "_rk4_span",
+                            overshooting(evolution._rk4_span, 20, broken))
+        with pytest.raises(SolverError, match="a-priori bound violated"):
+            evolution._period_end(start, p, A, StepControl.for_params(p, 20))
+        est = dict(evolution._step_doubling(start, p, A, 20, 40))
+        assert est[20] is None and est[40] is not None
+        broken.clear()
+        assert evolution.fit_step(u0, p, op, ctl) == unpatched
+        assert broken == [(m,)]
+
     def test_every_candidate_failing_keeps_nominal_step(self, monkeypatch):
         p, op, u0, ctl = self._case()
 
@@ -634,7 +653,8 @@ class TestFold:
         p, op, u0, ctl = self._case(bc, n)
         A = linear(op, p)
         m = (n + 1) // 2
-        full_times, full = evolution._evolve(u0.values, p, A, ctl, 2 * p.omega)
+        full_times, full = evolution._collect(
+            evolution._samples(u0.values, p, A, ctl, 2 * p.omega))
         seen = self._widths(monkeypatch)
         tr = evolve(u0, p, op, ctl, 2 * p.omega)
         end = period_map(u0, p, op, ctl).values
@@ -644,7 +664,7 @@ class TestFold:
         assert np.array_equal(tr.times, full_times)
         ulps = 8 * np.finfo(float).eps * np.max(full)
         assert np.max(np.abs(tr.values - full)) <= ulps
-        assert np.max(np.abs(end - evolution._one_period(u0.values, p, A, ctl))) <= ulps
+        assert np.max(np.abs(end - evolution._period_end(u0.values, p, A, ctl))) <= ulps
 
     @pytest.mark.parametrize("bc", [DIR, NEU], ids=["dirichlet", "neumann"])
     @pytest.mark.parametrize("n", [1, 2, 3, 47, 128])
@@ -668,11 +688,11 @@ class TestFold:
         values[0] = np.nextafter(values[0], 1.0)
         u0 = StateVector(values)
         A = linear(op, p)
-        full = evolution._evolve(values, p, A, ctl, 2 * p.omega)[1]
+        full = evolution._collect(evolution._samples(values, p, A, ctl, 2 * p.omega))[1]
         seen = self._widths(monkeypatch)
         tr = evolve(u0, p, op, ctl, 2 * p.omega)
         end = period_map(u0, p, op, ctl).values
         evolution.fit_step(u0, p, op, StepControl.for_params(p, 2000, stride=100))
         assert set(seen["A"]) == {n} and set(seen["u"]) == {n}
         assert np.array_equal(tr.values, full)
-        assert np.array_equal(end, evolution._one_period(values, p, A, ctl))
+        assert np.array_equal(end, evolution._period_end(values, p, A, ctl))

@@ -13,7 +13,7 @@ from seasonal_dispersal import (BoundaryCondition, Extinction, Grid,
                                 ode_period_map, ode_periodic_solution,
                                 period_map, principal_eigenpair)
 
-from helpers import P1, P2, P3, dirichlet_op, params, plain_fixed_point
+from helpers import P1, P2, P3, dirichlet_op, overshooting, params, plain_fixed_point
 
 NEU = BoundaryCondition.NEUMANN
 
@@ -83,27 +83,27 @@ def p1_attractor():
 
 @pytest.fixture(scope="module")
 def p1_retried(p1_attractor):
-    # every sampled run is an (m, 3) block (u~, u~ + eps phi1, u~ - eps phi1)
-    # of the even part, m = ceil(n/2), whose columns 1 and 2 are a one-period
-    # sandwich; nudging the first one's pair images up breaks
-    # P(u~ + eps phi1) <= u~ + eps phi1 but keeps the order, and leaves P(u~)
-    # as it is
+    # every collected run is an (m, 3) block (u~, u~ + eps phi1,
+    # u~ - eps phi1) of the even part, m = ceil(n/2), whose columns 1 and 2
+    # are a one-period sandwich; nudging the first one's pair images up
+    # breaks P(u~ + eps phi1) <= u~ + eps phi1 but keeps the order, and
+    # leaves P(u~) as it is. A run's first sample is its block
     from seasonal_dispersal import periodic
 
     p, op, _, ctl, _ = p1_attractor
-    evolve = periodic._evolve
+    collect = periodic._collect
     blocks = []
 
-    def nudged(block, *args):
-        times, states = evolve(block, *args)
-        blocks.append(block)
+    def nudged(stream):
+        times, states = collect(stream)
+        blocks.append(states[0])
         if len(blocks) == 1:
             states = states.copy()
             states[-1, :, 1:] += 1e-6
         return times, states
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(periodic, "_evolve", nudged)
+        mp.setattr(periodic, "_collect", nudged)
         sol = find_periodic_solution(p, op, ctl)
     return sol, blocks
 
@@ -238,6 +238,37 @@ class TestFindPeriodicSolution:
                 find_periodic_solution(p, op, StepControl.for_params(p, 300))
             assert "outside" not in str(err.value)
 
+    @pytest.mark.parametrize("steps", [500, 7], ids=["carried", "uncarried"])
+    def test_map_leaving_the_bound_is_refused(self, p1_attractor, monkeypatch, steps):
+        # every map checks the a-priori bound max(a/b, sup of its block): an
+        # image pushed above it at the given step raises. At 500 steps the
+        # given step's first map carries the pair; at 7 there is no coarse
+        # phase and it steps the one-mode start alone
+        from seasonal_dispersal import evolution
+
+        p, op, _, _, _ = p1_attractor
+        broken = []
+        monkeypatch.setattr(evolution, "_rk4_span",
+                            overshooting(evolution._rk4_span, steps, broken))
+        with pytest.raises(SolverError, match="a-priori bound violated"):
+            find_periodic_solution(p, op, StepControl.for_params(p, steps))
+        assert broken == [((op.n + 1) // 2, 3 if steps == 500 else 1)]
+
+    @pytest.mark.parametrize("preset", [P1, P3], ids=["persist", "extinct"])
+    def test_rate_differing_from_params_is_refused_first(self, monkeypatch, preset):
+        # the operator's dispersal rate is checked against p.d before the
+        # eigen-solve, in either branch
+        from seasonal_dispersal import periodic
+
+        def eigen(*args):
+            raise AssertionError("a refused solve made its eigen-solve")
+
+        monkeypatch.setattr(periodic, "principal_eigenpair", eigen)
+        p = params(preset)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 16, 2 * p.d)
+        with pytest.raises(ValidationError, match=r"differs from params d=0\.6"):
+            find_periodic_solution(p, op, StepControl.for_params(p, 300))
+
     def test_neumann_rejected(self, p1_attractor):
         p, _, _, ctl, _ = p1_attractor
         op = assemble(LaplaceKernel(20.0), Grid.centered(0.4, 16), NEU, p.d)
@@ -249,13 +280,13 @@ class TestFindPeriodicSolution:
         # the ordering the trace promises, which the gap alone cannot see
         from seasonal_dispersal import periodic
 
-        evolve = periodic._evolve
+        collect = periodic._collect
 
-        def swapped(block, *args):
-            times, states = evolve(block, *args)
+        def swapped(stream):
+            times, states = collect(stream)
             return times, states[..., [0, 2, 1]]
 
-        monkeypatch.setattr(periodic, "_evolve", swapped)
+        monkeypatch.setattr(periodic, "_collect", swapped)
         p, op, _, ctl, _ = p1_attractor
         with pytest.raises(SolverError, match="ordering broken"):
             find_periodic_solution(p, op, ctl)
@@ -391,18 +422,26 @@ class TestOneModeStart:
 @pytest.fixture(scope="module")
 def p1_stepped(p1_attractor):
     # the P1 fixture's solve again, with every RK4 span recorded as (state
-    # shape, steps, sampled); only the map carrying the pair samples its run
-    from seasonal_dispersal import evolution
+    # shape, steps, collected); every map samples its run, and only the
+    # carrying map's samples are collected. A one-period run has one good
+    # season, the span stepped last when its samples are collected
+    from seasonal_dispersal import evolution, periodic
 
     p, op, _, ctl, _ = p1_attractor
-    stepper, spans = evolution._rk4_span, []
+    stepper, collect, spans = evolution._rk4_span, periodic._collect, []
 
     def recorded(u, A, b, span, steps, record_every=0):
-        spans.append((np.shape(u), steps, record_every > 0))
+        spans.append((np.shape(u), steps, False))
         return stepper(u, A, b, span, steps, record_every)
+
+    def collected(stream):
+        run = collect(stream)
+        spans[-1] = spans[-1][:2] + (True,)
+        return run
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(evolution, "_rk4_span", recorded)
+        mp.setattr(periodic, "_collect", collected)
         sol = find_periodic_solution(p, op, ctl)
     return sol, spans
 
@@ -415,11 +454,11 @@ class TestCoarsePhase:
         p, _, _, ctl, _ = p1_attractor
         sol, spans = p1_stepped
         fine = ctl.steps_for(p.good_season_length)
-        # one (m, 3) run carries the pair at the given step, and it alone is
-        # sampled: the orbit is its first column
+        # one (m, 3) run carries the pair at the given step, and its samples
+        # alone are collected: the orbit is its first column
         assert [shape[1:] for shape, _, _ in spans].count((3,)) == 1
-        assert [(shape[1:], steps) for shape, steps, sampled in spans
-                if sampled] == [((3,), fine)]
+        assert [(shape[1:], steps) for shape, steps, collected in spans
+                if collected] == [((3,), fine)]
         assert sol.coarse_steps is not None and 4 * sol.coarse_steps <= fine
 
     def test_coarse_periods_and_step_choice_count_against_the_budget(self, p1_attractor,
@@ -449,18 +488,44 @@ class TestCoarsePhase:
     def test_coarse_step_is_the_coarsest_within_eps(self, p1_attractor):
         # est(N) = |P_N(top) - P_2N(top)| 16/15 is at most eps = tol/2 at the
         # chosen N and above it at N/2
-        from seasonal_dispersal.evolution import _linear_part, _one_period
+        from seasonal_dispersal.evolution import _linear_part, _period_end
 
         p, op, _, _, sol = p1_attractor
         top = np.full(op.n, p.a / p.b + 1.0)
         A = _linear_part(op, p.a, p.b, op.n)
 
         def est(steps):
-            ends = [_one_period(top, p, A, StepControl.for_params(p, k))
+            ends = [_period_end(top, p, A, StepControl.for_params(p, k))
                     for k in (steps, 2 * steps)]
             return float(np.max(np.abs(ends[0] - ends[1]))) * 16.0 / 15.0
 
         assert est(sol.coarse_steps) <= 0.5e-8 < est(sol.coarse_steps // 2)
+
+    def test_candidate_breaking_the_bound_is_skipped(self, p1_attractor, monkeypatch):
+        # a step-choice candidate whose period ends above the a-priori bound
+        # fails as an undershooting one does: with P_N broken at the chosen
+        # N, est(N/2) and est(N) are None, and the choice moves on to 2N
+        from seasonal_dispersal import evolution, periodic
+
+        p, op, _, ctl, sol = p1_attractor
+        N = sol.coarse_steps
+        assert N >= 2 and 8 * N <= ctl.steps_for(p.good_season_length)
+        choice, estimates, broken = periodic._step_doubling, [], []
+
+        def recorded(*args):
+            for steps, est in choice(*args):
+                estimates.append((steps, est))
+                yield steps, est
+
+        monkeypatch.setattr(periodic, "_step_doubling", recorded)
+        monkeypatch.setattr(evolution, "_rk4_span",
+                            overshooting(evolution._rk4_span, N, broken))
+        other = find_periodic_solution(p, op, ctl)
+        assert broken == [((op.n + 1) // 2, 1)]  # the choice's one run at N
+        assert [steps for steps, est in estimates if est is None] == [N // 2, N]
+        assert estimates[-1][0] == other.coarse_steps == 2 * N
+        assert np.max(np.abs(other.values[0] - sol.values[0])) <= 1e-8
+        assert other.trace.gaps[-1] <= 1e-8
 
     def test_perturbed_coarse_start_certifies_the_same_attractor(self, p1_attractor,
                                                                 monkeypatch):
@@ -472,20 +537,20 @@ class TestCoarsePhase:
         p, op, pair, ctl, sol = p1_attractor
         good = p.good_season_length
         fine = ctl.steps_for(good)
-        one_period, evolve, levels = periodic._one_period, periodic._evolve, []
+        period_end, samples, levels = periodic._period_end, periodic._samples, []
 
         def stepped(u, p, A, level):
             levels.append(level.steps_for(good))
-            return one_period(u, p, A, level)
+            return period_end(u, p, A, level)
 
         def perturbed(u0, p, A, level, t_end):
             levels.append(level.steps_for(good))
             if levels.count(fine) == 1:  # the given step's first map, on the even part
                 u0 = u0 + 1e-6 * pair.phi1[:len(u0), None]
-            return evolve(u0, p, A, level, t_end)
+            return samples(u0, p, A, level, t_end)
 
-        monkeypatch.setattr(periodic, "_one_period", stepped)
-        monkeypatch.setattr(periodic, "_evolve", perturbed)
+        monkeypatch.setattr(periodic, "_period_end", stepped)
+        monkeypatch.setattr(periodic, "_samples", perturbed)
         other = find_periodic_solution(p, op, ctl)
         # coarse maps first, then maps at the given step
         coarse = levels.index(fine)
@@ -546,27 +611,27 @@ def solve_recorded(p, op, ctl, tol=1e-8):
     from seasonal_dispersal import periodic
 
     good = p.good_season_length
-    one_period, evolve = periodic._one_period, periodic._evolve
+    period_end, samples = periodic._period_end, periodic._samples
     extrapolate = periodic._extrapolate
     maps, histories = [], []
 
     def mapped(x, p, A, level):
-        image = one_period(x, p, A, level)
+        image = period_end(x, p, A, level)
         maps.append((level.steps_for(good), 1, x, image))
         return image
 
     def carried(block, p, A, level, t_end):
-        run = evolve(block, p, A, level, t_end)
-        maps.append((level.steps_for(good), block.shape[1], block[:, :1], run[1][-1][:, :1]))
-        return run
+        run = list(samples(block, p, A, level, t_end))
+        maps.append((level.steps_for(good), block.shape[1], block[:, :1], run[-1][1][:, :1]))
+        return iter(run)
 
     def extrapolated(history):
         histories.append(list(history))
         return extrapolate(history)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(periodic, "_one_period", mapped)
-        mp.setattr(periodic, "_evolve", carried)
+        mp.setattr(periodic, "_period_end", mapped)
+        mp.setattr(periodic, "_samples", carried)
         mp.setattr(periodic, "_extrapolate", extrapolated)
         mp.setattr(periodic, "PERIODIC_TOL", tol)
         sol = find_periodic_solution(p, op, ctl)
@@ -666,7 +731,7 @@ class TestEvenPart:
 
     @pytest.mark.parametrize("n", [47, 48])
     def test_folded_period_map_is_the_leading_half_of_the_full_one(self, n):
-        from seasonal_dispersal.evolution import _linear_part, _one_period
+        from seasonal_dispersal.evolution import _linear_part, _period_end
         from seasonal_dispersal.operator import _unfold
 
         p = params(P1)
@@ -681,8 +746,8 @@ class TestEvenPart:
         full = _unfold(y[None], n)[0]
         assert np.array_equal(full, full[::-1])
         ctl = StepControl.for_params(p, 400)
-        ref = _one_period(full, p, A, ctl)
-        folded = _one_period(y, p, A_e, ctl)
+        ref = _period_end(full, p, A, ctl)
+        folded = _period_end(y, p, A_e, ctl)
         assert np.max(np.abs(folded - ref[:m])) <= 1e-14 * np.max(ref)
 
     def test_results_are_mirror_symmetric(self, p1_attractor, p1_odd):
@@ -707,12 +772,12 @@ class TestEvenPart:
                                                                        monkeypatch):
         # A_e is built once per solve from the column, so a solve that read
         # the n x n K would raise here
-        from seasonal_dispersal import DispersalOperator, periodic
+        from seasonal_dispersal import DispersalOperator, evolution
 
         def dense(self):
             raise AssertionError("the periodic solve formed the n x n K")
 
-        built, linear_part = [], periodic._linear_part
+        built, linear_part = [], evolution._linear_part
 
         def counted(op, a, b, m):
             A = linear_part(op, a, b, m)
@@ -721,7 +786,7 @@ class TestEvenPart:
 
         p, op, _, ctl, sol = p1_attractor
         monkeypatch.setattr(DispersalOperator, "K", property(dense))
-        monkeypatch.setattr(periodic, "_linear_part", counted)
+        monkeypatch.setattr(evolution, "_linear_part", counted)
         again = find_periodic_solution(p, op, ctl)
         assert isinstance(again, PeriodicSolution)
         assert np.array_equal(again.values, sol.values)
