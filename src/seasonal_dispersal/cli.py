@@ -193,8 +193,6 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
     if command not in ("profile-study", "critical-length", "ode-reference"):
         summary.grid_n = cfg.grid.n
     good = p.good_season_length
-    if command == "periodic":
-        summary.dt_good = good / cfg.ctl.steps_for(good)  # the step taken
 
     if command == "simulate":
         n_periods = _require(cfg.n_periods, "run.n_periods", command)
@@ -239,6 +237,7 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         if cfg.bc is not BoundaryCondition.DIRICHLET:
             raise ConfigError("subcommand 'periodic' requires bc = dirichlet")
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
+        summary.dt_good = good / cfg.ctl.steps_for(good)  # the step taken
         sol = find_periodic_solution(p, op, cfg.ctl)
         summary.sigma1 = sol.pair.sigma1
         summary.eigen_residual = sol.pair.residual

@@ -22,6 +22,7 @@ its mirror bit for bit (``operator._fold_width``), such as every cosine or
 constant start on a centred grid, is stepped on its leading ceil(n/2)
 nodes with the folded linear part, and ``evolve`` unfolds its samples to n
 nodes, exactly mirror-symmetric. Any other state is stepped at full size.
+Each checks first (``_checked_width``, building nothing), then builds A where it steps.
 """
 
 import math
@@ -81,10 +82,10 @@ class Trajectory:
         return StateVector(self.values[-1], time=float(self.times[-1]))
 
 
-def _checked_linear_part(u0: StateVector, p: SeasonParams, op: DispersalOperator) -> np.ndarray:
-    """Check ``u0`` (>= 0, op.n nodes) and op.d = p.d; return A at the width
+def _checked_width(u0: StateVector, p: SeasonParams, op: DispersalOperator) -> int:
+    """Check ``u0`` (>= 0, op.n nodes) and op.d = p.d; return the width
     ``_fold_width`` gives ``u0``: m = ceil(n/2) for a mirror-symmetric u0,
-    which is stepped as ``u0[:m]``, n for any other."""
+    which is stepped as ``u0[:m]``, n for any other. Nothing is built."""
     if np.any(u0.values < 0):
         raise ValidationError("initial data must be nonnegative")
     if u0.values.size != op.n:
@@ -93,7 +94,7 @@ def _checked_linear_part(u0: StateVector, p: SeasonParams, op: DispersalOperator
     if op.d != p.d:
         raise ValidationError(
             f"operator dispersal rate {op.d!r} differs from params d={p.d!r}")
-    return _linear_part(op, p.a, p.b, int(_fold_width(u0.values)))
+    return int(_fold_width(u0.values))
 
 
 def _linear_part(op: DispersalOperator, a: float, b: float, m: int) -> np.ndarray:
@@ -122,7 +123,7 @@ def _rk4_span(u: np.ndarray, A: np.ndarray, b: float, span: float, steps: int,
     halved-step suggestion. Recorded samples are copies.
     """
     u = np.array(u, dtype=float)
-    n = len(A)
+    n = A.shape[0]
     if u.ndim not in (1, 2) or u.shape[0] != n:
         raise ValidationError(
             f"state has shape {u.shape}, operator expects ({n},) or ({n}, m)")
@@ -190,11 +191,11 @@ def samples(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     """The samples of ``evolve`` as a stream of (t, state) on the stepped
     width: the leading ceil(n/2) nodes of a mirror-symmetric ``u0``, which
     stand for the even state they mirror, or all n. ``u0`` and ``t_end`` are
-    checked here, before the first sample is asked for."""
+    checked, and A built, here, before the first sample is asked for."""
     if not (math.isfinite(t_end) and t_end > 0):
         raise ValidationError(f"t_end must be positive, got {t_end!r}")
-    A = _checked_linear_part(u0, p, op)
-    return _samples(u0.values[:len(A)], p, A, ctl, t_end)
+    m = _checked_width(u0, p, op)
+    return _samples(u0.values[:m], p, _linear_part(op, p.a, p.b, m), ctl, t_end)
 
 
 def _collect(stream: Iterable[tuple[float, np.ndarray]]) -> tuple[np.ndarray, np.ndarray]:
@@ -238,28 +239,26 @@ def _samples(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
     t = 0.0
     while t < t_end:
         bad_end = min((i + p.rho) * om, t_end)
-        if t < bad_end:
-            # interior samples of the exact decay at the nominal sampling period
-            # (by index, so that long runs do not drift)
-            j = 1
-            while (s := t + j * sample_dt) < bad_end * (1.0 - 1e-15):
-                yield s, math.exp(-p.delta * (s - t)) * u
-                j += 1
-            u = math.exp(-p.delta * (bad_end - t)) * u
-            yield checked(bad_end, u)
-            t = bad_end
+        # interior samples of the exact decay at the nominal sampling period
+        # (by index, so that long runs do not drift)
+        j = 1
+        while (s := t + j * sample_dt) < bad_end * (1.0 - 1e-15):
+            yield s, math.exp(-p.delta * (s - t)) * u
+            j += 1
+        u = math.exp(-p.delta * (bad_end - t)) * u
+        yield checked(bad_end, u)
+        t = bad_end
         if t >= t_end:
             break
         good_end = min((i + 1) * om, t_end)
-        if t < good_end:
-            span = good_end - t
-            steps = ctl.steps_for(span)
-            dt = span / steps
-            u, recorded = _rk4_span(u, A, p.b, span, steps, record_every=ctl.stride)
-            for k, v in recorded:
-                yield checked(t + k * dt, v)
-            yield checked(good_end, u)
-            t = good_end
+        span = good_end - t
+        steps = ctl.steps_for(span)
+        dt = span / steps
+        u, recorded = _rk4_span(u, A, p.b, span, steps, record_every=ctl.stride)
+        for k, v in recorded:
+            yield checked(t + k * dt, v)
+        yield checked(good_end, u)
+        t = good_end
         i += 1
 
 
@@ -307,15 +306,16 @@ def fit_step(u0: StateVector, p: SeasonParams, op: DispersalOperator,
     Returns the control of 2N steps and stride 2N / S, whose sample spacing
     equals ``ctl.dt_good * ctl.stride`` bit for bit, with est(2N). Returns
     ``ctl`` itself and None when S is not an integer or no candidate passes,
-    so no more steps are taken than ``ctl`` takes.
+    so no more steps are taken than ``ctl`` takes, and no linear part built.
     """
-    A = _checked_linear_part(u0, p, op)
+    m = _checked_width(u0, p, op)
     nominal = ctl.steps_for(p.good_season_length)
     samples, rest = divmod(nominal, ctl.stride)
     if rest or 4 * samples > nominal:
         return ctl, None
+    A = _linear_part(op, p.a, p.b, m)
     prev = None  # est(steps / 2)
-    for steps, est in _step_doubling(u0.values[:len(A)], p, A, samples, nominal // 2):
+    for steps, est in _step_doubling(u0.values[:m], p, A, samples, nominal // 2):
         if prev is not None and est is not None and (prev == 0.0 or prev < 8.0 * est):
             ratio = steps // samples
             return StepControl(dt_good=ctl.dt_good * ctl.stride / ratio, stride=ratio), est

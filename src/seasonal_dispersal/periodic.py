@@ -31,10 +31,11 @@ import numpy as np
 
 from .errors import IterationBudgetError, SolverError, ValidationError
 # perfbench/tracing.py wraps periodic.principal_eigenpair and
-# periodic.critical_length, which this module looks up at call time, and
-# periodic.evolve and periodic.period_map, which nothing here calls: they
-# are imported only to be wrapped
-from .evolution import (StepControl, _checked_linear_part, _collect, _period_end,
+# periodic.critical_length, which this module looks up at call time, as it
+# does evolution._linear_part, and periodic.evolve and periodic.period_map,
+# which nothing here calls: they are imported only to be wrapped
+from . import evolution
+from .evolution import (StepControl, _checked_width, _collect, _period_end,
                         _samples, _step_doubling, evolve, period_map)
 from .model import BoundaryCondition, Grid, KernelSpec, SeasonParams, StateVector, _readonly
 from .operator import DispersalOperator, _unfold, assemble
@@ -279,14 +280,14 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1 and
     the pair, built from phi1's leading half (c and the enclosure use all of
     phi1). P maps even states to even states, so the branch steps them on
-    their leading m = ceil(n/2) nodes, with the linear part that
-    _checked_linear_part gives top, before the eigen-solve. P above is that
-    folded discrete map, and the certificate is its own; only the results
-    are unfolded to n nodes. A sample above the a-priori bound
+    their leading m = ceil(n/2) nodes, the width _checked_width gives top
+    before the eigen-solve, with a folded linear part built in this branch
+    only. P above is that folded discrete map, and the certificate is its
+    own; only the results are unfolded to n nodes. A sample above the a-priori bound
     max(a/b, sup of the block) fails a step-choice candidate, as an
     undershoot does, and raises SolverError in any other map.
 
-    With lambda1 > 0 no period is stepped: with M = top / min phi1 and
+    With lambda1 > 0 nothing is built or stepped: with M = top / min phi1 and
     lam = lambda1(sigma_lo), sup u(k omega) <= M exp(-lam k omega), and the
     Extinction reports the first k at which it is strictly below EXTINCTION_THRESHOLD.
 
@@ -297,7 +298,7 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     MAX_PERIODS periods; 0 is an empty budget.
     """
     top = p.a / p.b + UPPER_OFFSET
-    A = _checked_linear_part(StateVector(np.full(op.n, top)), p, op)
+    m = _checked_width(StateVector(np.full(op.n, top)), p, op)
     pair = principal_eigenpair(op, p.a)
     phi = pair.phi1
     lam1, sign, cause = _certified_sign(p, pair)
@@ -319,13 +320,14 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
         return Extinction(final_supnorm=float(trace.gaps[-1]), periods=periods,
                           lambda1=lam1, pair=pair, trace=trace)
 
+    A = evolution._linear_part(op, p.a, p.b, m)
     # used counts every period map against MAX_PERIODS, a map carrying the
     # pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * PERIODIC_TOL
-    phi_e = phi[:len(A), None]
+    phi_e = phi[:m, None]
     v = eps * phi_e
-    x = np.full((len(A), 1), top)
+    x = np.full((m, 1), top)
     used, coarse = 0, None
     choice = (_step_doubling(x, p, A, 1, ctl.steps_for(p.good_season_length) // 4)
               if MAX_PERIODS >= 2 else ())
@@ -477,19 +479,18 @@ def asymptotic_profile_study(p: SeasonParams, kernel: KernelSpec,
     Growing habitats must not increase the deviation (10 percent slack), or
     SolverError is raised.
     """
-    if p.growth_margin <= 0:
+    zsol = ode_periodic_solution(p)
+    if zsol is None:
         raise ValidationError("profile study requires growth_margin > 0")
     lengths = _profile_lengths(lengths)
-    zsol = ode_periodic_solution(p)
-    assert zsol is not None  # margin > 0 checked above
+    ctl = StepControl.for_params(p, PROFILE_STEPS_PER_SEASON,
+                                 stride=max(1, PROFILE_STEPS_PER_SEASON // 20))
 
     entries = []
     for L in lengths:
         n = max(256, math.ceil(PROFILE_NODES_PER_SCALE * L / kernel.scale))
         grid = Grid.centered(L, n)
         op = assemble(kernel, grid, BoundaryCondition.DIRICHLET, p.d)
-        ctl = StepControl.for_params(p, PROFILE_STEPS_PER_SEASON,
-                                     stride=max(1, PROFILE_STEPS_PER_SEASON // 20))
         sol = find_periodic_solution(p, op, ctl)
         if isinstance(sol, Extinction):
             raise SolverError(

@@ -3,8 +3,8 @@
 Oracles here deliberately avoid the code paths they check: brute-force
 double loops for the operator, dense full-spectrum eigendecomposition for
 the Lanczos eigen-solve, the continuum closed form of the Laplace kernel
-for the critical-length root-find, fine midpoint sums for closed-form
-kernel masses.
+for the critical-length root-find, the local-diffusion closed forms that
+narrow kernels tend to, fine midpoint sums for closed-form kernel masses.
 """
 
 import math
@@ -48,6 +48,19 @@ def laplace_critical_length(p: SeasonParams, D: float) -> float:
     mu = 1.0 - p.growth_margin / ((1.0 - p.rho) * p.d)
     k = math.sqrt(1.0 / mu - 1.0) / D
     return 2.0 * math.atan(1.0 / (k * D)) / k
+
+
+def local_sigma1(D: float, a: float, length: float) -> float:
+    """sigma1 of local diffusion, -D u'' - a u with u = 0 at the ends of a
+    habitat of ``length``: D pi^2 / length^2 - a."""
+    return D * math.pi**2 / length**2 - a
+
+
+def local_critical_length(p: SeasonParams, D: float) -> float:
+    """Critical length of local diffusion, where lambda1 = 0:
+    pi sqrt(D (1 - rho) / g), g the growth margin (g > 0). For P2 with
+    D = 0.05 this is 0.74048."""
+    return math.pi * math.sqrt(D * (1.0 - p.rho) / p.growth_margin)
 
 
 def brute_apply(op, u: np.ndarray) -> np.ndarray:

@@ -179,12 +179,14 @@ class TestFindPeriodicSolution:
             assert np.max(u.values) <= bound[k]
 
     def test_extinction_steps_no_period(self, p3_extinct, monkeypatch):
+        # nor builds a linear part: only the persistence branch steps
         from seasonal_dispersal import evolution
 
-        def no_stepping(*args, **kwargs):
-            raise AssertionError("the extinction certificate stepped the model")
+        def refused(*args, **kwargs):
+            raise AssertionError("the extinction certificate built or stepped the model")
 
-        monkeypatch.setattr(evolution, "_rk4_span", no_stepping)
+        monkeypatch.setattr(evolution, "_linear_part", refused)
+        monkeypatch.setattr(evolution, "_rk4_span", refused)
         p, op, ctl = p3_extinct
         out = find_periodic_solution(p, op, ctl)
         assert isinstance(out, Extinction)

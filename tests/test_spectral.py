@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 
 from seasonal_dispersal import (BoundaryCondition, BracketError, Grid,
-                                LaplaceKernel, Regime, StepControl,
+                                LaplaceKernel, Regime, StepControl, TabulatedKernel,
                                 ValidationError, assemble, critical_length,
                                 find_periodic_solution, principal_eigenpair, spectral)
 from seasonal_dispersal.spectral import sigma1_bounds
 
 from helpers import (P1, P2, P3, dense_sigma1, dirichlet_op, laplace_critical_length,
-                     params)
+                     local_critical_length, local_sigma1, params, tent_kernel_table)
 
 NEU = BoundaryCondition.NEUMANN
 
@@ -390,3 +390,50 @@ class TestCriticalLength:
         monkeypatch.setattr(spectral, "EXPAND_CAP", 4.0)
         with pytest.raises(BracketError, match="no sign change"):
             critical_length(p, LaplaceKernel(1.0))
+
+
+class TestLocalDiffusionLimit:
+    """The tent kernel (1 - |x|/eps)/eps has second moment eps^2/6, so at
+    d = 12 D / eps^2 the dispersal term tends to D u'' as eps -> 0, and the
+    Dirichlet problem to local diffusion with u = 0 at the habitat's ends
+    (Cortazar, Elgueta & Rossi, Israel J. Math. 170, 2009). Both sigma1 and
+    l* approach their local closed forms from below, at first order in eps:
+    the error over eps stays in a band, and halving eps halves the error."""
+
+    D = 0.05
+    #: |error| / eps (measured 0.44-0.49 for sigma1, 0.48-0.52 for l*)
+    PER_EPS = (0.40, 0.55)
+    #: successive error ratios as eps halves (measured 1.91-1.95, 1.84-2.00)
+    RATIO = (1.75, 2.1)
+
+    def tent(self, eps):
+        kernel = TabulatedKernel(values=tent_kernel_table(eps), half_width=eps)
+        return kernel, 12 * self.D / eps**2
+
+    def assert_first_order_from_below(self, epsilons, errors):
+        assert all(e < 0.0 for e in errors)  # nonlocal below local
+        lo, hi = self.PER_EPS
+        assert all(lo < -e / eps < hi for e, eps in zip(errors, epsilons))
+        lo, hi = self.RATIO
+        assert all(lo < e / f < hi for e, f in zip(errors, errors[1:]))
+
+    def test_sigma1_tends_to_the_local_one(self):
+        # habitat of length 1 at a = 1.2, 32 nodes per eps: n = 320 to 2560
+        epsilons, errors = (0.1, 0.05, 0.025, 0.0125), []
+        for eps in epsilons:
+            kernel, d = self.tent(eps)
+            op = dirichlet_op(kernel, 1.0, round(32 / eps), d)
+            errors.append(principal_eigenpair(op, 1.2).sigma1 - local_sigma1(self.D, 1.2, 1.0))
+        self.assert_first_order_from_below(epsilons, errors)
+
+    def test_critical_length_tends_to_the_local_one(self):
+        # P2 at d = 12 D / eps^2; critical_length's own n, 64 per eps, stays
+        # below its cap of 4096 down to eps = 0.025
+        epsilons, errors = (0.1, 0.05, 0.025), []
+        for eps in epsilons:
+            kernel, d = self.tent(eps)
+            p = params(P2, d=d)
+            res = critical_length(p, kernel)
+            assert res.verdict is Regime.CRITICAL_LENGTH
+            errors.append(res.ell_star - local_critical_length(p, self.D))
+        self.assert_first_order_from_below(epsilons, errors)
