@@ -145,8 +145,8 @@ class MonotoneIterationTrace:
     """Snapshots (at t = 0) of an ordered (upper, lower) pair and its bound.
 
     ``gaps[k]`` is the sup-norm distance between the two rows k. For a
-    PeriodicSolution there are two rows: the certified pair
-    u~ +- eps phi1 and its image under the period map, the upper row
+    PeriodicSolution there are two rows: the certified pair (1 +- w) u~,
+    w <= 1/2, and its image under the period map, the upper row
     non-increasing, the lower non-decreasing and below the upper one, all
     with zero slack, as find_periodic_solution enforces. For an Extinction
     there are two rows: the upper start and the super-solution bound at the
@@ -166,7 +166,7 @@ class PeriodicSolution:
     """Positive periodic attractor sampled over one period.
 
     ``values[k]`` is the state at ``times[k]``: the orbit of the centre u~ of
-    the certified pair, which lies between the pair's images. ``residual`` is
+    the certified pair (1 +- w) u~, which lies between its images. ``residual`` is
     its sup-norm period-map defect |values[-1] - values[0]|, at most
     PERIODIC_TOL times max(1, sup u~). ``pair`` is the principal eigenpair of
     the stepped operator, whose threshold eigenvalue is ``lambda1``. Through
@@ -266,9 +266,11 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     iterate and q at ``ctl``'s step. The coarse phase only chooses the start:
     every check below is made at ``ctl``'s step. Once a residual (the coarse
     phase's last one included) is that small, the next map at ``ctl``'s step
-    carries the pair: with v = eps phi1, it steps the iterate u~
-    and u~ +- v as one (m, 3) block (m below), sampled along the period, when
-    u~ - v > 0. The pair certifies u~ if P(u~ + v) <= u~ + v,
+    carries the pair u~ +- v, v = w u~, w = min(eps / sup u~, 1/2): positive,
+    at most PERIODIC_TOL wide, and stepped with u~ as one sampled (m, 3) block
+    (m below). P is strictly subhomogeneous (Hess 1991; Zhao 2003, ch. 2), so
+    c u* is a super-solution for c > 1 and a sub-solution for c < 1 at any
+    lambda1 < 0; on the discrete P the pair certifies u~ if P(u~ + v) <= u~ + v,
     P(u~ - v) >= u~ - v and P(u~ - v) <= P(u~ + v) hold everywhere with zero
     slack and the image gap is at most PERIODIC_TOL. Since P preserves order,
     the unique positive fixed point u* = P(u*) lies between the two images. A
@@ -277,9 +279,9 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     raised. The attractor is the sampled orbit of u~ from that same run, and
     its period-map residual |P(u~) - u~| is checked against PERIODIC_TOL.
 
-    Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1 and
-    the pair, built from phi1's leading half (c and the enclosure use all of
-    phi1). P maps even states to even states, so the branch steps them on
+    Every state this branch steps is even, u_i = u_{n-1-i}: top, z0 phi1,
+    built from phi1's leading half (c and the enclosure use all of phi1), and
+    the pair. P maps even states to even states, so the branch steps them on
     their leading m = ceil(n/2) nodes, the width _checked_width gives top
     before the eigen-solve, with a folded linear part built in this branch
     only. P above is that folded discrete map, and the certificate is its
@@ -325,8 +327,6 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     # pair once; the coarse step N is the first 2^k whose estimate is at
     # most eps, and the first estimate steps two periods
     eps = 0.5 * PERIODIC_TOL
-    phi_e = phi[:m, None]
-    v = eps * phi_e
     x = np.full((m, 1), top)
     used, coarse = 0, None
     choice = (_step_doubling(x, p, A, 1, ctl.steps_for(p.good_season_length) // 4)
@@ -341,17 +341,17 @@ def find_periodic_solution(p: SeasonParams, op: DispersalOperator, ctl: StepCont
     # history holds the pairs (x, P(x)) of the current level, oldest first
     c = float(np.sum(phi**3) / np.sum(phi**2))
     z0 = ode_periodic_solution(replace(p, a=-pair.sigma1, b=p.b * c)).z0
-    x = z0 * phi_e
+    x = z0 * phi[:m, None]
     level = ctl if coarse is None else StepControl.for_params(p, coarse)
     history, q, residual, passed, rows = [], 1.0, math.inf, False, None
     periods = coarse_periods = 0
     while rows is None and used < MAX_PERIODS:
         if history:
             x = _extrapolate(history)
-        # at ctl's step, the map after a residual within the margin carries
-        # the pair x +- v as columns 1 and 2 of one sampled (m, 3) run
-        carry = level is ctl and passed and np.min(x - v) > 0.0
+        # at ctl's step, the map after a residual within the margin carries the pair
+        carry = level is ctl and passed
         if carry:
+            v = min(eps / float(np.max(x)), 0.5) * x
             run = _collect(_samples(np.hstack([x, x + v, x - v]), p, A, ctl, p.omega))
             image = run[1][-1][:, :1]
         else:

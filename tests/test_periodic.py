@@ -83,11 +83,11 @@ def p1_attractor():
 
 @pytest.fixture(scope="module")
 def p1_retried(p1_attractor):
-    # every collected run is an (m, 3) block (u~, u~ + eps phi1,
-    # u~ - eps phi1) of the even part, m = ceil(n/2), whose columns 1 and 2
-    # are a one-period sandwich; nudging the first one's pair images up
-    # breaks P(u~ + eps phi1) <= u~ + eps phi1 but keeps the order, and
-    # leaves P(u~) as it is. A run's first sample is its block
+    # every collected run is an (m, 3) block (u~, u~ + v, u~ - v), v = w u~,
+    # of the even part, m = ceil(n/2), whose columns 1 and 2 are a
+    # one-period sandwich; nudging the first one's pair images up breaks
+    # P(u~ + v) <= u~ + v but keeps the order, and leaves P(u~) as it is. A
+    # run's first sample is its block
     from seasonal_dispersal import periodic
 
     p, op, _, ctl, _ = p1_attractor
@@ -306,18 +306,18 @@ class TestTwoStarts:
         assert np.all(sol.trace.lower[-1] <= u0) and np.all(u0 <= sol.trace.upper[-1])
 
     def test_failed_sandwich_is_retried(self, p1_attractor, p1_retried):
-        _, op, pair, _, sol = p1_attractor
+        _, op, _, _, sol = p1_attractor
         retried, blocks = p1_retried
-        # two sandwiches u~ +- (tol/2) phi1 (max phi1 = 1), the second from a
-        # later iterate, stepped on the even part's m = ceil(n/2) nodes; no
-        # other block is stepped
+        # two sandwiches (1 +- w) u~, w = min((tol/2) / sup u~, 1/2), the
+        # second from a later iterate, stepped on the even part's
+        # m = ceil(n/2) nodes; no other block is stepped
         m = (op.n + 1) // 2
         assert len(blocks) == 2
-        assert np.max(pair.phi1) == 1.0
         for block in blocks:
             assert block.shape == (m, 3)
-            assert np.allclose(block[:, 1] - block[:, 2], 1e-8 * pair.phi1[:m],
-                               rtol=0, atol=1e-15)
+            u = block[:, 0]
+            assert np.allclose(block[:, 1] - block[:, 2],
+                               2 * min(0.5e-8 / np.max(u), 0.5) * u, rtol=0, atol=1e-15)
         assert np.any(blocks[1] != blocks[0])
         assert len(retried.trace) == 2
         assert np.all(retried.trace.upper[0][:m] == blocks[1][:, 1])
@@ -330,9 +330,9 @@ class TestTwoStarts:
         # the orbit is that of u~, the centre of the certified pair, which
         # lies strictly inside the certified enclosure; the residual is its
         # sampled period-map defect
-        _, _, pair, _, sol = p1_attractor
+        _, _, _, _, sol = p1_attractor
         tr, u0 = sol.trace, sol.values[0]
-        v = 0.5e-8 * pair.phi1  # max phi1 = 1
+        v = min(0.5e-8 / np.max(u0), 0.5) * u0
         assert np.allclose(tr.upper[0] - u0, v, rtol=0, atol=1e-15)
         assert np.allclose(u0 - tr.lower[0], v, rtol=0, atol=1e-15)
         assert np.min(u0 - tr.lower[-1]) > 0.0 and np.min(tr.upper[-1] - u0) > 0.0
@@ -359,8 +359,8 @@ class TestTwoStarts:
 
     def test_p2_lambda1_near_minus_2p6e_4_certifies(self, monkeypatch):
         # with a constant shift eps the sandwich's upper image rose above
-        # u~ + eps at the centre nodes here, on every attempt; shifted along
-        # phi1 it certifies well within the budget
+        # u~ + eps at the centre nodes here, on every attempt; scaled from u~
+        # it certifies well within the budget
         from seasonal_dispersal import periodic
 
         p = params(P2)
@@ -419,6 +419,34 @@ class TestOneModeStart:
         assert -1.5e-5 < sol.lambda1 < 0.0
         assert isinstance(sol, PeriodicSolution)
         assert len(sol.trace) == 2 and sol.trace.gaps[-1] <= 1e-8
+
+
+#: the n = 64 discrete root of lambda1 for P2 (kernel scale 20, 200 steps),
+#: from 60 bisection steps
+P2_ROOT_N64 = 4.2899268394637735
+
+
+class TestScaledPair:
+    """The pair (1 +- w) u~ is scaled from the iterate, so it is positive
+    however small u* is; on these habitats it certifies at its first
+    carried map."""
+
+    @pytest.mark.parametrize("scale, length, n, steps", [
+        # just above the threshold: sup u* is 1.7e-9, below eps = PERIODIC_TOL / 2
+        (20.0, P2_ROOT_N64 * (1 + 1e-8), 64, 200),
+        (20.0, 4.32, 64, 200),
+        (1.0, 20.0, 320, 400)])
+    def test_certifies_at_the_first_carried_map(self, scale, length, n, steps,
+                                                monkeypatch):
+        from seasonal_dispersal import periodic
+
+        p = params(P2)
+        op = dirichlet_op(LaplaceKernel(scale), length, n, p.d)
+        monkeypatch.setattr(periodic, "MAX_PERIODS", 50)
+        sol = find_periodic_solution(p, op, StepControl.for_params(p, steps))
+        assert sol.lambda1 < 0.0
+        assert sol.periods == 3
+        assert sol.trace.gaps[-1] <= periodic.PERIODIC_TOL
 
 
 @pytest.fixture(scope="module")
@@ -590,7 +618,7 @@ class TestCoarsePhase:
         from seasonal_dispersal.periodic import ANDERSON_DEPTH
 
         p = params(P2)
-        op = dirichlet_op(LaplaceKernel(20.0), 4.319876, 64, p.d)
+        op = dirichlet_op(LaplaceKernel(20.0), 4.3, 64, p.d)
         ctl = StepControl.for_params(p, 200)
         sol, maps, histories = solve_recorded(p, op, ctl)
         coarse = sol.coarse_periods
