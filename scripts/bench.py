@@ -36,7 +36,9 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
 * ``cli.simulate_ms``: the figure's ``simulate`` end to end through
   ``cli.main`` (``scripts/p1_figure.cfg``, n = 128, its CSV and summary
   written into a temporary directory), and ``cli.simulate_peak_mib`` the
-  tracemalloc peak of one more such call, made outside the timed ones;
+  tracemalloc peak of one more such call, made outside the timed ones, in
+  this process alone (since ``BENCH_32.json``, ``simulate`` formats its CSV
+  in a second process, which it does not count);
 * ``periodic.find_ms``: one ``find_periodic_solution`` at 400 RK4 steps
   per good season (the ``attractor`` benchmark config), at n = 128 only:
   the monotone loop it replaced took minutes at n = 2048; with the

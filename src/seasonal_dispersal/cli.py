@@ -12,21 +12,32 @@ Subcommands map one-to-one onto the analysis operations::
 
 Exit codes: 0 success, 2 configuration error, 3 solver error. All artifact
 files are written atomically (temp file plus rename), so a failed run never
-leaves partial CSVs behind; the summary records the failure instead.
-``simulate`` writes each sample into its temp file as it is stepped, so it
-holds no whole trajectory.
+leaves partial CSVs behind; the summary records the failure instead. The temp
+file is created with mode 0o666, so every file gets the process umask, which
+the writes never change.
+
+``simulate`` sends each sample, as it is stepped, to a second process that
+formats it and writes it into the temp file (``CSV_FILTER``, which runs
+``_csvtext`` on the standard library alone), so the formatting runs on a
+second core while the samples are stepped, and ``simulate`` holds no whole
+trajectory. The temp file, its rename and its removal stay with this process.
+The other CSVs are formatted in-process by the same ``_csvtext.lines``.
 """
 
 import argparse
+import contextlib
 import os
+import subprocess
 import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Optional
+from typing import Iterable, Iterator, Optional
 
 import numpy as np
 
+from . import _csvtext
+from ._csvtext import _fmt
 from .config import ScenarioConfig, parse_config
 from .errors import ConfigError, SolverError, ValidationError
 # perfbench/tracing.py wraps cli.evolve and cli.export_trajectory, which
@@ -45,8 +56,9 @@ COMMANDS = ("simulate", "classify", "spectrum", "critical-length", "periodic",
             "profile-study", "ode-reference")
 
 
-def _fmt(v: float) -> str:
-    return format(float(v), ".17g")
+#: the command of the process that writes ``simulate``'s CSV: the stream of
+#: ``_csvtext.stream_head`` and records on its stdin, the temp file its stdout
+CSV_FILTER = (sys.executable, "-I", "-S", _csvtext.__file__)
 
 
 @dataclass
@@ -85,11 +97,14 @@ class RunSummary:
         return "\n".join(lines) + "\n"
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write ``chunks`` to a new temp file beside ``path``, then rename it
-    over ``path``; on any failure the temp file is removed and ``path`` is
-    left as it was. The temp file is created with mode 0o666, so it gets the
-    process umask as open() applies it."""
+@contextlib.contextmanager
+def _atomic_file(path: str) -> Iterator[int]:
+    """A new temp file beside ``path``, open for writing as the descriptor
+    yielded: the block's writes go in, and once the block ends the descriptor
+    is closed and the file renamed over ``path``. If the block raises, the
+    temp file is removed and ``path`` is left as it was. The temp file is
+    created with mode 0o666, so it gets the process umask as open() applies
+    it."""
     parent = os.path.dirname(os.path.abspath(path))
     while True:
         tmp = os.path.join(parent, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
@@ -99,8 +114,10 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         except FileExistsError:
             continue
     try:
-        with os.fdopen(fd, "w") as fh:
-            fh.writelines(chunks)
+        try:
+            yield fd
+        finally:
+            os.close(fd)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -108,62 +125,71 @@ def _atomic_write(path: str, chunks: Iterable[str]) -> None:
         raise
 
 
-def _write_csv(path: str, header: str, rows: Iterable[tuple[float, np.ndarray]],
-               nodes=None) -> Optional[tuple[float, np.ndarray]]:
-    """CSV of ``header``, then one line ``t,x,value`` per row ``(t, values)``
-    and node, rows and nodes in the given order; without ``nodes``, one line
-    ``t,value`` per row. A row of m < n values stands for the even state
-    whose trailing n - m = floor(n/2) nodes mirror its leading ones, as
-    ``_fold_width`` cuts it; any other row holds all n values. Each node is
-    formatted once per file, into a ``%s`` template that the time joins and
-    one ``%`` fills per row. The row's m values are formatted with
-    ``%.17g``, as ``_fmt`` does, and their strings repeated for the mirror
-    nodes. The rows are consumed one at a time, each streamed into the temp
-    file of the atomic write, so an iterator of rows is never held whole.
-    Returns the last row.
+def _atomic_write(path: str, chunks: Iterable[str]) -> None:
+    """Write the text ``chunks``, consumed one at a time, atomically to
+    ``path``."""
+    with _atomic_file(path) as fd, _csvtext.text_file(fd) as fh:
+        fh.writelines(chunks)
+
+
+def _stream_csv(path: str, header: str, rows: Iterable[tuple[float, np.ndarray]],
+                nodes: np.ndarray) -> Optional[np.ndarray]:
+    """Write the CSV of ``_csvtext.lines(header, rows, nodes)`` atomically to
+    ``path`` through the ``CSV_FILTER`` process, which formats each row while
+    the next is computed; returns the values of the last row.
+
+    The temp file exists before the process starts. It is renamed over
+    ``path`` only once the end marker went out and the process exited 0.
+    On any failure the process is reaped and the temp file removed: a
+    failure of ``rows`` is re-raised as it is (the process sees its input
+    cut and exits 1), and a failure of the process raises OSError naming its
+    exit status.
     """
-    cols = [""] if nodes is None else [_fmt(x) + "," for x in nodes]
-    n = len(cols)
-    # "t,".join(template) puts the time before every node column
-    template = [""] + [c + "%s\n" for c in cols]
-    leading = {m: ",".join(["%.17g"] * m) for m in ((n + 1) // 2, n)}
     last = None
-
-    def lines():
-        nonlocal last
-        yield header + "\n"
-        for last in rows:
-            t, row = last
-            m = len(row)
-            s = (leading[m] % tuple(row.tolist())).split(",")
-            yield (_fmt(t) + ",").join(template) % tuple(s + s[:n - m][::-1])
-
-    _atomic_write(path, lines())
+    with _atomic_file(path) as fd:
+        proc = subprocess.Popen(CSV_FILTER, stdin=subprocess.PIPE, stdout=fd)
+        sent = False
+        try:
+            with proc.stdin as pipe:
+                pipe.write(_csvtext.stream_head(header, nodes))
+                for t, last in rows:
+                    pipe.write(_csvtext.RECORD.pack(t, len(last)) + last.tobytes())
+                pipe.write(_csvtext.END)
+            sent = True
+        except BrokenPipeError:
+            pass  # the process stopped reading; its exit status says why
+        finally:
+            status = proc.wait()
+        if status != 0 or not sent:
+            raise OSError(f"the CSV formatting process exited with status {status}"
+                          + ("" if sent else " before the end of its input"))
     return last
 
 
 def _folded_rows(times, values, n: int):
-    """The rows of ``_write_csv`` for ``values`` of n columns, each row cut
-    to its ``_fold_width``."""
+    """The rows of ``_csvtext.lines`` for ``values`` of n columns, each row
+    cut to its ``_fold_width``."""
     values = np.asarray(values, dtype=float).reshape(-1, n)  # an empty profile too
     return ((t, row[:m]) for t, row, m in zip(times, values, _fold_width(values).tolist()))
 
 
 def export_trajectory(tr: Trajectory, path: str) -> None:
     """Trajectory CSV: header ``t,x,u``, times ascending, nodes ascending."""
-    _write_csv(path, "t,x,u", _folded_rows(tr.times, tr.values, tr.grid.n), tr.grid.nodes)
+    _atomic_write(path, _csvtext.lines("t,x,u", _folded_rows(tr.times, tr.values, tr.grid.n),
+                                       tr.grid.nodes))
 
 
 def export_periodic(sol: PeriodicSolution, path: str) -> None:
     """Periodic attractor CSV: header ``t,x,ustar``."""
-    _write_csv(path, "t,x,ustar", _folded_rows(sol.times, sol.values, sol.grid.n),
-               sol.grid.nodes)
+    _atomic_write(path, _csvtext.lines("t,x,ustar",
+                                       _folded_rows(sol.times, sol.values, sol.grid.n),
+                                       sol.grid.nodes))
 
 
 def export_profile(entries: list[ProfileEntry], path: str) -> None:
     """Profile-study CSV: header ``L,deviation``."""
-    _write_csv(path, "L,deviation", _folded_rows([e.length for e in entries],
-                                                 [e.deviation for e in entries], 1))
+    _atomic_write(path, _csvtext.lines("L,deviation", _folded_rows(
+        [e.length for e in entries], [e.deviation for e in entries], 1)))
 
 
 def _require(cfg_value, key: str, command: str):
@@ -203,10 +229,10 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         if step_error is not None:
             summary.extra["step_error_estimate"] = step_error
         _record_verdict(summary, cfg)
-        # streamed: each sample is written as it is stepped
-        _, final = _write_csv(cfg.out_trajectory, "t,x,u",
-                              samples(cfg.u0, p, op, ctl, n_periods * p.omega),
-                              cfg.grid.nodes)
+        # streamed: each sample is formatted and written as it is stepped
+        final = _stream_csv(cfg.out_trajectory, "t,x,u",
+                            samples(cfg.u0, p, op, ctl, n_periods * p.omega),
+                            cfg.grid.nodes)
         # the sup norm of a folded state is that of the state it stands for
         summary.final_supnorm = StateVector(final).sup_norm
         summary.n_periods = n_periods
@@ -286,15 +312,17 @@ def _parse_overrides(pairs: list[str]) -> dict[str, str]:
     return out
 
 
+_PARSER = argparse.ArgumentParser(
+    prog="seasonal-dispersal",
+    description="Seasonal nonlocal dispersal logistic model toolkit")
+_PARSER.add_argument("command", choices=COMMANDS)
+_PARSER.add_argument("--config", required=True, help="path to key = value config")
+_PARSER.add_argument("--override", action="append", default=[],
+                     metavar="KEY=VALUE", help="override a config key")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = argparse.ArgumentParser(
-        prog="seasonal-dispersal",
-        description="Seasonal nonlocal dispersal logistic model toolkit")
-    parser.add_argument("command", choices=COMMANDS)
-    parser.add_argument("--config", required=True, help="path to key = value config")
-    parser.add_argument("--override", action="append", default=[],
-                        metavar="KEY=VALUE", help="override a config key")
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
 
     try:
         text = Path(args.config).read_text()
@@ -311,12 +339,13 @@ def main(argv: Optional[list[str]] = None) -> int:
     except SolverError as exc:  # only run_scenario raises it, so cfg is set
         summary = RunSummary(command=args.command, status="failed", error=str(exc))
 
+    rendered = summary.to_text()
     if cfg.out_summary is not None:
-        _atomic_write(cfg.out_summary, [summary.to_text()])
+        _atomic_write(cfg.out_summary, [rendered])
     if summary.status == "failed":
         print(f"solver error: {summary.error}", file=sys.stderr)
         return 3
-    sys.stdout.write(summary.to_text())
+    sys.stdout.write(rendered)
     return 0
 
 

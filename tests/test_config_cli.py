@@ -14,11 +14,12 @@ from seasonal_dispersal import (BoundaryCondition, ConfigError, Grid,
                                 PeriodicSolution, StateVector, StepControl,
                                 Trajectory, assemble, evolve,
                                 find_periodic_solution)
-from seasonal_dispersal import cli
+from seasonal_dispersal import _csvtext, cli
 from seasonal_dispersal.cli import export_periodic, export_trajectory, main
 from seasonal_dispersal.config import parse_config
 from seasonal_dispersal.errors import EigenConvergenceError, PositivityError
 from seasonal_dispersal.evolution import fit_step
+from seasonal_dispersal.operator import _fold_width
 
 from helpers import P1, params, tent_kernel_table
 
@@ -27,6 +28,13 @@ def make_config(tmp_path, body):
     path = tmp_path / "scenario.cfg"
     path.write_text(body)
     return str(path)
+
+
+def assert_no_child_process():
+    # os.waitpid(-1) raises ChildProcessError only when this process has no
+    # child, running or exited and not yet reaped
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 BASE_P1 = """
@@ -269,22 +277,24 @@ class TestExportTrajectory:
         values = np.array([even, off, 1 / 3 * even, signed, np.zeros(n)])
         times = [0.0, 0.1, 1 / 3, 5e-324, 60.0]
         path = tmp_path / "t.csv"
-        cli._write_csv(str(path), "t,x,u", cli._folded_rows(times, values, n), grid.nodes)
+        cli._atomic_write(str(path), _csvtext.lines("t,x,u", cli._folded_rows(times, values, n),
+                                                    grid.nodes))
         assert path.read_text() == self._reference("t,x,u", times, values, grid.nodes)
 
     def test_profile_csv_matches_reference(self, tmp_path):
         values = [[0.1], [1 / 3], [-0.0], [5e-324]]
         lengths = [10.0, 20.0, 40.0, 80.0]
         path = tmp_path / "p.csv"
-        cli._write_csv(str(path), "L,deviation", cli._folded_rows(lengths, values, 1))
+        cli._atomic_write(str(path), _csvtext.lines("L,deviation",
+                                                    cli._folded_rows(lengths, values, 1)))
         assert path.read_text() == self._reference("L,deviation", lengths, values, None)
-        cli._write_csv(str(path), "L,deviation", cli._folded_rows([], [], 1))
+        cli._atomic_write(str(path), _csvtext.lines("L,deviation", cli._folded_rows([], [], 1)))
         assert path.read_text() == "L,deviation\n"
 
     @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e22])
     def test_row_template_formats_as_fmt(self, v):
-        # _write_csv fills its row template with %.17g
-        assert "%.17g" % v == cli._fmt(v)
+        # _csvtext.lines fills its row template with %.17g
+        assert "%.17g" % v == _csvtext._fmt(v)
 
 
 class TestRunSummary:
@@ -363,6 +373,27 @@ out.summary = {tmp_path}/summary.txt
         first = (tmp_path / "traj.csv").read_bytes()
         assert main(["simulate", "--config", path]) == 0
         assert (tmp_path / "traj.csv").read_bytes() == first
+
+    @pytest.mark.parametrize("start", ["even", "one_ulp_off"])
+    def test_simulate_csv_is_the_export_of_evolve(self, tmp_path, start):
+        # simulate streams its samples through the formatting process: its
+        # CSV is the in-process export of the same run, for folded rows (an
+        # even start) and for full-width rows (a start one ulp off its mirror)
+        cfg = parse_config(Path(self._sim_config(tmp_path)).read_text())
+        u = cfg.u0.values.copy()
+        if start == "one_ulp_off":
+            u[-1] = np.nextafter(u[-1], 2.0)
+        assert int(_fold_width(u)) == {"even": 12, "one_ulp_off": 24}[start]
+        cfg = dataclasses.replace(cfg, u0=StateVector(u))
+        assert cli.run_scenario("simulate", cfg).status == "ok"
+        assert_no_child_process()
+        p = cfg.params
+        op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
+        ctl = fit_step(cfg.u0, p, op, cfg.ctl)[0]
+        export_trajectory(evolve(cfg.u0, p, op, ctl, cfg.n_periods * p.omega),
+                          str(tmp_path / "reference.csv"))
+        assert (tmp_path / "traj.csv").read_bytes() == \
+            (tmp_path / "reference.csv").read_bytes()
 
     def test_classify_subcommand(self, tmp_path):
         path = make_config(tmp_path, BASE_P1 + f"out.summary = {tmp_path}/s.txt\n")
@@ -688,6 +719,21 @@ out.summary = {tmp_path}/s.txt
         assert "status = failed" in summary
         assert {"positivity": "error = injected",
                 "bound": "error = a-priori bound violated"}[failure] in summary
+        assert_no_child_process()
+
+    def test_formatting_process_failure_keeps_the_old_csv(self, tmp_path, monkeypatch):
+        # a formatting process that stops after a few bytes fails the run with
+        # its exit status; the CSV of an earlier run stays as it was
+        path = self._sim_config(tmp_path)
+        old = b"t,x,u\nearlier run\n"
+        (tmp_path / "traj.csv").write_bytes(old)
+        monkeypatch.setattr(cli, "CSV_FILTER", (
+            sys.executable, "-c", "import sys; sys.stdin.buffer.read(64); sys.exit(1)"))
+        with pytest.raises(OSError, match="process exited with status 1"):
+            main(["simulate", "--config", path])
+        assert (tmp_path / "traj.csv").read_bytes() == old
+        assert list(tmp_path.glob("*.tmp")) == []
+        assert_no_child_process()
 
     def test_classify_failure_writes_no_csv(self, tmp_path, monkeypatch):
         from seasonal_dispersal import periodic
