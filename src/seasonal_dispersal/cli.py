@@ -5,16 +5,16 @@ Subcommands map one-to-one onto the analysis operations::
     simulate         time integration, trajectory CSV
     classify         regime verdict for the configured habitat
     spectrum         principal eigenvalue and threshold for the habitat
-    critical-length  sign-change length of the threshold eigenvalue
+    critical-length  sign-change length of the threshold eigenvalue, no habitat
     periodic         periodic attractor (or extinction certificate), CSV
-    profile-study    attractor deviation from the scalar orbit vs length
-    ode-reference    closed-form scalar periodic orbit
+    profile-study    attractor deviation from the scalar orbit vs length, no habitat
+    ode-reference    closed-form scalar periodic orbit, no habitat
 
-Exit codes: 0 success, 2 configuration error, 3 solver error. All artifact
-files are written atomically (temp file plus rename), so a failed run never
-leaves partial CSVs behind; the summary records the failure instead. The temp
-file is created with mode 0o666, so every file gets the process umask, which
-the writes never change.
+Exit codes: 0 success, 2 configuration error, 3 solver error or an output not
+written. All artifact files are written atomically (temp file plus rename), so
+a failed run never leaves partial CSVs behind; the summary records the failure
+instead. The temp file is created with mode 0o666, so every file gets the
+process umask, which the writes never change.
 
 ``simulate`` sends each sample, as it is stepped, to a second process that
 formats it and writes it into the temp file (``CSV_FILTER``, which runs
@@ -102,9 +102,9 @@ def _atomic_file(path: str) -> Iterator[int]:
     """A new temp file beside ``path``, open for writing as the descriptor
     yielded: the block's writes go in, and once the block ends the descriptor
     is closed and the file renamed over ``path``. If the block raises, the
-    temp file is removed and ``path`` is left as it was. The temp file is
-    created with mode 0o666, so it gets the process umask as open() applies
-    it."""
+    temp file is removed and ``path`` is left as it was; an OSError comes
+    back as one naming ``path``. The temp file is created with mode 0o666, so
+    it gets the process umask as open() applies it."""
     parent = os.path.dirname(os.path.abspath(path))
     while True:
         tmp = os.path.join(parent, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
@@ -119,9 +119,11 @@ def _atomic_file(path: str) -> Iterator[int]:
         finally:
             os.close(fd)
         os.replace(tmp, path)
-    except BaseException:
+    except BaseException as exc:
         if os.path.exists(tmp):
             os.unlink(tmp)
+        if isinstance(exc, OSError):
+            raise OSError(f"cannot write {path!r}: {exc}") from exc
         raise
 
 
@@ -215,9 +217,9 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
     t_start = time.perf_counter()
     summary = RunSummary(command=command, growth_margin=p.growth_margin)
     # profile-study and critical-length solve on grids of their own, and
-    # ode-reference steps none; only simulate and periodic take time steps
+    # ode-reference on none; the other four need the habitat
     if command not in ("profile-study", "critical-length", "ode-reference"):
-        summary.grid_n = cfg.grid.n
+        summary.grid_n = _require(cfg.grid, "domain.l1", command).n
     good = p.good_season_length
 
     if command == "simulate":
@@ -336,14 +338,14 @@ def main(argv: Optional[list[str]] = None) -> int:
     except ValidationError as exc:  # ConfigError included
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except SolverError as exc:  # only run_scenario raises it, so cfg is set
+    except (SolverError, OSError) as exc:  # only run_scenario raises them, so cfg is set
         summary = RunSummary(command=args.command, status="failed", error=str(exc))
 
     rendered = summary.to_text()
     if cfg.out_summary is not None:
         _atomic_write(cfg.out_summary, [rendered])
     if summary.status == "failed":
-        print(f"solver error: {summary.error}", file=sys.stderr)
+        print(f"run failed: {summary.error}", file=sys.stderr)
         return 3
     sys.stdout.write(rendered)
     return 0

@@ -3,7 +3,10 @@
 The format is deliberately trivial: one ``key = value`` per line, ``#``
 comments, dotted section names. ``preset`` fills the published parameter
 sets (P1)-(P3) with the Laplace kernel of scale 20; explicit keys override
-preset values.
+preset values. A config asks only for what its subcommand reads: the habitat
+``domain.l1``, ``domain.l2`` is optional (``cli.run_scenario`` refuses the
+subcommands that solve on it), and so is ``ic.l``, since the default cosine
+start takes its width from the habitat.
 """
 
 import csv
@@ -43,9 +46,9 @@ class ScenarioConfig:
     params: SeasonParams
     kernel: KernelSpec
     bc: BoundaryCondition
-    grid: Grid
+    grid: Optional[Grid]  # None, like u0, when no habitat is given
     ctl: StepControl
-    u0: StateVector
+    u0: Optional[StateVector]
     n_periods: Optional[int]
     out_trajectory: Optional[str]
     out_summary: Optional[str]
@@ -184,46 +187,41 @@ def _scenario(raw: dict[str, str]) -> ScenarioConfig:
     except ValueError:
         raise ConfigError(f"bc must be 'dirichlet' or 'neumann', got {bc_name!r}") from None
 
-    if "domain.l1" not in values or "domain.l2" not in values:
-        raise ConfigError("domain.l1 and domain.l2 are required")
-    grid = Grid(l1=values["domain.l1"], l2=values["domain.l2"], n=values.get("grid.n", 256))
-
     dt_good = values.get("time.dt_good", params.good_season_length / 2000.0)
     try:
         ctl = StepControl(dt_good=dt_good, stride=100)
     except ValueError as exc:
         raise ConfigError(f"time.dt_good: {exc}") from None
 
-    ic_type = values.get("ic.type", "cosine")
-    ic_l = values.get("ic.l")
-    ic_c = values.get("ic.c")
-    if ic_type == "cosine":
-        if ic_l is None:
-            raise ConfigError("ic.type = cosine requires ic.l")
-        if ic_l <= 0:
-            raise ConfigError(f"ic.l must be positive, got {ic_l!r}")
-        if grid.l1 != -ic_l or grid.l2 != ic_l:
-            raise ConfigError(
-                f"ic.type = cosine requires the symmetric domain [-{ic_l!r}, {ic_l!r}], "
-                f"got [{grid.l1!r}, {grid.l2!r}]")
-        u0 = np.cos(np.pi * grid.nodes / (2.0 * ic_l))
-    elif ic_type == "constant":
-        if ic_c is None:
-            raise ConfigError("ic.type = constant requires ic.c")
-        if ic_c < 0:
-            raise ConfigError(f"ic.c must be nonnegative, got {ic_c!r}")
-        u0 = np.full(grid.n, ic_c)
-    elif ic_type == "table":
-        if "ic.table_path" not in values:
-            raise ConfigError("ic.type = table requires ic.table_path")
-        xs, us = _read_xy_csv(values["ic.table_path"], ("x", "u"))
-        if np.any(np.diff(xs) <= 0):
-            raise ConfigError("ic table must have strictly increasing x")
-        if np.any(us < 0):
-            raise ConfigError("ic table contains negative densities")
-        u0 = np.interp(grid.nodes, xs, us)
-    else:
-        raise ConfigError(f"ic.type must be cosine, constant or table, got {ic_type!r}")
+    grid = u0 = None  # no habitat: run_scenario refuses the subcommands that need one
+    if "domain.l1" in values or "domain.l2" in values:
+        if "domain.l1" not in values or "domain.l2" not in values:
+            raise ConfigError("domain.l1 and domain.l2 must be given together")
+        grid = Grid(l1=values["domain.l1"], l2=values["domain.l2"], n=values.get("grid.n", 256))
+        ic_type = values.get("ic.type", "cosine")
+        if ic_type == "cosine":  # the habitat's own, so ic.l is only checked
+            if "ic.l" in values and (grid.l1, grid.l2) != (-values["ic.l"], values["ic.l"]):
+                raise ConfigError(f"ic.l = {values['ic.l']!r} requires the symmetric domain "
+                                  f"[-ic.l, ic.l], got [{grid.l1!r}, {grid.l2!r}]")
+            u0 = np.cos(np.pi * (grid.nodes - (grid.l1 + grid.l2) / 2) / (grid.l2 - grid.l1))
+        elif ic_type == "constant":
+            if "ic.c" not in values:
+                raise ConfigError("ic.type = constant requires ic.c")
+            if values["ic.c"] < 0:
+                raise ConfigError(f"ic.c must be nonnegative, got {values['ic.c']!r}")
+            u0 = np.full(grid.n, values["ic.c"])
+        elif ic_type == "table":
+            if "ic.table_path" not in values:
+                raise ConfigError("ic.type = table requires ic.table_path")
+            xs, us = _read_xy_csv(values["ic.table_path"], ("x", "u"))
+            if np.any(np.diff(xs) <= 0):
+                raise ConfigError("ic table must have strictly increasing x")
+            if np.any(us < 0):
+                raise ConfigError("ic table contains negative densities")
+            u0 = np.interp(grid.nodes, xs, us)
+        else:
+            raise ConfigError(f"ic.type must be cosine, constant or table, got {ic_type!r}")
+        u0 = StateVector(u0)
 
     n_periods = values.get("run.n_periods")
     if n_periods is not None and n_periods < 1:
@@ -237,17 +235,14 @@ def _scenario(raw: dict[str, str]) -> ScenarioConfig:
             raise ConfigError("profile.lengths must be comma-separated numbers") from None
         profile_lengths = _profile_lengths(profile_lengths)
 
-    outs = {}
     for key in ("out.trajectory", "out.summary", "out.periodic", "out.profile"):
-        path = values.get(key)
-        if path is not None:
-            _check_writable(key, path)
-        outs[key] = path
+        if key in values:
+            _check_writable(key, values[key])
 
     return ScenarioConfig(params=params, kernel=kernel, bc=bc, grid=grid, ctl=ctl,
-                          u0=StateVector(u0), n_periods=n_periods,
-                          out_trajectory=outs["out.trajectory"],
-                          out_summary=outs["out.summary"],
-                          out_periodic=outs["out.periodic"],
-                          out_profile=outs["out.profile"],
+                          u0=u0, n_periods=n_periods,
+                          out_trajectory=values.get("out.trajectory"),
+                          out_summary=values.get("out.summary"),
+                          out_periodic=values.get("out.periodic"),
+                          out_profile=values.get("out.profile"),
                           profile_lengths=profile_lengths)

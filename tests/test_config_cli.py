@@ -1,4 +1,6 @@
 import dataclasses
+import errno
+import importlib.util
 import os
 import stat
 import subprocess
@@ -109,9 +111,46 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="override"):
             parse_config(BASE_P1, overrides={"nope": "1"})
 
-    def test_missing_domain_rejected(self):
-        with pytest.raises(ConfigError, match="domain"):
-            parse_config("preset = P1\nic.type = constant\nic.c = 1\n")
+    def test_missing_domain_rejected(self, tmp_path, capsys):
+        # a config without a habitat parses; a subcommand that solves on the
+        # habitat refuses it at run time
+        path = make_config(tmp_path, "preset = P1\nic.type = constant\nic.c = 1\n")
+        assert main(["classify", "--config", path]) == 2
+        assert "'domain.l1'" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("key", ["domain.l1 = -1", "domain.l2 = 1"])
+    def test_single_domain_key_rejected(self, key):
+        with pytest.raises(ConfigError, match="must be given together"):
+            parse_config(f"preset = P1\n{key}\n")
+
+    @pytest.mark.parametrize("n", [24, 25])
+    def test_cosine_start_is_the_habitats_own(self, n):
+        # no ic.* key: the default cosine start takes its width from the
+        # habitat, which need not be symmetric
+        cfg = parse_config(f"preset = P1\ndomain.l1 = 0\ndomain.l2 = 0.4\ngrid.n = {n}\n")
+        u0 = cfg.u0.values
+        assert np.all(u0 > 0)
+        assert abs(cfg.grid.nodes[np.argmax(u0)] - 0.2) <= cfg.grid.dx / 2
+        np.testing.assert_allclose(u0, np.sin(np.pi * cfg.grid.nodes / 0.4), atol=1e-15)
+        assert _fold_width(u0) == n
+
+    @pytest.mark.parametrize("name", ["attractor", "extinction", "threshold-wide",
+                                      "simulate-figure"])
+    def test_ic_l_is_redundant_in_the_benchmark_configs(self, tmp_path, name):
+        # the benchmark's configs set ic.l to the half-width; without it the
+        # start has the same bits
+        spec = importlib.util.spec_from_file_location(
+            "perfbench_workloads", Path(__file__).resolve().parents[1] / "perfbench"
+            / "workloads.py")
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        inputs = workloads.make_inputs(workloads.WORKLOADS[name], 1, tmp_path)
+        text = Path(inputs.argv[-1]).read_text()
+        assert "\nic.l = " in text
+        without = "".join(line + "\n" for line in text.splitlines()
+                          if not line.startswith("ic.l"))
+        assert parse_config(without).u0.values.tobytes() == \
+            parse_config(text).u0.values.tobytes()
 
     def test_profile_lengths_parsing(self):
         cfg = parse_config(BASE_P1 + "profile.lengths = 10, 20, 40\n")
@@ -491,6 +530,34 @@ out.periodic = {tmp_path}/per.csv
         assert "grid_n" not in summary and "dt_good" not in summary
         assert summary["status"] == "ok"
 
+    @pytest.mark.parametrize("command, body", [
+        ("critical-length", "preset = P2\n"),
+        ("ode-reference", "preset = P1\n"),
+        ("profile-study", "preset = P1\nkernel.scale = 1\nprofile.lengths = 4, 6\n"),
+    ])
+    def test_own_grid_subcommands_need_no_habitat(self, tmp_path, command, body):
+        # the same summary as with a habitat and an ic.l that none of them reads
+        def summary_lines(text, name):
+            path = make_config(tmp_path, text + f"out.summary = {tmp_path}/{name}.txt\n"
+                               f"out.profile = {tmp_path}/{name}.csv\n")
+            assert main([command, "--config", path]) == 0
+            return [line for line in (tmp_path / f"{name}.txt").read_text().splitlines()
+                    if not line.startswith("wall_time_s = ")]
+
+        bare = summary_lines(body, "bare")
+        assert bare == summary_lines(
+            body + "domain.l1 = -3\ndomain.l2 = 3\nic.type = cosine\nic.l = 3\n", "dummy")
+        assert "status = ok" in bare
+
+    @pytest.mark.parametrize("command", ["spectrum", "classify", "periodic"])
+    def test_asymmetric_habitat_needs_no_ic_keys(self, tmp_path, command):
+        path = make_config(tmp_path, "preset = P1\ndomain.l1 = 0\ndomain.l2 = 0.4\n"
+                           f"grid.n = 24\nout.summary = {tmp_path}/s.txt\n"
+                           f"out.periodic = {tmp_path}/per.csv\n")
+        assert main([command, "--config", path]) == 0
+        summary = (tmp_path / "s.txt").read_text()
+        assert "status = ok" in summary and "grid_n = 24" in summary
+
     @pytest.mark.parametrize("command", ["classify", "spectrum"])
     def test_stepless_subcommands_omit_dt_good(self, tmp_path, command):
         # both solve on the config's grid but take no time step
@@ -729,11 +796,31 @@ out.summary = {tmp_path}/s.txt
         (tmp_path / "traj.csv").write_bytes(old)
         monkeypatch.setattr(cli, "CSV_FILTER", (
             sys.executable, "-c", "import sys; sys.stdin.buffer.read(64); sys.exit(1)"))
-        with pytest.raises(OSError, match="process exited with status 1"):
-            main(["simulate", "--config", path])
+        assert main(["simulate", "--config", path]) == 3
         assert (tmp_path / "traj.csv").read_bytes() == old
         assert list(tmp_path.glob("*.tmp")) == []
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "status = failed" in summary
+        assert "process exited with status 1" in summary
         assert_no_child_process()
+
+    def test_failed_write_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
+        # a disk that fills up mid-CSV fails the run, and the summary of an
+        # earlier run gives way to one naming the output
+        def full_disk(*args):
+            yield "t,x,ustar\n"
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(_csvtext, "lines", full_disk)
+        (tmp_path / "s.txt").write_text("status = ok\n")
+        path = make_config(tmp_path, BASE_P1 + f"out.summary = {tmp_path}/s.txt\n"
+                           f"out.periodic = {tmp_path}/per.csv\n")
+        assert main(["periodic", "--config", path]) == 3
+        summary = (tmp_path / "s.txt").read_text()
+        assert "status = failed" in summary
+        assert f"error = cannot write '{tmp_path}/per.csv': " in summary
+        assert "No space left on device" in capsys.readouterr().err
+        assert sorted(os.listdir(tmp_path)) == ["s.txt", "scenario.cfg"]
 
     def test_classify_failure_writes_no_csv(self, tmp_path, monkeypatch):
         from seasonal_dispersal import periodic
