@@ -24,7 +24,10 @@ given below, on the P1 operator (Laplace kernel of scale 20 on the habitat
   at n = 2048 their rows do not compare with these), and
   ``evolution.rk4_step_us.block2`` and ``.block3`` the same for an (n, 2)
   and an (n, 3) block of states (the periodic solve carries its pair as
-  such a block of the even part, ceil(n/2) rows);
+  such a block of the even part, ceil(n/2) rows), and
+  ``evolution.rk4_step_us.fold`` the same for the leading ceil(n/2) nodes
+  of the even state on the folded linear part, the width at which every
+  start of the benchmark workloads is stepped (since ``BENCH_34.json``);
 * ``evolution.simulate_figure_ms``: the ``simulate`` run behind the figures
   (60 periods from the cosine start at n = 128 only, nominal step 1/2000 of
   the good season, a sample every 100 nominal steps): ``fit_step`` and
@@ -72,10 +75,10 @@ order, the script measures the trees alternately, each layer group (one size,
 the near-threshold solve, the profile study, one kernel scale of
 critical_length) in a fresh subprocess per tree, the tree that goes first
 alternating from group to group, so that the medians of a pair share the
-machine's drift. The rk4 rows call ``evolution._linear_part(op, a, b, n)``,
-so every ``--src`` tree must build its linear part from the column, with
-that signature; a tree from before it, whose ``_linear_part`` takes the
-dense K, does not run.
+machine's drift. The rk4 rows call ``evolution._linear_part(op, a, b, m)``
+at m = n, and m = ceil(n/2) for the folded row, so every ``--src`` tree must
+build its linear part from the column, with that signature; a tree from
+before it, whose ``_linear_part`` takes the dense K, does not run.
 
 Usage:
 
@@ -163,12 +166,15 @@ def measure(sd, n: int) -> dict:
         layers.append(("spectral.eigen_wide_ms", lambda: sd.principal_eigenpair(wide, p2.a),
                        1e3, {"products": sd.principal_eigenpair(wide, p2.a).iterations}))
     good = p.good_season_length
-    A = evolution._linear_part(op, p.a, p.b, op.n)
-    for name, state in (("evolution.rk4_step_us", u),
-                        ("evolution.rk4_step_us.block2", np.column_stack([u, 0.5 * u])),
-                        ("evolution.rk4_step_us.block3",
-                         np.column_stack([u, 0.5 * u, 0.25 * u]))):
-        layers.append((name, lambda state=state: evolution._rk4_span(
+    full = evolution._linear_part(op, p.a, p.b, n)
+    m = (n + 1) // 2
+    folded = evolution._linear_part(op, p.a, p.b, m)
+    for name, A, state in (
+            ("evolution.rk4_step_us", full, u),
+            ("evolution.rk4_step_us.block2", full, np.column_stack([u, 0.5 * u])),
+            ("evolution.rk4_step_us.block3", full, np.column_stack([u, 0.5 * u, 0.25 * u])),
+            ("evolution.rk4_step_us.fold", folded, u[:m])):
+        layers.append((name, lambda A=A, state=state: evolution._rk4_span(
             state, A, p.b, good * SPAN_STEPS / STEPS_PER_SEASON, SPAN_STEPS),
             1e6 / SPAN_STEPS, {}))
     if n == FIND_N:

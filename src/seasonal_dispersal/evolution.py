@@ -120,7 +120,12 @@ def _rk4_span(u: np.ndarray, A: np.ndarray, b: float, span: float, steps: int,
     (b dt/2, b dt/2, b dt) and the weights b dt (1, 2, 2, 1)/6, which
     combine the stages in one product. Undershoots of u in (-_TOL_POS, 0)
     are clamped to +0.0 after each full step; anything lower aborts with a
-    halved-step suggestion. Recorded samples are copies.
+    halved-step suggestion; a NaN does neither. Recorded samples are copies.
+
+    A step of a few dozen nodes costs more in the interpreter than in
+    arithmetic, so its ~20 calls take their cheapest form: the bound
+    ``A.dot`` and ``coef.dot`` (np.dot's product without its dispatcher),
+    ufuncs given ``out`` by position, positivity read off ``u.argmin()``.
     """
     u = np.array(u, dtype=float)
     n = A.shape[0]
@@ -129,35 +134,29 @@ def _rk4_span(u: np.ndarray, A: np.ndarray, b: float, span: float, steps: int,
             f"state has shape {u.shape}, operator expects ({n},) or ({n}, m)")
     dt = span / steps
     bdt = b * dt
+    half = 0.5 * bdt
     coef = bdt * np.array([1.0 / 6.0, 1.0 / 3.0, 1.0 / 3.0, 1.0 / 6.0])
     S = np.empty((4,) + u.shape)
-    stage = list(S)
-    # stage i + 1 is evaluated at u + offset[i] * stage[i]
-    offset = (0.5 * bdt, 0.5 * bdt, bdt)
-    x = np.empty_like(u)
-    sq = np.empty_like(u)
-    incr = np.empty_like(u)
+    s1, s2, s3, s4 = S
+    x, sq, incr = np.empty_like(u), np.empty_like(u), np.empty_like(u)
     S_flat, incr_flat = S.reshape(4, -1), incr.reshape(-1)
-    # a step is ~20 calls on small arrays: bind them once, write into buffers
-    dot, multiply, subtract, add = np.dot, np.multiply, np.subtract, np.add
-    lowest = np.minimum.reduce
+    multiply, subtract, add = np.multiply, np.subtract, np.add
+    Adot, combine, lowest_at = A.dot, coef.dot, u.argmin  # u changes in place only
     recorded = []
     for k in range(1, steps + 1):
-        xi = u
-        for i in range(4):
-            s = stage[i]
-            dot(A, xi, out=s)
-            multiply(xi, xi, out=sq)
-            subtract(s, sq, out=s)
-            if i < 3:
-                multiply(s, offset[i], out=x)
-                add(x, u, out=x)
-                xi = x
-        dot(coef, S_flat, out=incr_flat)
-        add(u, incr, out=u)
-        if lowest(u, axis=None) < 0.0:
-            flat = int(np.argmin(u))
-            low = float(u.flat[flat])
+        # the stages are A x - x^2 at x = u, u + half s1, u + half s2, u + bdt s3
+        subtract(Adot(u, s1), multiply(u, u, sq), s1)
+        add(multiply(s1, half, x), u, x)
+        subtract(Adot(x, s2), multiply(x, x, sq), s2)
+        add(multiply(s2, half, x), u, x)
+        subtract(Adot(x, s3), multiply(x, x, sq), s3)
+        add(multiply(s3, bdt, x), u, x)
+        subtract(Adot(x, s4), multiply(x, x, sq), s4)
+        combine(S_flat, incr_flat)
+        add(u, incr, u)
+        flat = lowest_at()
+        low = u.item(flat)
+        if low < 0.0:
             if low < -_TOL_POS:
                 node = flat // (u.size // n)
                 raise PositivityError(
@@ -223,11 +222,12 @@ def _samples(u0: np.ndarray, p: SeasonParams, A: np.ndarray,
     is yielded; the samples of a good season are yielded once its span has
     been stepped."""
     om = p.omega
-    bound = max(p.a / p.b, float(np.max(u0, initial=0.0))) * (1.0 + 1e-6)
+    peak = np.maximum.reduce  # the reduction of np.max, without its wrapper
+    bound = max(p.a / p.b, float(peak(u0, None, initial=0.0))) * (1.0 + 1e-6)
     sample_dt = ctl.dt_good * ctl.stride
 
     def checked(t, v):
-        m = float(np.max(v, initial=0.0))
+        m = float(peak(v, None, initial=0.0))
         if m > bound:
             raise SolverError(
                 f"a-priori bound violated at t={t:g}: sup u = {m:g} > {bound:g}")

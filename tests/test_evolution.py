@@ -250,6 +250,54 @@ class TestFusedStepper:
         assert not np.any(np.signbit(out))
         assert np.max(np.abs(out[~clamped] - raw[~clamped])) <= 1e-13 * np.max(raw)
 
+    def test_clamped_undershoot_in_a_block_column(self, monkeypatch):
+        # the start of test_clamped_undershoot_is_positive_zero as the last
+        # column of an (8, 3) block: node-major order interleaves the
+        # columns, and exactly its two undershoots clamp to +0.0
+        p = params(a=0.1, b=1.0)
+        op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
+        block = np.column_stack([np.full(8, 0.5), np.linspace(0.2, 1.0, 8),
+                                 np.full(8, 4.12365298718214)])
+        raw = rk4_step_reference(op, p, block[:, 2], 0.4)
+        clamped = np.zeros(block.shape, dtype=bool)
+        clamped[:, 2] = raw < 0.0
+        assert np.count_nonzero(clamped) == 2
+        monkeypatch.setattr(evolution, "_TOL_POS", -1.5 * float(raw.min()))
+        out, _ = _rk4_span(block, linear(op, p), p.b, 0.4, 1)
+        assert np.all(out[clamped] == 0.0)
+        assert np.all(out[~clamped] > 0.0)
+        assert not np.any(np.signbit(out))
+        for j in range(3):
+            single, _ = _rk4_span(block[:, j], linear(op, p), p.b, 0.4, 1)
+            assert np.max(np.abs(out[:, j] - single)) <= 1e-14 * np.max(single)
+
+    @pytest.mark.parametrize("scales", [None, (1.0, 0.5, 0.25)])
+    def test_step_allocates_nothing(self, scales):
+        # the stepper writes every step into buffers made before the first:
+        # a span of 2000 steps peaks where one of 20 does, for a folded
+        # state (64,) and a block (64, 3)
+        p = params(P1)
+        op = dirichlet_op(LaplaceKernel(20.0), 0.4, 128, p.d)
+        A = evolution._linear_part(op, p.a, p.b, 64)
+        u = np.cos(np.pi * op.grid.nodes[:64] / 0.4)
+        u = u if scales is None else np.outer(u, scales)
+
+        def peak(steps):
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            _rk4_span(u, A, p.b, 0.4 * steps / 400, steps)
+            return tracemalloc.get_traced_memory()[1] - before
+
+        tracing = tracemalloc.is_tracing()
+        if not tracing:
+            tracemalloc.start()
+        try:
+            short, long = peak(20), peak(2000)
+        finally:
+            if not tracing:
+                tracemalloc.stop()
+        assert abs(long - short) <= 1024
+
     def test_shape_checked_at_entry(self):
         p = params(P1)
         op = dirichlet_op(LaplaceKernel(2.0), 1.0, 8, p.d)
