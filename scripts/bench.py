@@ -66,19 +66,41 @@ operator (``BENCH_22.json`` and earlier time those solves without it; the
 profile study has always made its eigen-solves). A tree whose
 ``find_periodic_solution`` takes the eigenpair as an argument does not run.
 
-Each figure is the median of at least MIN_RUNS = 10 calls, and of as many
-as fill one second, after one warm-up call (``BENCH_22.json`` and earlier
-took at least 3, so their slowest layers rest on 4-6 calls). BLAS is
-pinned to one thread. The results are merged into the JSON file, one run per
-``--label``. Given ``--src`` and ``--label`` once per source tree, in the same
-order, the script measures the trees alternately, each layer group (one size,
-the near-threshold solve, the profile study, one kernel scale of
-critical_length) in a fresh subprocess per tree, the tree that goes first
-alternating from group to group, so that the medians of a pair share the
-machine's drift. The rk4 rows call ``evolution._linear_part(op, a, b, m)``
-at m = n, and m = ceil(n/2) for the folded row, so every ``--src`` tree must
-build its linear part from the column, with that signature; a tree from
-before it, whose ``_linear_part`` takes the dense K, does not run.
+Every ``--src`` tree is imported in this one process, each as a package
+of its own name (``bench_tree0``, ``bench_tree1``, ...), so each has its own
+modules; a tree with a module that imports ``seasonal_dispersal`` by its
+absolute name is refused, since that import would run another tree's code.
+Each layer group (one size, the near-threshold solve, the profile study,
+one kernel scale of critical_length) is built PASSES = 4 times per tree,
+the tree built first alternating, so that the timings sample more than one
+allocation layout. After each build, every layer makes one untimed warm-up
+call per tree, then calls each tree's version in turn, the order reversed
+each round (A B, B A, ...), for at least MIN_RUNS / PASSES rounds and until
+BUDGET_S / PASSES seconds per tree have passed. So each tree makes the same
+number of calls, at least MIN_RUNS = 10 and as many as fill BUDGET_S = 1
+second, and each figure is the median of them (``BENCH_34.json`` and
+earlier time each group once per tree, in a process of its own).
+``cli.simulate_peak_mib`` is the tracemalloc peak of one call per tree, on
+the first build. BLAS is pinned to one thread. The results are merged into
+the JSON file, one run per ``--label``.
+
+Each tree after the first has, per layer, the median of its per-call time
+ratio to the first tree over the rounds, ``ratio``, and its quartiles,
+``ratio_q1`` and ``ratio_q3``: both calls of a round share the machine's
+speed, so a ratio resolves a change that the two medians, each spread by
+the machine's drift, cannot. Read a change against an A/A run, the same
+tree given twice: an A/A ratio is 1 up to the resolution of that layer on
+that machine, and a change resolves only where its ratio lies outside the
+A/A spread. In ``BENCH_36.json``'s A/A run every layer read 0.96-1.02,
+except ``evolution.rk4_step_us.block3`` at n = 512 (1.08) and
+``periodic.profile_study_ms`` (0.945); an earlier A/A run read 1.08-1.18 on
+four RK4 rows at n = 128 and 512, whose step time a build's allocation
+layout moves by up to about 20% either way.
+
+The rk4 rows call ``evolution._linear_part(op, a, b, m)`` at m = n, and
+m = ceil(n/2) for the folded row, so every ``--src`` tree must build its
+linear part from the column, with that signature; a tree from before it,
+whose ``_linear_part`` takes the dense K, does not run.
 
 Usage:
 
@@ -93,11 +115,12 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
 
 import argparse
 import contextlib
+import importlib.util
 import io
 import json
 import platform
+import re
 import statistics
-import subprocess
 import sys
 import tempfile
 import time
@@ -122,19 +145,43 @@ FIGURE_PERIODS = 60
 FIGURE_CONFIG = Path(__file__).resolve().parent / "p1_figure.cfg"
 BUDGET_S = 1.0
 MIN_RUNS = 10
+PASSES = 4
 
 
-def median_seconds(fn) -> tuple[float, int]:
-    """Median wall seconds of ``fn()`` over at least MIN_RUNS calls and
-    BUDGET_S seconds, after one untimed warm-up call."""
-    fn()
-    samples = []
+def load_tree(src: Path, name: str):
+    """The package of the tree ``src`` with its ``cli`` module, imported as
+    the package ``name``; ImportError naming the module if a line of one of
+    its modules imports the package by its absolute name."""
+    pkg = src / "seasonal_dispersal"
+    for path in sorted(pkg.glob("*.py")):
+        if re.search(rf"^\s*(from|import)\s+{pkg.name}\b", path.read_text(), re.M):
+            raise ImportError(f"{path} imports {pkg.name} absolutely, which "
+                              "would time another tree's code")
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)])
+    sd = importlib.util.module_from_spec(spec)
+    sys.modules[name] = sd
+    spec.loader.exec_module(sd)
+    importlib.import_module(f"{name}.cli")
+    return sd
+
+
+def time_alternately(calls) -> tuple[list, list[list[float]]]:
+    """The results of one untimed warm-up round of ``calls``, and the seconds
+    of each over the timed rounds that follow, the order reversed each round,
+    for at least MIN_RUNS / PASSES rounds and BUDGET_S / PASSES s per call."""
+    results = [call() for call in calls]
+    samples = [[] for _ in calls]
+    order = list(zip(calls, samples))
     start = time.perf_counter()
-    while len(samples) < MIN_RUNS or time.perf_counter() - start < BUDGET_S:
-        t0 = time.perf_counter()
-        fn()
-        samples.append(time.perf_counter() - t0)
-    return statistics.median(samples), len(samples)
+    while (len(samples[0]) < -(-MIN_RUNS // PASSES)
+           or time.perf_counter() - start < BUDGET_S * len(calls) / PASSES):
+        for call, secs in order:
+            t0 = time.perf_counter()
+            call()
+            secs.append(time.perf_counter() - t0)
+        order.reverse()
+    return results, samples
 
 
 def periods(sol) -> dict:
@@ -142,7 +189,8 @@ def periods(sol) -> dict:
     return {"periods": sol.periods, "coarse_periods": sol.coarse_periods}
 
 
-def measure(sd, n: int) -> dict:
+def size_layers(sd, n: int, tmp: str) -> list:
+    """The layers of the group of the size ``n`` (see ``build``)."""
     evolution = sd.evolution
     p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
     kernel = sd.LaplaceKernel(20.0)
@@ -153,18 +201,17 @@ def measure(sd, n: int) -> dict:
     ctl = sd.StepControl.for_params(p, STEPS_PER_SEASON)
 
     p2 = sd.SeasonParams(**P2)
-    pair = sd.principal_eigenpair(op, p.a)
     layers = [
-        ("operator.assemble_us", lambda: sd.assemble(kernel, grid, dirichlet, p.d), 1e6, {}),
-        ("operator.apply_us", lambda: op.apply(u), 1e6, {}),
+        ("operator.assemble_us", lambda: sd.assemble(kernel, grid, dirichlet, p.d), 1e6, None),
+        ("operator.apply_us", lambda: op.apply(u), 1e6, None),
         ("spectral.eigen_ms", lambda: sd.principal_eigenpair(op, p.a), 1e3,
-         {"products": pair.iterations}),
+         lambda pair: {"products": pair.iterations}),
         ("evolution.period_map_ms", lambda: sd.period_map(sd.StateVector(u), p, op, ctl),
-         1e3, {})]
+         1e3, None)]
     if n == WIDE_N:
         wide = sd.assemble(sd.LaplaceKernel(1.0), sd.Grid.centered(100.0, n), dirichlet, p2.d)
         layers.append(("spectral.eigen_wide_ms", lambda: sd.principal_eigenpair(wide, p2.a),
-                       1e3, {"products": sd.principal_eigenpair(wide, p2.a).iterations}))
+                       1e3, lambda pair: {"products": pair.iterations}))
     good = p.good_season_length
     full = evolution._linear_part(op, p.a, p.b, n)
     m = (n + 1) // 2
@@ -176,118 +223,39 @@ def measure(sd, n: int) -> dict:
             ("evolution.rk4_step_us.fold", folded, u[:m])):
         layers.append((name, lambda A=A, state=state: evolution._rk4_span(
             state, A, p.b, good * SPAN_STEPS / STEPS_PER_SEASON, SPAN_STEPS),
-            1e6 / SPAN_STEPS, {}))
+            1e6 / SPAN_STEPS, None))
     if n == FIND_N:
         nominal = sd.StepControl.for_params(p, 2000, stride=100)
         u0 = sd.StateVector(u)
 
         def simulate():
             ctl = evolution.fit_step(u0, p, op, nominal)[0]
-            sd.evolve(u0, p, op, ctl, FIGURE_PERIODS * p.omega)
-            return ctl
+            return ctl, sd.evolve(u0, p, op, ctl, FIGURE_PERIODS * p.omega)
 
-        fitted = simulate()
-        layers.append(("evolution.simulate_figure_ms", simulate, 1e3,
-                       {"steps_per_season": fitted.steps_for(good)}))
-        layers.append(("periodic.find_ms",
-                       lambda: sd.find_periodic_solution(p, op, ctl), 1e3,
-                       periods(sd.find_periodic_solution(p, op, ctl))))
+        tr = simulate()[1]
         op2 = sd.assemble(kernel, sd.Grid.centered(P2_LENGTH, n), dirichlet, p2.d)
         ctl2 = sd.StepControl.for_params(p2, STEPS_PER_SEASON)
-        layers.append(("periodic.find_p2_ms",
-                       lambda: sd.find_periodic_solution(p2, op2, ctl2), 1e3,
-                       periods(sd.find_periodic_solution(p2, op2, ctl2))))
-    out = {}
-    for name, fn, scale, extra in layers:
-        secs, runs = median_seconds(fn)
-        out[name] = {"value": scale * secs, "runs": runs, **extra}
-    if n == FIND_N:
-        out["cli.export_ms"] = measure_export(
-            sd.evolve(u0, p, op, fitted, FIGURE_PERIODS * p.omega))
-        out.update(measure_simulate())
-    return out
-
-
-def measure_export(tr) -> dict:
-    """One export_trajectory of ``tr``, into a temporary directory."""
-    from seasonal_dispersal import cli
-    with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, "trajectory.csv")
-        secs, runs = median_seconds(lambda: cli.export_trajectory(tr, path))
-    return {"value": 1e3 * secs, "runs": runs, "rows": tr.values.size}
-
-
-def measure_simulate() -> dict:
-    """The figure's ``simulate`` through ``cli.main``, writing into a
-    temporary directory, and the tracemalloc peak of one more call."""
-    from seasonal_dispersal import cli
-    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, sd.__name__)
         argv = ["simulate", "--config", str(FIGURE_CONFIG),
-                "--override", f"out.trajectory={tmp}/trajectory.csv",
-                "--override", f"out.summary={tmp}/summary.txt"]
+                "--override", f"out.trajectory={out}-trajectory.csv",
+                "--override", f"out.summary={out}-summary.txt"]
 
-        def simulate():
+        def simulate_cli():
             with contextlib.redirect_stdout(io.StringIO()):
-                if cli.main(argv) != 0:
+                if sd.cli.main(argv) != 0:
                     raise RuntimeError("simulate of the figure config failed")
 
-        secs, runs = median_seconds(simulate)
-        tracemalloc.start()
-        try:
-            simulate()
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-    return {"cli.simulate_ms": {"value": 1e3 * secs, "runs": runs},
-            "cli.simulate_peak_mib": {"value": peak / 2**20, "runs": 1}}
-
-
-def measure_near(sd) -> dict:
-    """The NEAR solve, with its column-periods or the class of its error."""
-    p2 = sd.SeasonParams(**P2)
-    op = sd.assemble(sd.LaplaceKernel(20.0), sd.Grid.centered(NEAR["length"], NEAR["n"]),
-                     sd.BoundaryCondition.DIRICHLET, p2.d)
-    ctl = sd.StepControl.for_params(p2, NEAR["steps"])
-
-    def solve() -> dict:
-        try:
-            return periods(sd.find_periodic_solution(p2, op, ctl))
-        except sd.SolverError as err:
-            return {"error": type(err).__name__}
-
-    outcome = solve()
-    secs, runs = median_seconds(solve)
-    return {"value": 1e3 * secs, "runs": runs, **outcome}
-
-
-def measure_profile_study(sd) -> dict:
-    """Criterion 7's profile study."""
-    p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
-    kernel = sd.LaplaceKernel(1.0)
-    secs, runs = median_seconds(
-        lambda: sd.asymptotic_profile_study(p, kernel, PROFILE_LENGTHS))
-    return {"value": 1e3 * secs, "runs": runs}
-
-
-def measure_critical_length(sd, scale: float) -> dict:
-    """One P2 critical_length at ``scale``, with its count of eigen-solves."""
-    p2 = sd.SeasonParams(**P2)
-    kernel = sd.LaplaceKernel(scale)
-    solve = sd.spectral.principal_eigenpair
-    calls = []
-
-    def counted(*args, **kwargs):
-        calls.append(None)
-        return solve(*args, **kwargs)
-
-    sd.spectral.principal_eigenpair = counted
-    try:
-        sd.critical_length(p2, kernel)
-        solves = len(calls)
-    finally:
-        sd.spectral.principal_eigenpair = solve
-    secs, runs = median_seconds(lambda: sd.critical_length(p2, kernel))
-    return {"value": 1e3 * secs, "runs": runs, "eigen_solves": solves}
+        layers += [
+            ("evolution.simulate_figure_ms", simulate, 1e3,
+             lambda run: {"steps_per_season": run[0].steps_for(good)}),
+            ("periodic.find_ms", lambda: sd.find_periodic_solution(p, op, ctl), 1e3, periods),
+            ("periodic.find_p2_ms", lambda: sd.find_periodic_solution(p2, op2, ctl2), 1e3,
+             periods),
+            ("cli.export_ms", lambda: sd.cli.export_trajectory(tr, f"{out}-export.csv"), 1e3,
+             lambda _: {"rows": tr.values.size}),
+            ("cli.simulate_ms", simulate_cli, 1e3, None),
+            ("cli.simulate_peak_mib", simulate_cli, None, None)]
+    return layers
 
 
 #: the layer groups, each keyed as it is stored in the JSON file
@@ -295,23 +263,75 @@ GROUPS = (*(str(n) for n in SIZES), str(NEAR["n"]), "criterion7",
           *(f"scale{scale:g}" for scale in CRITICAL_SCALES))
 
 
-def measure_group(sd, key: str) -> dict:
-    """The layers of the group ``key`` of GROUPS: {layer name: record}."""
-    if key == str(NEAR["n"]):
-        return {"periodic.find_near_ms": measure_near(sd)}
+def build(sd, key: str, tmp: str) -> list:
+    """The layers of the group ``key`` of GROUPS on the tree ``sd``, built
+    afresh, writing into the directory ``tmp``: (name, call, scale of its
+    seconds to the recorded unit or None for the tracemalloc peak of one call
+    in MiB, extra fields from the result of its warm-up call or None)."""
+    p2 = sd.SeasonParams(**P2)
+    if key == str(NEAR["n"]):  # with its column-periods or the class of its error
+        op = sd.assemble(sd.LaplaceKernel(20.0), sd.Grid.centered(NEAR["length"], NEAR["n"]),
+                         sd.BoundaryCondition.DIRICHLET, p2.d)
+        ctl = sd.StepControl.for_params(p2, NEAR["steps"])
+
+        def solve() -> dict:
+            try:
+                return periods(sd.find_periodic_solution(p2, op, ctl))
+            except sd.SolverError as err:
+                return {"error": type(err).__name__}
+
+        return [("periodic.find_near_ms", solve, 1e3, dict)]
     if key == "criterion7":
-        return {"periodic.profile_study_ms": measure_profile_study(sd)}
-    if key.startswith("scale"):
-        return {"spectral.critical_length_ms":
-                measure_critical_length(sd, float(key[len("scale"):]))}
-    return measure(sd, int(key))
+        p = sd.SeasonParams(delta=0.2, a=1.2, b=0.6, d=0.6, rho=0.6, omega=1.0)
+        kernel = sd.LaplaceKernel(1.0)
+        return [("periodic.profile_study_ms",
+                 lambda: sd.asymptotic_profile_study(p, kernel, PROFILE_LENGTHS), 1e3, None)]
+    if key.startswith("scale"):  # with the count of eigen-solves of one call
+        kernel = sd.LaplaceKernel(float(key[len("scale"):]))
+        solve, calls = sd.spectral.principal_eigenpair, []
+        sd.spectral.principal_eigenpair = lambda *a, **kw: calls.append(None) or solve(*a, **kw)
+        try:
+            sd.critical_length(p2, kernel)
+        finally:
+            sd.spectral.principal_eigenpair = solve
+        return [("spectral.critical_length_ms", lambda: sd.critical_length(p2, kernel), 1e3,
+                 lambda _: {"eigen_solves": len(calls)})]
+    return size_layers(sd, int(key), tmp)
 
 
-def run_group(src: Path, key: str) -> dict:
-    """``measure_group`` on the tree ``src`` in a fresh Python process."""
-    out = subprocess.run([sys.executable, __file__, "--group", key, "--src", str(src)],
-                         check=True, capture_output=True, text=True).stdout
-    return json.loads(out.splitlines()[-1])
+def measure_group(trees, key: str, tmp: str) -> list[dict]:
+    """Per package of ``trees``, the records {layer name: record} of the group
+    ``key``, built PASSES times, the first tree first on every other pass."""
+    recs = [{} for _ in trees]
+    samples = {}
+    for k in range(PASSES):
+        step = 1 if k % 2 == 0 else -1
+        for layer in zip(*[build(sd, key, tmp) for sd in trees[::step]][::step]):
+            name, _, scale, _ = layer[0]
+            calls = [call for _, call, _, _ in layer]
+            if scale is None:  # one call per tree, on the first pass
+                for rec, call in zip(recs, calls if k == 0 else ()):
+                    tracemalloc.start()
+                    try:
+                        call()
+                        rec[name] = {"value": tracemalloc.get_traced_memory()[1] / 2**20,
+                                     "runs": 1}
+                    finally:
+                        tracemalloc.stop()
+                continue
+            results, secs = time_alternately(calls)
+            for rec, (*_, extra), result in zip(recs, layer, results):
+                rec.setdefault(name, {}).update(extra(result) if extra else {})
+            samples.setdefault(name, (scale, []))[1].append(secs)
+    for name, (scale, passes) in samples.items():
+        secs = [sum(own, []) for own in zip(*passes)]
+        for rec, own in zip(recs, secs):
+            rec[name].update(value=scale * statistics.median(own), runs=len(own))
+        for rec, own in zip(recs[1:], secs[1:]):
+            ratios = [b / a for a, b in zip(secs[0], own)]
+            q1, _, q3 = statistics.quantiles(ratios, n=4)
+            rec[name].update(ratio=statistics.median(ratios), ratio_q1=q1, ratio_q3=q3)
+    return recs
 
 
 def main(argv=None) -> int:
@@ -322,33 +342,23 @@ def main(argv=None) -> int:
     ap.add_argument("--label", action="append",
                     help="key the results of the tree are stored under")
     ap.add_argument("--out", type=Path, help="JSON file to create or update")
-    ap.add_argument("--group", choices=GROUPS,
-                    help="measure this one layer group of the one --src and print "
-                         "it as JSON (the subprocess of a recording run)")
     args = ap.parse_args(argv)
     srcs = [src.resolve() for src in args.src or
             [Path(__file__).resolve().parent.parent / "src"]]
-
-    if args.group:
-        if len(srcs) != 1:
-            ap.error("--group measures one --src")
-        sys.path.insert(0, str(srcs[0]))
-        import seasonal_dispersal as sd
-        print(json.dumps(measure_group(sd, args.group)))
-        return 0
     if args.out is None or not args.label or len(args.label) != len(srcs):
         ap.error("give --out, and --label once per --src")
 
-    trees = list(zip(args.label, srcs))
     layers = {label: {} for label in args.label}
-    for i, key in enumerate(GROUPS):
-        for label, src in (trees if i % 2 == 0 else trees[::-1]):
-            for name, rec in run_group(src, key).items():
-                layers[label].setdefault(name, {})[key] = rec
-                extra = "".join(f", {k} {v}" for k, v in rec.items()
-                                if k not in ("value", "runs"))
-                print(f"{label:8s} {key:10s} {name:28s} {rec['value']:12.3f}  "
-                      f"({rec['runs']} runs{extra})", flush=True)
+    with tempfile.TemporaryDirectory() as tmp:
+        trees = [load_tree(src, f"bench_tree{i}") for i, src in enumerate(srcs)]
+        for key in GROUPS:
+            for label, recs in zip(args.label, measure_group(trees, key, tmp)):
+                for name, rec in recs.items():
+                    layers[label].setdefault(name, {})[key] = rec
+                    extra = "".join(f", {k} {v:.3f}" if isinstance(v, float) else f", {k} {v}"
+                                    for k, v in rec.items() if k not in ("value", "runs"))
+                    print(f"{label:8s} {key:10s} {name:28s} {rec['value']:12.3f}  "
+                          f"({rec['runs']} runs{extra})", flush=True)
 
     doc = json.loads(args.out.read_text()) if args.out.exists() else {}
     doc["about"] = ABOUT

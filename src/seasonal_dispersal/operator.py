@@ -131,6 +131,10 @@ def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition,
     of that square once the habitat is much wider than the kernel (the
     quadrature bias of the kernel's peak); on grids that resolve the kernel
     the allowance reduces to the strict 1e-9.
+
+    No row mass can be zero: the entries are nonnegative, so every rounded
+    prefix sum is at least column[0] > 0, and a row mass, two of them less
+    column[0], is at least column[0] too.
     """
     if not (math.isfinite(d) and d > 0):
         raise ValidationError(f"dispersal rate must be positive, got {d!r}")
@@ -152,7 +156,5 @@ def assemble(kernel: KernelSpec, grid: Grid, bc: BoundaryCondition,
         raise ValidationError(
             f"row mass exceeds 1 by {excess:g} (allowed {allowance:g}); "
             "the grid badly under-resolves the kernel")
-    if np.any(rowmass <= 0):
-        raise ValidationError("operator has a zero row mass")
     return DispersalOperator(bc=bc, column=_readonly(column), rowmass=_readonly(rowmass),
                              d=float(d), grid=grid)

@@ -250,6 +250,21 @@ class TestFusedStepper:
         assert not np.any(np.signbit(out))
         assert np.max(np.abs(out[~clamped] - raw[~clamped])) <= 1e-13 * np.max(raw)
 
+    def test_real_undershoot_raises(self):
+        # the start of test_clamped_undershoot_is_positive_zero at the real
+        # _TOL_POS: an undershoot of -3.9e-7 is no rounding, so the step
+        # raises at the first node below zero and suggests half the step
+        p = params(a=0.1, b=1.0)
+        op = dirichlet_op(LaplaceKernel(1.0), 1.0, 8, p.d)
+        u0 = np.full(8, 4.12365298718214)
+        raw = rk4_step_reference(op, p, u0, 0.4)
+        with pytest.raises(PositivityError) as err:
+            _rk4_span(u0, linear(op, p), p.b, 0.4, 1)
+        assert err.value.node == 0
+        assert err.value.value == pytest.approx(float(raw[0]), rel=1e-9)
+        assert err.value.value == pytest.approx(-3.865e-7, rel=1e-3)
+        assert err.value.suggested_dt == 0.2
+
     def test_clamped_undershoot_in_a_block_column(self, monkeypatch):
         # the start of test_clamped_undershoot_is_positive_zero as the last
         # column of an (8, 3) block: node-major order interleaves the

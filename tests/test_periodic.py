@@ -178,6 +178,21 @@ class TestFindPeriodicSolution:
             u = period_map(u, p, op, ctl)
             assert np.max(u.values) <= bound[k]
 
+    def test_extinction_bound_is_read_at_the_enclosure_end(self):
+        # P2 on a habitat of 1/20 kernel scale: the bound decays at lambda1 of
+        # sigma_lo, the low end of the enclosure, from M = (a/b + 1) / min phi1
+        # (9.751274129945097e-11 at 801 periods); lambda1 of sigma1 in its
+        # place reads 9.751274080720759e-11, below the certified bound
+        p = params(P2)
+        op = dirichlet_op(LaplaceKernel(20.0), 1.0, 64, p.d)
+        out = find_periodic_solution(p, op, StepControl.for_params(p, 200))
+        assert isinstance(out, Extinction)
+        M = (p.a / p.b + 1.0) / float(np.min(out.pair.phi1))
+        lam_lo = p.lambda1(out.pair.enclosure[0])
+        assert out.periods == 801
+        assert out.final_supnorm == M * math.exp(-lam_lo * p.omega * 801)
+        assert M * math.exp(-lam_lo * p.omega * 800) >= 1e-10
+
     def test_extinction_steps_no_period(self, p3_extinct, monkeypatch):
         # nor builds a linear part: only the persistence branch steps
         from seasonal_dispersal import evolution
@@ -952,6 +967,24 @@ class TestProfileStudy:
         assert all(e.deviation >= 0 for e in entries)
         assert entries[1].deviation <= entries[0].deviation * 1.10
         assert all(e.lambda1 < 0 for e in entries)
+
+    def test_growing_deviation_is_refused(self, monkeypatch):
+        # the second habitat's attractor, halved, sits further from z*
+        from seasonal_dispersal import periodic
+
+        solve = periodic.find_periodic_solution
+        solved = []
+
+        def halved_second(p, op, ctl):
+            solved.append(solve(p, op, ctl))
+            sol = solved[-1]
+            return replace(sol, values=0.5 * sol.values) if len(solved) == 2 else sol
+
+        monkeypatch.setattr(periodic, "PROFILE_STEPS_PER_SEASON", 300)
+        monkeypatch.setattr(periodic, "find_periodic_solution", halved_second)
+        with pytest.raises(SolverError, match="core deviation grew"):
+            asymptotic_profile_study(params(P1), LaplaceKernel(1.0), [6.0, 10.0])
+        assert len(solved) == 2
 
     def test_bad_season_slice_factorizes(self):
         # both the attractor and the scalar orbit decay exactly through the
