@@ -102,11 +102,21 @@ m = ceil(n/2) for the folded row, so every ``--src`` tree must build its
 linear part from the column, with that signature; a tree from before it,
 whose ``_linear_part`` takes the dense K, does not run.
 
+With ``--identity`` the script times nothing: it runs each tree's
+``cli.main`` on a fixed corpus, each tree into directories of its own, and
+compares every output with the first tree's. The corpus is the four
+``perfbench/workloads.make_inputs`` configs at seeds 1, 2 and 3,
+``scripts/p1_figure.cfg``, the same config on a Neumann habitat, and
+criterion 7's profile study (P1, kernel scale 1, habitats of length 10, 20
+and 40). It prints a line for every exit status, CSV (by sha256) and summary
+line that differs, ``wall_time_s`` excepted, and exits 1 if there is any.
+
 Usage:
 
     python scripts/bench.py --label mine --out BENCH.json
     python scripts/bench.py --src ../parent/src --label parent \
         --src src --label change --out BENCH.json
+    python scripts/bench.py --identity --src ../parent/src --src src
 """
 
 import os
@@ -115,8 +125,10 @@ os.environ["OPENBLAS_NUM_THREADS"] = "1"  # before numpy is imported
 
 import argparse
 import contextlib
+import hashlib
 import importlib.util
 import io
+import itertools
 import json
 import platform
 import re
@@ -143,6 +155,8 @@ STEPS_PER_SEASON = 400
 SPAN_STEPS = 50
 FIGURE_PERIODS = 60
 FIGURE_CONFIG = Path(__file__).resolve().parent / "p1_figure.cfg"
+WORKLOADS_PY = Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py"
+IDENTITY_SEEDS = (1, 2, 3)
 BUDGET_S = 1.0
 MIN_RUNS = 10
 PASSES = 4
@@ -334,6 +348,77 @@ def measure_group(trees, key: str, tmp: str) -> list[dict]:
     return recs
 
 
+def identity_corpus() -> dict:
+    """The cases of ``--identity``, by name: each a function of an empty
+    directory that writes the case's config there if it has one of its own,
+    and returns the ``cli.main`` argv that writes its outputs there."""
+    spec = importlib.util.spec_from_file_location("bench_workloads", WORKLOADS_PY)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+
+    def figure(*overrides):
+        return lambda d: ["simulate", "--config", str(FIGURE_CONFIG),
+                          "--override", f"out.trajectory={d / 'trajectory.csv'}",
+                          "--override", f"out.summary={d / 'summary.txt'}", *overrides]
+
+    def profile(d: Path) -> list:
+        (d / "profile.cfg").write_text(
+            "preset = P1\nkernel.scale = 1\n"
+            f"profile.lengths = {', '.join(f'{L:g}' for L in PROFILE_LENGTHS)}\n"
+            f"out.profile = {d / 'profile.csv'}\nout.summary = {d / 'summary.txt'}\n")
+        return ["profile-study", "--config", str(d / "profile.cfg")]
+
+    corpus = {f"{name}-{seed}": lambda d, w=w, seed=seed: workloads.make_inputs(w, seed, d).argv
+              for name, w in workloads.WORKLOADS.items() for seed in IDENTITY_SEEDS}
+    corpus.update({"p1_figure": figure(), "p1_figure-neumann": figure("--override", "bc=neumann"),
+                   "criterion7": profile})
+    return corpus
+
+
+def identity_report(trees, tmp: Path, corpus: dict) -> list[str]:
+    """One line per difference of a tree after the first from the first on
+    the ``corpus`` (see ``identity_corpus``): its exit status, a CSV's
+    sha256, a missing file, or a summary line other than ``wall_time_s``;
+    and one per case that the first tree does not run with exit status 0.
+    Each tree's case runs in the directory ``tmp / tree name / case name``."""
+    report = []
+    for case, argv in corpus.items():
+        outputs = []
+        for sd in trees:
+            d = tmp / sd.__name__ / case
+            d.mkdir(parents=True)
+            with contextlib.redirect_stdout(io.StringIO()):
+                status = sd.cli.main(argv(d))
+            files = {}
+            for path in sorted(d.iterdir()):
+                if path.suffix == ".txt":
+                    files[path.name] = [line for line in path.read_text().splitlines()
+                                        if not line.startswith("wall_time_s = ")]
+                elif path.suffix != ".cfg":
+                    files[path.name] = hashlib.sha256(path.read_bytes()).hexdigest()
+            outputs.append((status, files))
+        (status0, files0), name0 = outputs[0], trees[0].__name__
+        if status0 != 0:  # a case that fails shows nothing
+            report.append(f"{case} {name0}: exit status {status0}")
+        for sd, (status, files) in zip(trees[1:], outputs[1:]):
+            where = f"{case} {sd.__name__} against {name0}"
+            if status != status0:
+                report.append(f"{where}: exit status {status} != {status0}")
+            for name in sorted(files0.keys() | files.keys()):
+                ours, theirs = files.get(name), files0.get(name)
+                if ours is None or theirs is None:
+                    report.append(f"{where}: {name} only in "
+                                  f"{name0 if ours is None else sd.__name__}")
+                elif isinstance(ours, str):
+                    if ours != theirs:
+                        report.append(f"{where}: {name} sha256 {ours} != {theirs}")
+                else:
+                    report += [f"{where}: {name} line {k}: {a!r} != {b!r}"
+                               for k, (a, b) in enumerate(
+                                   itertools.zip_longest(ours, theirs), 1) if a != b]
+    return report
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--src", type=Path, action="append",
@@ -342,9 +427,21 @@ def main(argv=None) -> int:
     ap.add_argument("--label", action="append",
                     help="key the results of the tree are stored under")
     ap.add_argument("--out", type=Path, help="JSON file to create or update")
+    ap.add_argument("--identity", action="store_true",
+                    help="compare the outputs of the --src trees on the identity "
+                         "corpus instead of timing them")
     args = ap.parse_args(argv)
     srcs = [src.resolve() for src in args.src or
             [Path(__file__).resolve().parent.parent / "src"]]
+    if args.identity:
+        if len(srcs) < 2:
+            ap.error("--identity compares two or more --src trees")
+        with tempfile.TemporaryDirectory() as tmp:
+            trees = [load_tree(src, f"bench_tree{i}") for i, src in enumerate(srcs)]
+            report = identity_report(trees, Path(tmp), identity_corpus())
+        print("\n".join(report) if report else
+              "identical: every exit status, CSV and summary line but wall_time_s")
+        return 1 if report else 0
     if args.out is None or not args.label or len(args.label) != len(srcs):
         ap.error("give --out, and --label once per --src")
 

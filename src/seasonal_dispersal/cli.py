@@ -16,12 +16,15 @@ a failed run never leaves partial CSVs behind; the summary records the failure
 instead. The temp file is created with mode 0o666, so every file gets the
 process umask, which the writes never change.
 
-``simulate`` sends each sample, as it is stepped, to a second process that
-formats it and writes it into the temp file (``CSV_FILTER``, which runs
-``_csvtext`` on the standard library alone), so the formatting runs on a
-second core while the samples are stepped, and ``simulate`` holds no whole
-trajectory. The temp file, its rename and its removal stay with this process.
-The other CSVs are formatted in-process by the same ``_csvtext.lines``.
+``simulate`` starts a second process right after it assembles its operator
+(``CSV_FILTER``, which runs ``_csvtext`` on the standard library alone), so
+that it starts up while the step is fitted. It sends each sample, as it is
+stepped, to that process, which formats it and writes it into the temp file,
+so the formatting runs on a second core while the samples are stepped, and
+``simulate`` holds no whole trajectory. The temp file, its rename and its
+removal stay with this process. The other CSVs are formatted in-process by
+the same ``_csvtext.lines``. Every file is written as bytes: the CSVs as
+``_csvtext.lines`` gives them, the summary encoded once.
 """
 
 import argparse
@@ -32,7 +35,7 @@ import sys
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Iterable, Iterator, Optional
+from typing import BinaryIO, Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -98,13 +101,13 @@ class RunSummary:
 
 
 @contextlib.contextmanager
-def _atomic_file(path: str) -> Iterator[int]:
-    """A new temp file beside ``path``, open for writing as the descriptor
-    yielded: the block's writes go in, and once the block ends the descriptor
-    is closed and the file renamed over ``path``. If the block raises, the
-    temp file is removed and ``path`` is left as it was; an OSError comes
-    back as one naming ``path``. The temp file is created with mode 0o666, so
-    it gets the process umask as open() applies it."""
+def _atomic_file(path: str) -> Iterator[BinaryIO]:
+    """A new temp file beside ``path``, open for writing as the binary file
+    yielded: the block's writes go in, and once the block ends the file is
+    closed and renamed over ``path``. If the block raises, the temp file is
+    removed and ``path`` is left as it was; an OSError comes back as one
+    naming ``path``. The temp file is created with mode 0o666, so it gets the
+    process umask as open() applies it."""
     parent = os.path.dirname(os.path.abspath(path))
     while True:
         tmp = os.path.join(parent, f"{os.path.basename(path)}.{os.urandom(8).hex()}.tmp")
@@ -114,10 +117,8 @@ def _atomic_file(path: str) -> Iterator[int]:
         except FileExistsError:
             continue
     try:
-        try:
-            yield fd
-        finally:
-            os.close(fd)
+        with open(fd, "wb") as fh:
+            yield fh
         os.replace(tmp, path)
     except BaseException as exc:
         if os.path.exists(tmp):
@@ -127,35 +128,37 @@ def _atomic_file(path: str) -> Iterator[int]:
         raise
 
 
-def _atomic_write(path: str, chunks: Iterable[str]) -> None:
-    """Write the text ``chunks``, consumed one at a time, atomically to
+def _atomic_write(path: str, chunks: Iterable[bytes]) -> None:
+    """Write the ``chunks`` of bytes, consumed one at a time, atomically to
     ``path``."""
-    with _atomic_file(path) as fd, _csvtext.text_file(fd) as fh:
+    with _atomic_file(path) as fh:
         fh.writelines(chunks)
 
 
-def _stream_csv(path: str, header: str, rows: Iterable[tuple[float, np.ndarray]],
-                nodes: np.ndarray) -> Optional[np.ndarray]:
+@contextlib.contextmanager
+def _stream_csv(path: str, header: str, nodes: np.ndarray
+                ) -> Iterator[Callable[[float, np.ndarray], object]]:
     """Write the CSV of ``_csvtext.lines(header, rows, nodes)`` atomically to
     ``path`` through the ``CSV_FILTER`` process, which formats each row while
-    the next is computed; returns the values of the last row.
+    the next is computed. The process starts on entry, with the header and
+    the nodes sent; the block sends each row ``(t, values)`` through the
+    function yielded, and the end marker goes out once the block ends.
 
     The temp file exists before the process starts. It is renamed over
     ``path`` only once the end marker went out and the process exited 0.
     On any failure the process is reaped and the temp file removed: a
-    failure of ``rows`` is re-raised as it is (the process sees its input
+    failure of the block is re-raised as it is (the process sees its input
     cut and exits 1), and a failure of the process raises OSError naming its
     exit status.
     """
-    last = None
-    with _atomic_file(path) as fd:
-        proc = subprocess.Popen(CSV_FILTER, stdin=subprocess.PIPE, stdout=fd)
+    with _atomic_file(path) as fh:
+        proc = subprocess.Popen(CSV_FILTER, stdin=subprocess.PIPE, stdout=fh)
         sent = False
         try:
             with proc.stdin as pipe:
                 pipe.write(_csvtext.stream_head(header, nodes))
-                for t, last in rows:
-                    pipe.write(_csvtext.RECORD.pack(t, len(last)) + last.tobytes())
+                yield lambda t, row: pipe.write(_csvtext.RECORD.pack(t, len(row))
+                                                + row.tobytes())
                 pipe.write(_csvtext.END)
             sent = True
         except BrokenPipeError:
@@ -165,14 +168,14 @@ def _stream_csv(path: str, header: str, rows: Iterable[tuple[float, np.ndarray]]
         if status != 0 or not sent:
             raise OSError(f"the CSV formatting process exited with status {status}"
                           + ("" if sent else " before the end of its input"))
-    return last
 
 
 def _folded_rows(times, values, n: int):
     """The rows of ``_csvtext.lines`` for ``values`` of n columns, each row
-    cut to its ``_fold_width``."""
+    cut to its ``_fold_width`` and given as a tuple of floats."""
     values = np.asarray(values, dtype=float).reshape(-1, n)  # an empty profile too
-    return ((t, row[:m]) for t, row, m in zip(times, values, _fold_width(values).tolist()))
+    return ((t, tuple(row[:m].tolist()))
+            for t, row, m in zip(times, values, _fold_width(values).tolist()))
 
 
 def export_trajectory(tr: Trajectory, path: str) -> None:
@@ -226,15 +229,16 @@ def run_scenario(command: str, cfg: ScenarioConfig) -> RunSummary:
         n_periods = _require(cfg.n_periods, "run.n_periods", command)
         _require(cfg.out_trajectory, "out.trajectory", command)
         op = assemble(cfg.kernel, cfg.grid, cfg.bc, p.d)
-        ctl, step_error = fit_step(cfg.u0, p, op, cfg.ctl)
-        summary.dt_good = good / ctl.steps_for(good)
-        if step_error is not None:
-            summary.extra["step_error_estimate"] = step_error
-        _record_verdict(summary, cfg)
-        # streamed: each sample is formatted and written as it is stepped
-        final = _stream_csv(cfg.out_trajectory, "t,x,u",
-                            samples(cfg.u0, p, op, ctl, n_periods * p.omega),
-                            cfg.grid.nodes)
+        # the formatting process starts while the step is fitted; each sample
+        # is sent to it as it is stepped
+        with _stream_csv(cfg.out_trajectory, "t,x,u", cfg.grid.nodes) as send:
+            ctl, step_error = fit_step(cfg.u0, p, op, cfg.ctl)
+            summary.dt_good = good / ctl.steps_for(good)
+            if step_error is not None:
+                summary.extra["step_error_estimate"] = step_error
+            _record_verdict(summary, cfg)
+            for t, final in samples(cfg.u0, p, op, ctl, n_periods * p.omega):
+                send(t, final)
         # the sup norm of a folded state is that of the state it stands for
         summary.final_supnorm = StateVector(final).sup_norm
         summary.n_periods = n_periods
@@ -343,7 +347,7 @@ def main(argv: Optional[list[str]] = None) -> int:
 
     rendered = summary.to_text()
     if cfg.out_summary is not None:
-        _atomic_write(cfg.out_summary, [rendered])
+        _atomic_write(cfg.out_summary, [rendered.encode()])
     if summary.status == "failed":
         print(f"run failed: {summary.error}", file=sys.stderr)
         return 3

@@ -129,3 +129,20 @@ def test_trees_are_called_in_alternating_order_with_equal_runs(bench, monkeypatc
         assert 2.0 <= rec["y_mib"]["value"] < 2.1
     assert not {"ratio", "ratio_q1", "ratio_q3"} & set(a["x_ms"])
     assert 0 < b["x_ms"]["ratio_q1"] <= b["x_ms"]["ratio"] <= b["x_ms"]["ratio_q3"]
+
+
+def test_identity_report_of_a_tree_against_itself_is_empty(bench, load, tmp_path, monkeypatch):
+    # each copy runs the case into a directory of its own; a copy whose
+    # summary differs in one line is reported with that line and nothing else
+    a = load(PACKAGE.parent, "bench_test_a")
+    b = load(PACKAGE.parent, "bench_test_b")
+    case = {"attractor-1": bench.identity_corpus()["attractor-1"]}
+    assert bench.identity_report([a, b], tmp_path / "same", case) == []
+    for sd in (a, b):
+        written = (tmp_path / "same" / sd.__name__ / "attractor-1").iterdir()
+        assert sorted(p.name for p in written) == ["attractor.cfg", "attractor.csv",
+                                                   "attractor.summary.txt"]
+    monkeypatch.setattr(b.cli, "SCHEMA_VERSION", 2)
+    assert bench.identity_report([a, b], tmp_path / "other", case) == [
+        "attractor-1 bench_test_b against bench_test_a: attractor.summary.txt line 1: "
+        "'schema_version = 2' != 'schema_version = 1'"]

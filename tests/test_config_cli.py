@@ -19,7 +19,7 @@ from seasonal_dispersal import (BoundaryCondition, ConfigError, Grid,
 from seasonal_dispersal import _csvtext, cli
 from seasonal_dispersal.cli import export_periodic, export_trajectory, main
 from seasonal_dispersal.config import parse_config
-from seasonal_dispersal.errors import EigenConvergenceError, PositivityError
+from seasonal_dispersal.errors import EigenConvergenceError, PositivityError, SolverError
 from seasonal_dispersal.evolution import fit_step
 from seasonal_dispersal.operator import _fold_width
 
@@ -332,8 +332,9 @@ class TestExportTrajectory:
 
     @pytest.mark.parametrize("v", [0.0, -0.0, 5e-324, 1e-300, 1 / 3, 1e22])
     def test_row_template_formats_as_fmt(self, v):
-        # _csvtext.lines fills its row template with %.17g
-        assert "%.17g" % v == _csvtext._fmt(v)
+        # _csvtext.lines fills its row template with b"%.17g"; the summary
+        # formats its floats with _fmt
+        assert b"%.17g" % v == _csvtext._fmt(v).encode()
 
 
 class TestRunSummary:
@@ -804,11 +805,41 @@ out.summary = {tmp_path}/s.txt
         assert "process exited with status 1" in summary
         assert_no_child_process()
 
+    def test_failure_after_the_filter_started_keeps_the_old_csv(self, tmp_path, monkeypatch):
+        # simulate starts its formatting process before it fits its step: a
+        # step choice that fails cuts the process's input, and the run fails
+        # with the temp file removed, the process reaped and the CSV of an
+        # earlier run as it was
+        path = self._sim_config(tmp_path)
+        old = b"t,x,u\nearlier run\n"
+        (tmp_path / "traj.csv").write_bytes(old)
+        popen, started = subprocess.Popen, []
+
+        def recorded(*args, **kwargs):
+            started.append(popen(*args, **kwargs))
+            return started[-1]
+
+        def failing(*args):
+            assert len(started) == 1 and started[0].poll() is None
+            assert len(list(tmp_path.glob("*.tmp"))) == 1
+            raise SolverError("injected step failure")
+
+        monkeypatch.setattr(cli.subprocess, "Popen", recorded)
+        monkeypatch.setattr(cli, "fit_step", failing)
+        assert main(["simulate", "--config", path]) == 3
+        assert started[0].returncode == 1
+        assert (tmp_path / "traj.csv").read_bytes() == old
+        assert list(tmp_path.glob("*.tmp")) == []
+        summary = (tmp_path / "summary.txt").read_text()
+        assert "status = failed" in summary
+        assert "error = injected step failure" in summary
+        assert_no_child_process()
+
     def test_failed_write_is_a_failed_run(self, tmp_path, monkeypatch, capsys):
         # a disk that fills up mid-CSV fails the run, and the summary of an
         # earlier run gives way to one naming the output
         def full_disk(*args):
-            yield "t,x,ustar\n"
+            yield b"t,x,ustar\n"
             raise OSError(errno.ENOSPC, "No space left on device")
 
         monkeypatch.setattr(_csvtext, "lines", full_disk)

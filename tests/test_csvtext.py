@@ -28,8 +28,10 @@ def stream(rows) -> bytes:
 
 @pytest.mark.parametrize("n_rows", [4, 0])
 def test_filter_writes_the_in_process_bytes(tmp_path, n_rows):
+    # lines takes each row's values as a tuple of floats, the stream as float64
     data = rows()[:n_rows]
-    cli._atomic_write(str(tmp_path / "in_process.csv"), _csvtext.lines("t,x,u", data, NODES))
+    cli._atomic_write(str(tmp_path / "in_process.csv"), _csvtext.lines(
+        "t,x,u", [(t, tuple(row.tolist())) for t, row in data], NODES))
     with open(tmp_path / "filter.csv", "wb") as out:
         run = subprocess.run(FILTER, input=stream(data), stdout=out,
                              stderr=subprocess.PIPE, timeout=60)

@@ -309,6 +309,47 @@ class TestFindPeriodicSolution:
             find_periodic_solution(p, op, ctl)
 
 
+    def test_wide_image_gap_is_not_certified(self, p1_attractor, monkeypatch):
+        # each carried run's upper column raised by 4 tol in its block and 2 tol
+        # in its image keeps both sandwich inequalities and the order, but its
+        # images lie more than tol apart: no pair certifies, and the budget,
+        # cut to 40 periods, runs out
+        from seasonal_dispersal import periodic
+
+        collect, tol = periodic._collect, periodic.PERIODIC_TOL
+
+        def widened(stream):
+            times, states = collect(stream)
+            states = states.copy()
+            states[0, :, 1] += 4 * tol
+            states[-1, :, 1] += 2 * tol
+            return times, states
+
+        monkeypatch.setattr(periodic, "_collect", widened)
+        monkeypatch.setattr(periodic, "MAX_PERIODS", 40)
+        p, op, _, ctl, _ = p1_attractor
+        with pytest.raises(SolverError, match="no pair 1e-08 apart certified after 40 periods"):
+            find_periodic_solution(p, op, ctl)
+
+    def test_final_residual_is_checked(self, p1_attractor, monkeypatch):
+        # the carried run's image of u~ moved by 1e-6, its pair left as it
+        # is: the pair certifies, and the period-map residual of the orbit
+        # returned is refused
+        from seasonal_dispersal import periodic
+
+        collect = periodic._collect
+
+        def moved(stream):
+            times, states = collect(stream)
+            states = states.copy()
+            states[-1, :, 0] += 1e-6
+            return times, states
+
+        monkeypatch.setattr(periodic, "_collect", moved)
+        p, op, _, ctl, _ = p1_attractor
+        with pytest.raises(SolverError, match="period-map residual 1e-06 exceeds tolerance 1e-08"):
+            find_periodic_solution(p, op, ctl)
+
 class TestTwoStarts:
     """The accelerated, certified start against plain iteration of P from
     the classic start's upper member, the constant a/b + 1."""
